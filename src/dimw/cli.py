@@ -237,6 +237,16 @@ def cmd_catalog(args):
     return 0
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def make_parser():
     ap = argparse.ArgumentParser(
         prog="dimw", description="finite-lattice dimension monoid workbench")
@@ -246,7 +256,7 @@ def make_parser():
         p.add_argument("--builtin", help="catalog key, e.g. partition:4 or subspace:2,3")
         p.add_argument("--file", help="lattice JSON file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--bound", type=int, default=4)
+        p.add_argument("--bound", type=_positive_int, default=4)
         if word:
             p.add_argument("--word", required=True, help="e.g. '0..a + 2*(a..1)'")
         if words:

@@ -154,8 +154,11 @@ class DimensionWord:
                 mult, raw = int(m.group(1)), m.group(2).strip()
             if ".." not in raw:
                 raise ValueError(f"bad word term {raw!r}")
-            aname, bname = raw.split("..", 1)
-            terms.append((L.index[aname.strip()], L.index[bname.strip()], mult))
+            aname, bname = (name.strip() for name in raw.split("..", 1))
+            for name in (aname, bname):
+                if name not in L.index:
+                    raise ValueError(f"unknown element {name!r} in word {text!r}")
+            terms.append((L.index[aname], L.index[bname], mult))
         return cls(terms)
 
 

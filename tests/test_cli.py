@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import dimw
 from dimw import lattice as lat
 from dimw.cli import catalog_summary, export_dot, run
 from dimw.dimension import dimension_monoid
@@ -134,3 +139,50 @@ def test_json_outputs_are_deterministic(capsys):
     run(["dim", "--builtin", "coprod_c2_c1", "--json"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def _cli(*argv):
+    """Run `dimw` in a fresh interpreter; return (exit code, stderr lines)."""
+    src = str(Path(dimw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "dimw.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert "Traceback" not in proc.stderr
+    return proc.returncode, proc.stderr.splitlines()
+
+
+def test_lattice_file_missing_key(tmp_path):
+    for doc, key in (({"name": "L", "elements": ["a"]}, "covers"),
+                     ({"name": "L", "covers": []}, "elements")):
+        path = tmp_path / f"no_{key}.json"
+        path.write_text(json.dumps(doc))
+        code, err = _cli("validate", "--file", str(path))
+        assert code == 1 and len(err) == 1, err
+        assert repr(key) in err[0]
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    assert _cli("validate", "--file", str(path)) == (
+        1, ["error: lattice file must hold a JSON object"])
+
+
+def test_lattice_file_without_elements(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"name": "L", "elements": [], "covers": []}')
+    code, err = _cli("validate", "--file", str(path))
+    assert code == 1 and err == ["error: lattice has no elements"]
+
+
+def test_word_with_unknown_or_malformed_term():
+    for word, name in (("0..zz", "zz"), ("0...a", ".a")):
+        code, err = _cli("eval", "--builtin", "N5", "--word", word)
+        assert code == 1 and len(err) == 1, err
+        assert repr(name) in err[0] and repr(word) in err[0]
+
+
+def test_bound_below_one_is_a_usage_error():
+    for bound in ("-3", "0"):
+        code, err = _cli("check", "--all", "--builtin", "N5", "--bound", bound)
+        assert code == 2
+        assert err[-1].endswith(f"argument --bound: must be at least 1, got {bound}")
+    assert run(["check", "--builtin", "N5", "--bound", "1"]) == 0

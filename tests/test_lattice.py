@@ -1,4 +1,6 @@
 
+import random
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,18 @@ def test_not_a_lattice_witness():
 def test_cycle_error():
     with pytest.raises(CycleError):
         lat.build_lattice(["a", "b"], [("a", "b"), ("b", "a")])
+
+
+def test_order_axioms_checked():
+    chain = np.array([[1, 1, 1], [0, 1, 1], [0, 0, 1]], dtype=bool)
+    assert lat.FiniteLattice("abc", chain).covers == ((0, 1), (1, 2))
+    gap = chain.copy()
+    gap[0, 2] = False
+    for broken, error, text in ((chain & ~np.eye(3, dtype=bool), ValueError, "reflexive"),
+                                (chain | chain.T, CycleError, "antisymmetric"),
+                                (gap, ValueError, "transitive")):
+        with pytest.raises(error, match=text):
+            lat.FiniteLattice("abc", broken)
 
 
 def test_transitive_edges_are_reduced():
@@ -201,3 +215,101 @@ def test_coproduct_builtins_match_free_lattice_oracle():
         L = lat.builtin(key)
         assert L.n == size
         assert lattice_isomorphism(L, F) is not None, key
+
+
+def _random_poset(rng):
+    """A random poset on up to 9 elements, half of them with a bottom and a
+    top added, as (names, cover-style edges) in shuffled index order."""
+    n = rng.randint(1, 9)
+    if rng.random() < 0.5:
+        n = max(n, 3)
+        rank = list(range(1, n - 1))
+        rng.shuffle(rank)
+        rank = [0] + rank + [n - 1]
+        edges = [(rank[0], x) for x in rank[1:]] + [(x, rank[-1]) for x in rank[:-1]]
+    else:
+        rank = list(range(n))
+        rng.shuffle(rank)
+        edges = []
+    p = rng.uniform(0.1, 0.7)
+    edges += [(rank[i], rank[j]) for i in range(n) for j in range(i + 1, n)
+              if rng.random() < p]
+    rng.shuffle(edges)
+    return [f"x{i}" for i in range(n)], edges
+
+
+def _order_oracle(n, edges):
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for a, b in edges:
+        leq[a][b] = True
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                leq[i][j] = leq[i][j] or (leq[i][k] and leq[k][j])
+    return leq
+
+
+def _table_oracle(n, leq):
+    """Meet and join tables by definition (the greatest common lower bound,
+    the least common upper bound), or the first pair with none: pairs i <= j
+    in index order, meet before join, as the NotALattice witness scan."""
+    tables = {"meet": np.zeros((n, n), dtype=np.int32),
+              "join": np.zeros((n, n), dtype=np.int32)}
+    for i in range(n):
+        for j in range(i, n):
+            for kind in ("meet", "join"):
+                if kind == "meet":
+                    bounds = [k for k in range(n) if leq[k][i] and leq[k][j]]
+                    best = [k for k in bounds if all(leq[m][k] for m in bounds)]
+                else:
+                    bounds = [k for k in range(n) if leq[i][k] and leq[j][k]]
+                    best = [k for k in bounds if all(leq[k][m] for m in bounds)]
+                if not best:
+                    return None, (kind, i, j)
+                tables[kind][i, j] = tables[kind][j, i] = best[0]
+    return tables, None
+
+
+def test_tables_match_definition_on_random_posets():
+    rng = random.Random(20261018)
+    seen = {"lattice": 0, "not": 0}
+    for _ in range(600):
+        names, edges = _random_poset(rng)
+        n = len(names)
+        leq = _order_oracle(n, edges)
+        tables, failure = _table_oracle(n, leq)
+        covers = [(names[a], names[b]) for a, b in edges]
+        if tables is None:
+            seen["not"] += 1
+            kind, i, j = failure
+            for build in (lambda: lat.build_lattice(names, covers),
+                          lambda: lat.FiniteLattice(names, leq)):
+                with pytest.raises(NotALattice) as err:
+                    build()
+                assert (err.value.kind, err.value.pair) == (kind, (names[i], names[j]))
+            continue
+        seen["lattice"] += 1
+        for L in (lat.build_lattice(names, covers), lat.FiniteLattice(names, leq)):
+            assert np.array_equal(L.leq, np.array(leq))
+            assert np.array_equal(L.meet, tables["meet"])
+            assert np.array_equal(L.join, tables["join"])
+            assert all(leq[L.bottom]) and all(row[L.top] for row in leq)
+            for a in range(n):
+                assert L.covers_of(a) == [b for x, b in L.covers if x == a]
+                assert L.cocovers_of(a) == [x for x, b in L.covers if b == a]
+    assert seen["lattice"] >= 100 and seen["not"] >= 100, seen
+
+
+def test_large_chain_and_boolean_build():
+    C = lat.builtin("chain", 1000)
+    ids = np.arange(1000)
+    assert (C.bottom, C.top, len(C.covers)) == (0, 999, 999)
+    assert np.array_equal(C.join, np.maximum.outer(ids, ids))
+    assert np.array_equal(C.meet, np.minimum.outer(ids, ids))
+    B = lat.builtin("boolean", 10)
+    ids = np.arange(1024)
+    assert (B.bottom, B.top, len(B.covers)) == (0, 1023, 10 * 2 ** 9)
+    assert np.array_equal(B.join, np.bitwise_or.outer(ids, ids))
+    assert np.array_equal(B.meet, np.bitwise_and.outer(ids, ids))
+    assert B.covers_of(0) == [2 ** i for i in range(10)]
+    assert B.cocovers_of(1023) == [1023 - 2 ** i for i in reversed(range(10))]
