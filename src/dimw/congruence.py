@@ -10,7 +10,7 @@ import json
 import numpy as np
 
 from .errors import ParamTooLarge
-from .lattice import FiniteLattice, product
+from .lattice import FiniteLattice, _UnionFind, product
 
 CON_SIZE_GUARD = 500
 CON_COUNT_GUARD = 100_000
@@ -21,14 +21,10 @@ class Congruence:
 
     def __init__(self, over, block_of):
         self.over = over
-        # normalize block ids to the least member of each block
+        # normalize block ids to the least member of each block: indices are
+        # visited in ascending order, so the first one seen is the least
         rep = {}
-        norm = []
-        for i, b in enumerate(block_of):
-            if b not in rep:
-                rep[b] = min(j for j in range(over.n) if block_of[j] == b)
-            norm.append(rep[b])
-        self.block_of = tuple(norm)
+        self.block_of = tuple(rep.setdefault(b, i) for i, b in enumerate(block_of))
         self._blocks = None
 
     @classmethod
@@ -120,26 +116,6 @@ class Congruence:
             ",".join(self.over.names[i] for i in b) for b in self.blocks())
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if ry < rx:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        return True
-
-
 def congruence_from_pairs(L, pairs):
     """Smallest congruence of L merging every given pair."""
     uf = _UnionFind(L.n)
@@ -159,11 +135,6 @@ def congruence_from_pairs(L, pairs):
 def principal_congruence(L, a, b):
     """Theta(a, b): the smallest congruence collapsing a and b."""
     return congruence_from_pairs(L, [(a, b)])
-
-
-def congruence_from_prime_pairs(L, pairs):
-    """Join of the principal congruences over the given element pairs."""
-    return congruence_from_pairs(L, pairs)
 
 
 class CongruenceLattice:
@@ -249,15 +220,20 @@ def quotient_lattice(L, theta):
     return Q, proj
 
 
+def meet_irreducible_congruences(L):
+    """The non-coarse meet-irreducible congruences of L, in Con L order."""
+    con = all_congruences(L)
+    return [con.congruences[i] for i in con.meet_irreducibles()]
+
+
 def rectangular_extension(L):
     """rect L: the product of the quotients by the non-coarse meet-irreducible
     congruences, plus the natural embedding of L."""
-    con = all_congruences(L)
-    mi = con.meet_irreducibles()
+    thetas = meet_irreducible_congruences(L)
     factors = []
     projs = []
-    for i in mi:
-        Q, proj = quotient_lattice(L, con.congruences[i])
+    for theta in thetas:
+        Q, proj = quotient_lattice(L, theta)
         factors.append(Q)
         projs.append(proj)
     if not factors:
@@ -275,4 +251,4 @@ def rectangular_extension(L):
     if len(set(embed)) != L.n:
         raise AssertionError("rectangular embedding failed to be injective")
     R.name = f"rect({L.name})"
-    return R, embed, [con.congruences[i] for i in mi]
+    return R, embed, thetas

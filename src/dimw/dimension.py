@@ -13,10 +13,11 @@ import random
 import re
 from dataclasses import dataclass, field
 
-from .congruence import all_congruences, principal_congruence, quotient_lattice, rectangular_extension
+from .congruence import (all_congruences, meet_irreducible_congruences, principal_congruence,
+                         quotient_lattice)
 from .errors import MismatchError, NotDistributive, NotModular
 from .lattice import dual as lattice_dual
-from .lattice import is_distributive, is_modular, product
+from .lattice import _UnionFind, is_distributive, is_modular, product
 from .monoid import DimVector, build_qosystem, semilattice_quotient
 
 
@@ -234,27 +235,15 @@ def projectivity_classes(L):
     """Partition of the prime intervals under transposition closure."""
     primes = list(L.covers)
     pidx = {pq: i for i, pq in enumerate(primes)}
-    parent = list(range(len(primes)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
+    uf = _UnionFind(len(primes))
     for (a, b) in primes:
         for (c, d) in primes:
             # [a, b] up-transposes to [c, d] when c^b == a and cvb == d
             if L.mt(c, b) == a and L.jn(c, b) == d:
-                union(pidx[(a, b)], pidx[(c, d)])
+                uf.union(pidx[(a, b)], pidx[(c, d)])
     groups = {}
     for pq in primes:
-        groups.setdefault(find(pidx[pq]), []).append(pq)
+        groups.setdefault(uf.find(pidx[pq]), []).append(pq)
     return [sorted(g) for _, g in sorted(groups.items())]
 
 
@@ -517,8 +506,7 @@ def dep_check(L, factors=None, k=3, max_pool=8, seed=11):
     """Order preservation and reflection of the subdirect-product map on
     dimension words of length <= k."""
     if factors is None:
-        _, _, thetas = rectangular_extension(L)
-        factors = [quotient_lattice(L, t) for t in thetas]
+        factors = [quotient_lattice(L, t) for t in meet_irreducible_congruences(L)]
     D = dimension_monoid(L)
     quots = []
     for Q, proj in factors:

@@ -14,7 +14,7 @@ import numpy as np
 from .congruence import congruence_from_pairs, quotient_lattice
 from .dimension import delta, dimension_monoid
 from .errors import MismatchError
-from .lattice import is_modular, is_sectionally_complemented
+from .lattice import _transitive_closure, is_modular, is_sectionally_complemented
 from .monoid import index as monoid_index
 
 
@@ -36,13 +36,6 @@ def perspectivity_matrix(L):
                     sim[a, b] = sim[b, a] = True
                     break
     return sim
-
-
-def _transitive_closure(mat):
-    out = mat.copy()
-    for k in range(len(out)):
-        out |= out[:, k, None] & out[k, None, :]
-    return out
 
 
 def proper_axis(L, a, b):

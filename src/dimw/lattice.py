@@ -48,6 +48,38 @@ def _closure_from_edges(n, edges):
     return leq
 
 
+def _transitive_closure(mat):
+    """Transitive closure of a boolean relation matrix (Warshall, numpy rows).
+    A k that nothing reaches adds no pair, so sparse relations skip it."""
+    out = mat.copy()
+    for k in range(len(out)):
+        if out[:, k].any():
+            out |= out[:, k, None] & out[k, None, :]
+    return out
+
+
+class _UnionFind:
+    """Disjoint sets over 0..n-1; the least index of a set is its root."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        if ry < rx:
+            rx, ry = ry, rx
+        self.parent[ry] = rx
+        return True
+
+
 def _covers_of_leq(leq, order):
     """The covering pairs of the order leq, ascending, given a linear
     extension `order` of it.  The first element of a set in a linear
@@ -271,6 +303,11 @@ def to_json(L):
         sort_keys=True)
 
 
+def _is_name(x):
+    # element names are JSON scalars; build_lattice takes their str()
+    return not isinstance(x, (list, dict))
+
+
 def from_json(text):
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -278,8 +315,13 @@ def from_json(text):
     for key in ("elements", "covers"):
         if key not in doc:
             raise ValueError(f"lattice file has no {key!r} key")
-    elements = doc["elements"]
-    covers = [tuple(p) for p in doc["covers"]]
+    elements, covers = doc["elements"], doc["covers"]
+    if not isinstance(elements, list) or not all(map(_is_name, elements)):
+        raise ValueError("'elements' must be a list of names")
+    if not isinstance(covers, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(map(_is_name, p)) for p in covers):
+        raise ValueError("'covers' must be a list of two-element lists of names")
+    covers = [tuple(p) for p in covers]
     if len(set(elements)) != len(elements):
         raise ValueError("duplicate element names in lattice file")
     if len(set(covers)) != len(covers):

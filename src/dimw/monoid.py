@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 
 from .errors import NotBelow, NotInF, ParamTooLarge, RefinementNotFound
+from .lattice import _transitive_closure, _UnionFind
 
 INF = float("inf")
 
@@ -32,26 +33,20 @@ class QOSystem:
             raise ValueError("point names must be distinct")
         k = len(self.points)
         self.index = {p: i for i, p in enumerate(self.points)}
-        rel = [[False] * k for _ in range(k)]
+        rel = np.zeros((k, k), dtype=bool)
         for p, q in rel_pairs:
-            rel[self._as_index(p)][self._as_index(q)] = True
-        for a in range(k):
-            for b in range(k):
-                if rel[a][b] and rel[b][a] and a != b:
-                    raise ValueError("relation is not antisymmetric")
-        for a in range(k):
-            for b in range(k):
-                if not rel[a][b]:
-                    continue
-                for c in range(k):
-                    if rel[b][c] and not rel[a][c]:
-                        raise ValueError("relation is not transitive")
-        self.rel = tuple(tuple(r) for r in rel)
-        self.p0 = frozenset(i for i in range(k) if rel[i][i])
+            rel[self._as_index(p), self._as_index(q)] = True
+        eye = np.eye(k, dtype=bool)
+        if (rel & rel.T & ~eye).any():
+            raise ValueError("relation is not antisymmetric")
+        if (_transitive_closure(rel) != rel).any():
+            raise ValueError("relation is not transitive")
+        # row by row, so that only one row of Python bools is ever a list
+        self.rel = tuple(tuple(r.tolist()) for r in rel)
+        self.p0 = frozenset(np.flatnonzero(rel.diagonal()).tolist())
         self.p1 = frozenset(range(k)) - self.p0
         # below[a][b]: a <= b in the associated partial order
-        self.below = tuple(tuple(rel[a][b] or a == b for b in range(k))
-                           for a in range(k))
+        self.below = tuple(tuple(r.tolist()) for r in rel | eye)
 
     def _as_index(self, p):
         return p if isinstance(p, int) else self.index[str(p)]
@@ -210,20 +205,6 @@ def in_canonical_form(qo, values):
     return violates_canonical_form(qo, values) is None
 
 
-def add(x, y):
-    return x + y
-
-
-def leq(x, y):
-    """Componentwise order; equals the algebraic order of the monoid."""
-    return x <= y
-
-
-def absorbs(x, y):
-    """x << y, i.e. x + y == y."""
-    return (x + y) == y
-
-
 def build_qosystem(generators, equalities, absorptions):
     """Quotient a generator set by equalities, close the absorptions, and fold
     the induced preorder's cycles into self-related points.
@@ -233,65 +214,31 @@ def build_qosystem(generators, equalities, absorptions):
     """
     gens = list(generators)
     gidx = {g: i for i, g in enumerate(gens)}
-    n = len(gens)
     # step 1: equivalence closure of the equality pairs
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind(len(gens))
     for a, b in equalities:
-        ra, rb = find(gidx[a]), find(gidx[b])
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    cls_of = [find(i) for i in range(n)]
-    classes = sorted(set(cls_of))
-    cpos = {c: i for i, c in enumerate(classes)}
-    m = len(classes)
+        uf.union(gidx[a], gidx[b])
+    roots = [uf.find(i) for i in range(len(gens))]
+    cpos = {c: i for i, c in enumerate(sorted(set(roots)))}
+    cls = [cpos[r] for r in roots]
+    m = len(cpos)
     # step 2: transitive closure of the induced absorption relation
-    prec = [[False] * m for _ in range(m)]
+    prec = np.zeros((m, m), dtype=bool)
     for a, b in absorptions:
-        prec[cpos[cls_of[gidx[a]]]][cpos[cls_of[gidx[b]]]] = True
-    for k in range(m):
-        for i in range(m):
-            if prec[i][k]:
-                for j in range(m):
-                    if prec[k][j]:
-                        prec[i][j] = True
-    # step 3: collapse mutual pairs (i < j and j < i) of the preorder
-    parent2 = list(range(m))
-
-    def find2(x):
-        while parent2[x] != x:
-            parent2[x] = parent2[parent2[x]]
-            x = parent2[x]
-        return x
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if prec[i][j] and prec[j][i]:
-                ri, rj = find2(i), find2(j)
-                if ri != rj:
-                    parent2[max(ri, rj)] = min(ri, rj)
-    reps = sorted(set(find2(i) for i in range(m)))
-    rpos = {r: i for i, r in enumerate(reps)}
-    names = ["p%d" % i for i in range(len(reps))]
-    pairs = []
-    for i in range(m):
-        for j in range(m):
-            if prec[i][j]:
-                a, b = rpos[find2(i)], rpos[find2(j)]
-                pairs.append((names[a], names[b]))
-    qo = QOSystem(names, sorted(set(pairs)))
-    gen_map = {g: rpos[find2(cpos[cls_of[gidx[g]]])] for g in gens}
+        prec[cls[gidx[a]], cls[gidx[b]]] = True
+    prec = _transitive_closure(prec)
+    # step 3: prec is closed, so prec & prec.T relates exactly the classes on
+    # a common cycle; each class folds into the least class of its cycle,
+    # the first one in its row once the diagonal is set
+    mutual = (prec & prec.T) | np.eye(m, dtype=bool)
+    least = mutual.argmax(axis=1) if m else np.zeros(0, dtype=int)
+    reps, point_of = np.unique(least, return_inverse=True)
+    rows, cols = np.nonzero(prec)
+    qo = QOSystem(["p%d" % i for i in range(len(reps))],
+                  zip(point_of[rows].tolist(), point_of[cols].tolist()))
+    point_of = point_of.tolist()
+    gen_map = {g: point_of[cls[gidx[g]]] for g in gens}
     return qo, gen_map
-
-
-def generator_vector(qo, p):
-    return qo.generator(p)
 
 
 def truncate(qo, mapping, n):

@@ -141,14 +141,20 @@ def test_json_outputs_are_deterministic(capsys):
     assert first == second
 
 
-def _cli(*argv):
-    """Run `dimw` in a fresh interpreter; return (exit code, stderr lines)."""
+def _proc(*argv):
+    """Run `dimw` in a fresh interpreter, with no traceback on stderr."""
     src = str(Path(dimw.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "dimw.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert "Traceback" not in proc.stderr
+    return proc
+
+
+def _cli(*argv):
+    """Run `dimw` in a fresh interpreter; return (exit code, stderr lines)."""
+    proc = _proc(*argv)
     return proc.returncode, proc.stderr.splitlines()
 
 
@@ -186,3 +192,26 @@ def test_bound_below_one_is_a_usage_error():
         assert code == 2
         assert err[-1].endswith(f"argument --bound: must be at least 1, got {bound}")
     assert run(["check", "--builtin", "N5", "--bound", "1"]) == 0
+
+
+def test_lattice_file_with_malformed_fields(tmp_path):
+    for i, (doc, key) in enumerate((
+            ({"elements": ["a"], "covers": [1]}, "covers"),
+            ({"elements": 5, "covers": []}, "elements"),
+            ({"elements": ["a", "b"], "covers": [["a"]]}, "covers"),
+            ({"elements": [["a"]], "covers": []}, "elements"))):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(doc))
+        code, err = _cli("validate", "--file", str(path))
+        assert code == 1 and len(err) == 1, err
+        assert repr(key) in err[0]
+
+
+def test_check_all_coprod_c3_c1():
+    # dep_check reads the meet-irreducible congruences without building rect L
+    # (10 * 5**4 * 2**6 elements here), so this ends well inside the timeout
+    proc = _proc("check", "--all", "--builtin", "coprod_c3_c1", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) == {
+        "congruence_correspondence", "dual_functor", "axioms", "v_modular",
+        "dimension_extension"}

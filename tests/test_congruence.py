@@ -1,7 +1,7 @@
 import pytest
 
 from dimw import lattice as lat
-from dimw.congruence import (Congruence, all_congruences, congruence_from_prime_pairs,
+from dimw.congruence import (Congruence, all_congruences, congruence_from_pairs,
                              principal_congruence, quotient_lattice,
                              rectangular_extension)
 from dimw.lattice import _set_partitions
@@ -110,11 +110,11 @@ def test_quotient_n5_by_theta_c_a():
 def test_congruence_from_prime_pairs():
     N5 = lat.builtin("N5")
     i = N5.index
-    assert congruence_from_prime_pairs(N5, []).block_count() == N5.n
-    t = congruence_from_prime_pairs(N5, [(i["0"], i["c"]), (i["0"], i["b"])])
+    assert congruence_from_pairs(N5, []).block_count() == N5.n
+    t = congruence_from_pairs(N5, [(i["0"], i["c"]), (i["0"], i["b"])])
     assert t.block_count() == 1
     M3 = lat.builtin("M3")
-    t2 = congruence_from_prime_pairs(M3, list(M3.covers))
+    t2 = congruence_from_pairs(M3, list(M3.covers))
     assert t2.block_count() == 1
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from dimw import monoid as mon
 from dimw.errors import NotBelow, NotInF
 from dimw.lattice import is_distributive
-from dimw.monoid import (INF, QOSystem, absorbs, build_qosystem, from_reduced,
+from dimw.monoid import (INF, QOSystem, build_qosystem, from_reduced,
                          in_canonical_form, index, refine, residual,
                          semilattice_quotient, to_reduced, truncate)
 
@@ -45,6 +45,144 @@ def test_build_qosystem_cycle_becomes_idempotent():
     assert len(qo.points) == 1 and qo.p0 == {0}
 
 
+class LoopQOSystem:
+    """Reference: the fields of a QO-system, checked and built with loops."""
+
+    def __init__(self, points, rel_pairs):
+        self.points = tuple(str(p) for p in points)
+        k = len(self.points)
+        index = {p: i for i, p in enumerate(self.points)}
+        rel = [[False] * k for _ in range(k)]
+        for p, q in rel_pairs:
+            rel[index[p]][index[q]] = True
+        for a in range(k):
+            for b in range(k):
+                if rel[a][b] and rel[b][a] and a != b:
+                    raise ValueError("relation is not antisymmetric")
+        for a in range(k):
+            for b in range(k):
+                if not rel[a][b]:
+                    continue
+                for c in range(k):
+                    if rel[b][c] and not rel[a][c]:
+                        raise ValueError("relation is not transitive")
+        self.rel = tuple(tuple(r) for r in rel)
+        self.p0 = frozenset(i for i in range(k) if rel[i][i])
+        self.p1 = frozenset(range(k)) - self.p0
+        self.below = tuple(tuple(rel[a][b] or a == b for b in range(k))
+                           for a in range(k))
+
+
+def reference_build_qosystem(generators, equalities, absorptions):
+    """Reference: build_qosystem with pure-Python union-finds and a loop
+    Floyd-Warshall."""
+    gens = list(generators)
+    gidx = {g: i for i, g in enumerate(gens)}
+    n = len(gens)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in equalities:
+        ra, rb = find(gidx[a]), find(gidx[b])
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    cls_of = [find(i) for i in range(n)]
+    classes = sorted(set(cls_of))
+    cpos = {c: i for i, c in enumerate(classes)}
+    m = len(classes)
+    prec = [[False] * m for _ in range(m)]
+    for a, b in absorptions:
+        prec[cpos[cls_of[gidx[a]]]][cpos[cls_of[gidx[b]]]] = True
+    for k in range(m):
+        for i in range(m):
+            if prec[i][k]:
+                for j in range(m):
+                    if prec[k][j]:
+                        prec[i][j] = True
+    parent2 = list(range(m))
+
+    def find2(x):
+        while parent2[x] != x:
+            parent2[x] = parent2[parent2[x]]
+            x = parent2[x]
+        return x
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if prec[i][j] and prec[j][i]:
+                ri, rj = find2(i), find2(j)
+                if ri != rj:
+                    parent2[max(ri, rj)] = min(ri, rj)
+    reps = sorted(set(find2(i) for i in range(m)))
+    rpos = {r: i for i, r in enumerate(reps)}
+    names = ["p%d" % i for i in range(len(reps))]
+    pairs = []
+    for i in range(m):
+        for j in range(m):
+            if prec[i][j]:
+                pairs.append((names[rpos[find2(i)]], names[rpos[find2(j)]]))
+    qo = LoopQOSystem(names, sorted(set(pairs)))
+    gen_map = {g: rpos[find2(cpos[cls_of[gidx[g]]])] for g in gens}
+    return qo, gen_map
+
+
+def assert_same_build(gens, equalities, absorptions):
+    qo, gen_map = build_qosystem(gens, equalities, absorptions)
+    ref, ref_map = reference_build_qosystem(gens, equalities, absorptions)
+    for field in ("points", "rel", "below", "p0", "p1"):
+        assert getattr(qo, field) == getattr(ref, field), field
+    assert gen_map == ref_map
+    assert all(type(v) is bool for row in qo.rel + qo.below for v in row)
+    assert all(type(p) is int for p in list(qo.p0) + list(gen_map.values()))
+
+
+def test_build_qosystem_matches_loop_reference_on_random_inputs():
+    rng = random.Random(31)
+    for trial in range(400):
+        n = rng.randint(0, 9)
+        gens = rng.sample(range(100), n) if trial % 2 else [f"g{i}" for i in range(n)]
+        if not gens:
+            assert_same_build(gens, [], [])
+            continue
+        equalities = [tuple(rng.choices(gens, k=2)) for _ in range(rng.randint(0, n))]
+        # absorptions include self-loops, and cycles once there are enough
+        absorptions = [tuple(rng.choices(gens, k=2)) for _ in range(rng.randint(0, 2 * n))]
+        assert_same_build(gens, equalities, absorptions)
+
+
+def test_build_qosystem_matches_loop_reference_on_catalog(small_builtins):
+    from dimw.dimension import caustic_relations
+
+    for L in small_builtins:
+        X, Y = caustic_relations(L)
+        assert_same_build(list(L.covers), X, Y)
+
+
+def test_qosystem_rejections_match_loop_reference():
+    rng = random.Random(32)
+    seen = set()
+    for _ in range(600):
+        k = rng.randint(1, 5)
+        points = [f"q{i}" for i in range(k)]
+        pairs = {tuple(rng.choices(points, k=2)) for _ in range(rng.randint(0, 2 * k))}
+        try:
+            ref = LoopQOSystem(points, pairs)
+        except ValueError as e:
+            with pytest.raises(ValueError) as info:
+                QOSystem(points, pairs)
+            assert str(info.value) == str(e)
+            seen.add(str(e))
+        else:
+            assert QOSystem(points, pairs).rel == ref.rel
+            seen.add(None)
+    assert seen == {None, "relation is not antisymmetric", "relation is not transitive"}
+
+
 def test_generator_vectors():
     qo, gmap = n5_system()
     low, hi = gmap[2], gmap[1]
@@ -60,8 +198,7 @@ def test_add_absorption():
     qo, gmap = n5_system()
     f1, f2 = qo.generator(gmap[1]), qo.generator(gmap[2])
     assert f2 + f1 == f1  # absorbed below
-    assert absorbs(f2, f1)
-    assert not absorbs(f1, f2)
+    assert f1 + f2 != f2
     assert f1 + qo.zero() == f1
     anti = QOSystem(["a", "b"], [])
     fa = anti.generator(0)
@@ -224,7 +361,7 @@ def test_pseudo_cancellation_witness():
         zbar = tuple(INF if v == INF else 0 for v in z.values)
         n = int(max(x.max_finite(), y.max_finite(), z.max_finite())) + 1
         t = truncate(qo, zbar, 2 * n)
-        assert absorbs(t, z)
+        assert t + z == z
         assert x <= y + t
 
 
@@ -246,7 +383,7 @@ def test_absorption_characterization():
     for p in range(3):
         for q in range(3):
             if qo.rel[p][q]:
-                assert absorbs(qo.generator(p), qo.generator(q))
+                assert qo.generator(p) + qo.generator(q) == qo.generator(q)
 
 
 def test_refine_integer_case():
