@@ -13,12 +13,13 @@ import random
 import re
 from dataclasses import dataclass, field
 
-from .congruence import (all_congruences, meet_irreducible_congruences, principal_congruence,
-                         quotient_lattice)
+import numpy as np
+
+from .congruence import all_congruences, principal_congruence, quotient_lattice
 from .errors import MismatchError, NotDistributive, NotModular
 from .lattice import dual as lattice_dual
 from .lattice import _UnionFind, is_distributive, is_modular, product
-from .monoid import DimVector, build_qosystem, semilattice_quotient
+from .monoid import DimVector, QOSystem, _index_set, build_qosystem, semilattice_quotient
 
 
 def caustic_pairs(L):
@@ -185,35 +186,35 @@ def propto(x, y):
     return x <= y * n
 
 
-def congruence_correspondence_check(L, D=None, samples=200, seed=7):
+def _collapsed_down_set(D, theta):
+    """Membership vector of the points below a point with a prime interval
+    that theta collapses."""
+    hit = np.zeros(len(D.qo.points), dtype=bool)
+    hit[[p for (a, b), p in D.gen.items() if theta.same(a, b)]] = True
+    return D.qo.down_set(hit)
+
+
+def congruence_correspondence_check(L, D=None, con=None, samples=200, seed=7):
     """Check that lower sets of the pipeline order match Con L and that
     collapsing is the bounded-multiple domination of delta values."""
     D = D or dimension_monoid(L)
-    con = all_congruences(L)
+    con = con if con is not None else all_congruences(L)
     lowersets, sets, classify = semilattice_quotient(D.qo)
-
-    def theta_to_set(theta):
-        down = set()
-        for (a, b) in L.covers:
-            if theta.same(a, b):
-                p = D.gen[(a, b)]
-                down.update(q for q in range(len(D.qo.points)) if D.qo.below[q][p])
-        return frozenset(down)
-
-    images = [theta_to_set(t) for t in con.congruences]
-    if len(set(images)) != len(con.congruences) or set(images) != set(sets):
+    images = np.array([_collapsed_down_set(D, t) for t in con.congruences])
+    found = set(map(_index_set, images))
+    if len(found) != len(con.congruences) or found != set(sets):
         raise MismatchError("congruence lattice does not match the lower sets",
                             witness=(len(con.congruences), len(sets)))
-    for i in range(len(con.congruences)):
-        for j in range(len(con.congruences)):
-            if bool(con.leq[i, j]) != (images[i] <= images[j]):
-                raise MismatchError("refinement order does not match inclusion",
-                                    witness=(i, j))
+    # images[i] <= images[j] unless some point of images[i] is missing from images[j]
+    wrong = np.argwhere(con.leq != ~(images @ ~images.T))
+    if len(wrong):
+        raise MismatchError("refinement order does not match inclusion",
+                            witness=tuple(wrong[0].tolist()))
+    points = np.arange(len(D.qo.points))
     for (a, b) in L.covers:
         t = principal_congruence(L, a, b)
-        want = frozenset(q for q in range(len(D.qo.points))
-                         if D.qo.below[q][D.gen[(a, b)]])
-        if theta_to_set(t) != want:
+        want = D.qo.down_set(points == D.gen[(a, b)])
+        if not np.array_equal(_collapsed_down_set(D, t), want):
             raise MismatchError("principal congruence image is not the point's lower set",
                                 witness=(L.names[a], L.names[b]))
     rng = random.Random(seed)
@@ -326,16 +327,16 @@ def qosystem_isomorphism(P, Q):
     if n != m or len(P.p0) != len(Q.p0):
         return None
 
-    def profile(S, i):
-        below = sum(1 for j in range(len(S.points)) if S.rel[j][i])
-        above = sum(1 for j in range(len(S.points)) if S.rel[i][j])
-        return (i in S.p0, below, above)
+    def profiles(S):
+        # (self-related, points below, points above), the point itself counted
+        return list(zip(S.rel.diagonal().tolist(), S.rel.sum(axis=0).tolist(),
+                        S.rel.sum(axis=1).tolist()))
 
-    pprof = [profile(P, i) for i in range(n)]
-    qprof = [profile(Q, i) for i in range(n)]
+    pprof, qprof = profiles(P), profiles(Q)
     if sorted(pprof) != sorted(qprof):
         return None
     order = sorted(range(n), key=lambda i: pprof[i])
+    prel, qrel = P.rel.tolist(), Q.rel.tolist()
     image = [None] * n
     used = [False] * n
 
@@ -349,7 +350,7 @@ def qosystem_isomorphism(P, Q):
             ok = True
             for k2 in range(k):
                 i2 = order[k2]
-                if P.rel[i][i2] != Q.rel[j][image[i2]] or P.rel[i2][i] != Q.rel[image[i2]][j]:
+                if prel[i][i2] != qrel[j][image[i2]] or prel[i2][i] != qrel[image[i2]][j]:
                     ok = False
                     break
             if ok:
@@ -365,29 +366,20 @@ def qosystem_isomorphism(P, Q):
 
 
 def _disjoint_union(P, Q):
-    from .monoid import QOSystem
-
     pts = ["A.%s" % p for p in P.points] + ["B.%s" % q for q in Q.points]
-    pairs = [("A.%s" % P.points[a], "A.%s" % P.points[b])
-             for a in range(len(P.points)) for b in range(len(P.points)) if P.rel[a][b]]
-    pairs += [("B.%s" % Q.points[a], "B.%s" % Q.points[b])
-              for a in range(len(Q.points)) for b in range(len(Q.points)) if Q.rel[a][b]]
+    pairs = np.argwhere(P.rel).tolist() + (np.argwhere(Q.rel) + len(P.points)).tolist()
     return QOSystem(pts, pairs)
 
 
 def _restricted(P, keep):
-    from .monoid import QOSystem
-
-    keep = sorted(keep)
     pts = [P.points[i] for i in keep]
-    pairs = [(P.points[a], P.points[b]) for a in keep for b in keep if P.rel[a][b]]
-    return QOSystem(pts, pairs)
+    return QOSystem(pts, np.argwhere(P.rel[np.ix_(keep, keep)]).tolist())
 
 
-def functor_checks(L, theta=None, B=None):
+def functor_checks(L, theta=None, B=None, D=None):
     """Product, dual and quotient compatibility of the pipeline."""
     report = {}
-    D = dimension_monoid(L)
+    D = D or dimension_monoid(L)
     if B is not None:
         DB = dimension_monoid(B)
         DP = dimension_monoid(product(L, B))
@@ -406,19 +398,18 @@ def functor_checks(L, theta=None, B=None):
                                 witness=(L.names[a], L.names[b]))
     if len(set(fwd.values())) != len(Dd.qo.points):
         raise MismatchError("dual map is not onto", witness=L.name)
-    for p1 in fwd:
-        for p2 in fwd:
-            if D.qo.rel[p1][p2] != Dd.qo.rel[fwd[p1]][fwd[p2]]:
-                raise MismatchError("dual map does not preserve the relation",
-                                    witness=(p1, p2))
+    src = list(fwd)
+    dst = [fwd[p] for p in src]
+    moved = np.argwhere(D.qo.rel[np.ix_(src, src)] != Dd.qo.rel[np.ix_(dst, dst)])
+    if len(moved):
+        i, j = moved[0].tolist()
+        raise MismatchError("dual map does not preserve the relation",
+                            witness=(src[i], src[j]))
     report["dual"] = "ok"
     if theta is not None:
         Q, proj = quotient_lattice(L, theta)
         DQ = dimension_monoid(Q)
-        collapsed = {D.gen[(a, b)] for (a, b) in L.covers if theta.same(a, b)}
-        down = {q for q in range(len(D.qo.points))
-                if any(D.qo.below[q][p] for p in collapsed)}
-        keep = [p for p in range(len(D.qo.points)) if p not in down]
+        keep = np.flatnonzero(~_collapsed_down_set(D, theta)).tolist()
         if qosystem_isomorphism(DQ.qo, _restricted(D.qo, keep)) is None:
             raise MismatchError("quotient system is not the restriction",
                                 witness=theta)
@@ -502,14 +493,15 @@ def is_v_modular(L, bound=4, D=None):
     return True, None
 
 
-def dep_check(L, factors=None, k=3, max_pool=8, seed=11):
+def dep_check(L, con=None, D=None, k=3, max_pool=8, seed=11):
     """Order preservation and reflection of the subdirect-product map on
-    dimension words of length <= k."""
-    if factors is None:
-        factors = [quotient_lattice(L, t) for t in meet_irreducible_congruences(L)]
-    D = dimension_monoid(L)
+    dimension words of length <= k; the factors are the quotients by the
+    non-coarse meet-irreducible congruences of con (default Con L)."""
+    con = con if con is not None else all_congruences(L)
+    D = D or dimension_monoid(L)
     quots = []
-    for Q, proj in factors:
+    for i in con.meet_irreducibles():
+        Q, proj = quotient_lattice(L, con.congruences[i])
         quots.append((dimension_monoid(Q), proj))
     rng = random.Random(seed)
     pool = list(L.covers)

@@ -278,6 +278,9 @@ def build_lattice(elements, covers, name="L"):
     closure of the input edges, so transitive input edges are dropped.
     """
     names = [str(x) for x in elements]
+    # the closure below allocates n * n bytes, so oversized input stops here
+    if len(names) > SIZE_GUARD:
+        raise ParamTooLarge(f"{len(names)} elements exceeds guard {SIZE_GUARD}")
     if len(set(names)) != len(names):
         raise ValueError("element names must be distinct")
     idx = {x: i for i, x in enumerate(names)}

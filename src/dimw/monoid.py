@@ -25,7 +25,11 @@ def _scale(k, v):
 
 
 class QOSystem:
-    """Finite antisymmetric transitive relation; points named, dense indices."""
+    """Finite antisymmetric transitive relation; points named, dense indices.
+
+    The relation is held once, as the read-only bool matrix `rel`; `below`
+    (rel | eye) and the self-related points `p0` are derived from it.
+    """
 
     def __init__(self, points, rel_pairs):
         self.points = tuple(str(p) for p in points)
@@ -41,12 +45,12 @@ class QOSystem:
             raise ValueError("relation is not antisymmetric")
         if (_transitive_closure(rel) != rel).any():
             raise ValueError("relation is not transitive")
-        # row by row, so that only one row of Python bools is ever a list
-        self.rel = tuple(tuple(r.tolist()) for r in rel)
+        rel.flags.writeable = False
+        self.rel = rel
+        # below[a, b]: a <= b in the associated partial order
+        self.below = rel | eye
+        self.below.flags.writeable = False
         self.p0 = frozenset(np.flatnonzero(rel.diagonal()).tolist())
-        self.p1 = frozenset(range(k)) - self.p0
-        # below[a][b]: a <= b in the associated partial order
-        self.below = tuple(tuple(r.tolist()) for r in rel | eye)
 
     def _as_index(self, p):
         return p if isinstance(p, int) else self.index[str(p)]
@@ -54,12 +58,14 @@ class QOSystem:
     def __len__(self):
         return len(self.points)
 
-    def strictly_below(self, a, b):
-        return self.below[a][b] and a != b
+    def down_set(self, members):
+        """The points below some member, for a bool membership vector over
+        the points or a stack of them; the result has the same shape."""
+        return members @ self.below.T
 
     def is_antichain(self):
-        k = len(self.points)
-        return all(not self.rel[a][b] for a in range(k) for b in range(k) if a != b)
+        # below holds the diagonal; anything more relates two distinct points
+        return int(self.below.sum()) == len(self.points)
 
     def zero(self):
         return DimVector(self, (0,) * len(self.points), validate=False)
@@ -67,14 +73,8 @@ class QOSystem:
     def generator(self, p):
         """f_p: oo strictly below p; 1 at p if p is not self-related, else oo."""
         p = self._as_index(p)
-        vals = []
-        for q in range(len(self.points)):
-            if self.strictly_below(q, p):
-                vals.append(INF)
-            elif q == p:
-                vals.append(INF if p in self.p0 else 1)
-            else:
-                vals.append(0)
+        vals = [INF if r else 0 for r in self.rel[:, p].tolist()]
+        vals[p] = INF if p in self.p0 else 1
         return DimVector(self, tuple(vals), validate=False)
 
     def vector(self, mapping, validate=True):
@@ -86,22 +86,23 @@ class QOSystem:
     def lower_sets(self):
         """All lower sets of (P, <=), sorted; frozensets of indices."""
         k = len(self.points)
-        out = []
-        for bits in range(1 << k):
-            s = frozenset(i for i in range(k) if bits >> i & 1)
-            if all(self.below[q][p] <= (q in s) for p in s for q in range(k)):
-                out.append(s)
-        return sorted(out, key=lambda s: (len(s), sorted(s)))
+        # row `bits` holds the subset with member i iff bit i of `bits` is set
+        subsets = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(bool)
+        lower = subsets[(self.down_set(subsets) == subsets).all(axis=1)]
+        return sorted(map(_index_set, lower), key=lambda s: (len(s), sorted(s)))
 
     def to_json_dict(self):
         return {"points": list(self.points),
                 "rel": [[self.points[a], self.points[b]]
-                        for a in range(len(self.points))
-                        for b in range(len(self.points)) if self.rel[a][b]]}
+                        for a, b in np.argwhere(self.rel).tolist()]}
 
     def __repr__(self):
-        edges = sum(sum(r) for r in self.rel)
-        return f"QOSystem({len(self.points)} points, {edges} relations)"
+        return f"QOSystem({len(self.points)} points, {int(self.rel.sum())} relations)"
+
+
+def _index_set(members):
+    """The indices of a bool membership vector, as a frozenset."""
+    return frozenset(np.flatnonzero(members).tolist())
 
 
 class DimVector:
@@ -124,8 +125,9 @@ class DimVector:
         return [i for i, v in enumerate(self.values) if v != 0]
 
     def maximal_support(self):
-        s = self.support()
-        return [p for p in s if not any(self.qo.strictly_below(p, q) for q in s)]
+        # p is maximal when p itself is the only support point at or above it
+        s = np.array(self.support(), dtype=int)
+        return s[self.qo.below[s][:, s].sum(axis=1) == 1].tolist()
 
     def is_zero(self):
         return all(v == 0 for v in self.values)
@@ -179,25 +181,25 @@ def violates_canonical_form(qo, values, relaxed=False):
     relaxed=True checks only the first group of conditions (antitone support,
     0/oo on self-related points, finite antichain), not finiteness of maxima.
     """
-    k = len(qo.points)
-    for p in range(k):
-        for q in range(k):
-            if qo.strictly_below(p, q) and values[p] < values[q]:
-                return f"not antitone at ({qo.points[p]}, {qo.points[q]})"
-    for p in qo.p0:
-        if values[p] not in (0, INF):
-            return f"finite nonzero value on self-related point {qo.points[p]}"
-    finite = [p for p in range(k) if 0 < values[p] < INF]
-    for p in finite:
-        for q in finite:
-            if p != q and qo.below[p][q]:
-                return "finite positions are not an antichain"
+    v = np.array(values, dtype=float)
+    # the diagonal of rel never fires: v[p] < v[p] is false
+    bad = qo.rel & (v[:, None] < v)
+    if np.count_nonzero(bad):
+        p, q = divmod(int(bad.argmax()), len(v))
+        return f"not antitone at ({qo.points[p]}, {qo.points[q]})"
+    bad = qo.rel.diagonal() & (v != 0) & (v != INF)
+    if np.count_nonzero(bad):
+        return f"finite nonzero value on self-related point {qo.points[bad.argmax()]}"
+    # finite positions are now plain points, so the diagonal is false here too
+    finite = (v > 0) & (v < INF)
+    if finite @ qo.rel @ finite:
+        return "finite positions are not an antichain"
     if not relaxed:
-        support = [p for p in range(k) if values[p] != 0]
-        for p in support:
-            if p in qo.p1 and values[p] == INF:
-                if not any(qo.strictly_below(p, q) for q in support):
-                    return f"infinite value at maximal non-self-related point {qo.points[p]}"
+        # a self-related point is related to itself, so only plain points
+        # can be infinite with nothing of the support strictly above them
+        bad = (v == INF) & ~(qo.rel @ (v != 0))
+        if np.count_nonzero(bad):
+            return f"infinite value at maximal non-self-related point {qo.points[bad.argmax()]}"
     return None
 
 
@@ -369,15 +371,15 @@ class ReducedRep:
     def __init__(self, qo, terms):
         self.qo = qo
         self.terms = dict(terms)
-        pts = list(self.terms)
-        for p in pts:
-            for q in pts:
-                if p != q and qo.below[p][q]:
-                    raise NotInF("reduced terms must form an antichain")
+        pts = np.array(list(self.terms), dtype=int)
+        # each term is at or below itself; any further pair breaks the antichain
+        if qo.below[pts][:, pts].sum() > len(pts):
+            raise NotInF("reduced terms must form an antichain")
         for p, c in self.terms.items():
-            if p in qo.p0 and c != INF:
-                raise NotInF("self-related points carry the infinity marker")
-            if p in qo.p1 and not (isinstance(c, int) and c > 0):
+            if p in qo.p0:
+                if c != INF:
+                    raise NotInF("self-related points carry the infinity marker")
+            elif not (isinstance(c, int) and c > 0):
                 raise NotInF("plain points carry positive integer coefficients")
 
     def items(self):
@@ -420,17 +422,13 @@ def semilattice_quotient(qo):
         raise ParamTooLarge("lower-set lattice guarded to 20 points")
     sets = qo.lower_sets()
     names = ["{" + ",".join(sorted(qo.points[i] for i in s)) + "}" for s in sets]
-    m = len(sets)
-    leqm = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        for j in range(m):
-            leqm[i, j] = sets[i] <= sets[j]
-    lat = FiniteLattice(names, leqm, name="lowersets", _validate=False)
+    member = np.zeros((len(sets), len(qo.points)), dtype=bool)
+    for i, s in enumerate(sets):
+        member[i, list(s)] = True
+    # sets[i] <= sets[j] unless some member of sets[i] is missing from sets[j]
+    lat = FiniteLattice(names, ~(member @ ~member.T), name="lowersets", _validate=False)
 
     def classify(x):
-        down = set()
-        for p in x.support():
-            down.update(q for q in range(len(qo.points)) if qo.below[q][p])
-        return frozenset(down)
+        return _index_set(qo.down_set(np.array(x.values) != 0))
 
     return lat, sets, classify

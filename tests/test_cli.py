@@ -134,11 +134,15 @@ def test_check_failure_exit_code(tmp_path, capsys):
 
 
 def test_json_outputs_are_deterministic(capsys):
-    run(["dim", "--builtin", "coprod_c2_c1", "--json"])
-    first = capsys.readouterr().out
-    run(["dim", "--builtin", "coprod_c2_c1", "--json"])
-    second = capsys.readouterr().out
-    assert first == second
+    verbs = (["validate"], ["props"], ["con"], ["dim"], ["geom"], ["check"],
+             ["check", "--all"], ["eval", "--word", "0..a + a..1"],
+             ["compare", "--word", "0..a", "--word", "0..1"])
+    for argv in [v + ["--builtin", "coprod_c2_c1", "--json"] for v in verbs] + [
+            ["dot", "--builtin", "coprod_c2_c1", "--labels"], ["catalog", "--json"]]:
+        run(argv)
+        first = capsys.readouterr().out
+        run(argv)
+        assert capsys.readouterr().out == first, argv
 
 
 def _proc(*argv):

@@ -507,10 +507,10 @@ def test_dep_check():
 def test_dep_check_explicit_factors():
     C3 = lat.builtin("chain", 3)
     cons = all_congruences(C3)
-    twochains = [quotient_lattice(C3, t) for t in cons.congruences
-                 if t.block_count() == 2]
+    twochains = [t for t in cons.congruences if t.block_count() == 2]
     assert len(twochains) == 2
-    assert dep_check(C3, factors=twochains, k=3)
+    assert [cons.congruences[i] for i in cons.meet_irreducibles()] == twochains
+    assert dep_check(C3, cons, k=3)
 
 
 def test_dim_report_shape():

@@ -65,6 +65,15 @@ def test_unknown_builtin_and_guards():
         lat.builtin("boolean", 20)
 
 
+def test_size_guard_precedes_the_closure(monkeypatch):
+    def refuse(n, edges):
+        raise AssertionError(f"{n} x {n} closure allocated before the size guard")
+
+    monkeypatch.setattr(lat, "_closure_from_edges", refuse)
+    with pytest.raises(ParamTooLarge):
+        lat.builtin_spec(f"chain:{lat.SIZE_GUARD + 1}")
+
+
 def test_partition_3_shape():
     P3 = lat.builtin("partition", 3)
     assert P3.n == 5

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -72,6 +73,55 @@ class LoopQOSystem:
         self.below = tuple(tuple(rel[a][b] or a == b for b in range(k))
                            for a in range(k))
 
+    def strictly_below(self, a, b):
+        return self.below[a][b] and a != b
+
+    def down_set(self, members):
+        return frozenset(q for q in range(len(self.points))
+                         if any(self.below[q][p] for p in members))
+
+    def lower_sets(self):
+        k = len(self.points)
+        out = []
+        for bits in range(1 << k):
+            s = frozenset(i for i in range(k) if bits >> i & 1)
+            if all(self.below[q][p] <= (q in s) for p in s for q in range(k)):
+                out.append(s)
+        return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+    def generator_values(self, p):
+        vals = []
+        for q in range(len(self.points)):
+            if self.strictly_below(q, p):
+                vals.append(INF)
+            elif q == p:
+                vals.append(INF if p in self.p0 else 1)
+            else:
+                vals.append(0)
+        return tuple(vals)
+
+    def violates_canonical_form(self, values):
+        """The reason loop, self-related points visited in index order."""
+        k = len(self.points)
+        for p in range(k):
+            for q in range(k):
+                if self.strictly_below(p, q) and values[p] < values[q]:
+                    return f"not antitone at ({self.points[p]}, {self.points[q]})"
+        for p in sorted(self.p0):
+            if values[p] not in (0, INF):
+                return f"finite nonzero value on self-related point {self.points[p]}"
+        finite = [p for p in range(k) if 0 < values[p] < INF]
+        for p in finite:
+            for q in finite:
+                if p != q and self.below[p][q]:
+                    return "finite positions are not an antichain"
+        support = [p for p in range(k) if values[p] != 0]
+        for p in support:
+            if p in self.p1 and values[p] == INF:
+                if not any(self.strictly_below(p, q) for q in support):
+                    return f"infinite value at maximal non-self-related point {self.points[p]}"
+        return None
+
 
 def reference_build_qosystem(generators, equalities, absorptions):
     """Reference: build_qosystem with pure-Python union-finds and a loop
@@ -131,41 +181,79 @@ def reference_build_qosystem(generators, equalities, absorptions):
     return qo, gen_map
 
 
-def assert_same_build(gens, equalities, absorptions):
+# every outcome of violates_canonical_form, by the first two words of its reason
+REASONS = {None, "not antitone", "finite nonzero", "finite positions", "infinite value"}
+
+
+def assert_same_qosystem(qo, ref, rng, reasons):
+    """Compare the numpy QO-system with the loop reference field by field and
+    on down-sets, lower sets, generators and canonical-form reasons; add the
+    outcomes seen to `reasons`."""
+    k = len(qo.points)
+    assert qo.points == ref.points
+    assert qo.rel.tolist() == [list(r) for r in ref.rel]
+    assert qo.below.tolist() == [list(r) for r in ref.below]
+    assert qo.p0 == ref.p0 and all(type(p) is int for p in qo.p0)
+    assert not qo.rel.flags.writeable and not qo.below.flags.writeable
+    subsets = [rng.sample(range(k), rng.randint(0, k)) for _ in range(6)]
+    stack = np.zeros((len(subsets), k), dtype=bool)
+    for row, members in zip(stack, subsets):
+        row[members] = True
+    for row, down, members in zip(stack, qo.down_set(stack), subsets):
+        assert np.array_equal(qo.down_set(row), down)
+        assert frozenset(np.flatnonzero(down).tolist()) == ref.down_set(members)
+    assert qo.lower_sets() == ref.lower_sets()
+    candidates = [tuple(rng.choice((0, 1, 2, INF)) for _ in range(k)) for _ in range(4)]
+    for p in range(k):
+        values = qo.generator(p).values
+        assert values == ref.generator_values(p)
+        assert all(type(v) is int or v is INF for v in values), values
+        candidates.append(values)
+        for v in (2, INF):  # changing one value reaches every reason
+            candidates.append(values[:p] + (v,) + values[p + 1:])
+    for values in candidates:
+        why = mon.violates_canonical_form(qo, values)
+        assert why == ref.violates_canonical_form(values), values
+        reasons.add(why and " ".join(why.split()[:2]))
+
+
+def assert_same_build(gens, equalities, absorptions, rng, reasons):
     qo, gen_map = build_qosystem(gens, equalities, absorptions)
     ref, ref_map = reference_build_qosystem(gens, equalities, absorptions)
-    for field in ("points", "rel", "below", "p0", "p1"):
-        assert getattr(qo, field) == getattr(ref, field), field
+    assert_same_qosystem(qo, ref, rng, reasons)
     assert gen_map == ref_map
-    assert all(type(v) is bool for row in qo.rel + qo.below for v in row)
-    assert all(type(p) is int for p in list(qo.p0) + list(gen_map.values()))
+    assert all(type(p) is int for p in gen_map.values())
 
 
 def test_build_qosystem_matches_loop_reference_on_random_inputs():
     rng = random.Random(31)
+    check_rng, reasons = random.Random(131), set()
     for trial in range(400):
         n = rng.randint(0, 9)
         gens = rng.sample(range(100), n) if trial % 2 else [f"g{i}" for i in range(n)]
         if not gens:
-            assert_same_build(gens, [], [])
+            assert_same_build(gens, [], [], check_rng, reasons)
             continue
         equalities = [tuple(rng.choices(gens, k=2)) for _ in range(rng.randint(0, n))]
         # absorptions include self-loops, and cycles once there are enough
         absorptions = [tuple(rng.choices(gens, k=2)) for _ in range(rng.randint(0, 2 * n))]
-        assert_same_build(gens, equalities, absorptions)
+        assert_same_build(gens, equalities, absorptions, check_rng, reasons)
+    assert reasons == REASONS
 
 
 def test_build_qosystem_matches_loop_reference_on_catalog(small_builtins):
     from dimw.dimension import caustic_relations
 
+    rng = random.Random(33)
     for L in small_builtins:
         X, Y = caustic_relations(L)
-        assert_same_build(list(L.covers), X, Y)
+        assert_same_build(list(L.covers), X, Y, rng, set())
 
 
 def test_qosystem_rejections_match_loop_reference():
     rng = random.Random(32)
     seen = set()
+    check_rng, reasons = random.Random(132), set()
     for _ in range(600):
         k = rng.randint(1, 5)
         points = [f"q{i}" for i in range(k)]
@@ -178,9 +266,10 @@ def test_qosystem_rejections_match_loop_reference():
             assert str(info.value) == str(e)
             seen.add(str(e))
         else:
-            assert QOSystem(points, pairs).rel == ref.rel
+            assert_same_qosystem(QOSystem(points, pairs), ref, check_rng, reasons)
             seen.add(None)
     assert seen == {None, "relation is not antisymmetric", "relation is not transitive"}
+    assert reasons == REASONS
 
 
 def test_generator_vectors():
