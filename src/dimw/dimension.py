@@ -6,6 +6,14 @@ Generators are the prime intervals (cover pairs).  For every caustic pair
 closure of the first-step/last-step relations: in a finite lattice every
 prime interval of [w, b] lies on some maximal chain from w to b, so the
 per-path relations and the quantified family generate each other.
+
+Both stages are array passes over the order, meet and join tables.  Caustic
+pairs test the upper covers of a ^ b (dually, the lower covers of a v b)
+for all pairs at once, one pass per cover slot over blocks of rows.
+Emission finds the first and last steps of all oriented pairs at once in
+the sorted cover arrays (`cover_lo`, `cover_hi`), tests "[p, q] lies in
+[lo, hi]" as one mask over the covers per query, and sorts and deduplicates
+the relations as pairs of cover indices.
 """
 
 import itertools
@@ -19,48 +27,126 @@ from .congruence import all_congruences, principal_congruence, quotient_lattice
 from .errors import MismatchError, NotDistributive, NotModular
 from .lattice import dual as lattice_dual
 from .lattice import _UnionFind, is_distributive, is_modular, product
-from .monoid import DimVector, QOSystem, _index_set, build_qosystem, semilattice_quotient
+from .monoid import DimVector, QOSystem, _index_set, build_qosystem
+
+
+# the row blocks of the caustic-pair passes and of the absorption masks hold
+# at most this many cells, which bounds their temporaries on large lattices
+_BLOCK_CELLS = 1 << 14
+
+
+def _padded(lists, pad):
+    """The lists as the rows of one int array, padded with `pad`."""
+    out = np.full((len(lists), max(map(len, lists))), pad)
+    for x, row in enumerate(lists):
+        out[x, :len(row)] = row
+    return out
+
+
+def _collapses_below(leq, join, meet, up):
+    """ok[a, b], for incomparable a and b: x v b == a v b for every x in
+    ]a ^ b, a[.  `up[x]` lists the upper covers of x, padded with the top,
+    which lies below no such a.  On the dual order (leq.T, the tables
+    swapped, lower covers padded with the bottom) the same pass tests
+    x ^ b == a ^ b for every x in ]a, a v b[.
+
+    Each such x lies above an upper cover w <= a of a ^ b, and x v b grows
+    with x, so testing every such w suffices: one pass per slot of `up`
+    over the rows of the elements that have something incomparable.
+    """
+    out = ~(leq | leq.T)
+    cols = np.arange(len(leq))
+    rows = np.flatnonzero(out.any(axis=1))
+    step = max(1, _BLOCK_CELLS // len(leq))
+    for at in range(0, len(rows), step):
+        a = rows[at:at + step]
+        ok, low, high = out[a], meet[a], join[a]
+        for slot in up.T:
+            w = slot[low]
+            ok &= ~leq[w, a[:, None]] | (join[w, cols] == high)
+        out[a] = ok
+    return out
 
 
 def caustic_pairs(L):
     """All unordered incomparable pairs whose side intervals collapse."""
-    out = []
-    for a in range(L.n):
-        for b in range(a + 1, L.n):
-            if L.le(a, b) or L.le(b, a):
-                continue
-            m, j = L.mt(a, b), L.jn(a, b)
-            if (all(L.jn(x, b) == j for x in L.open_interval(m, a))
-                    and all(L.jn(a, y) == j for y in L.open_interval(m, b))
-                    and all(L.mt(x, b) == m for x in L.open_interval(a, j))
-                    and all(L.mt(a, y) == m for y in L.open_interval(b, j))):
-                out.append((a, b))
-    return out
+    low = _collapses_below(L.leq, L.join, L.meet, _padded(L._up, L.top))
+    high = _collapses_below(L.leq.T, L.meet, L.join, _padded(L._down, L.bottom))
+    # the conditions on ]a ^ b, b[ and ]b, a v b[ follow: for y in ]a ^ b, b[,
+    # a v y lies in [a, a v b], and below a v b it would meet b in a ^ b (by
+    # `high`, or as a itself) although y <= (a v y) ^ b; dually with `low`
+    found = np.triu(low & high, 1)
+    return [tuple(ab) for ab in np.argwhere(found).tolist()]
 
 
-def _primes_within(L, lo, hi):
-    """Prime intervals [p, q] with lo <= p < q <= hi."""
-    return [(p, q) for p, q in L.covers if L.le(lo, p) and L.le(q, hi)]
+def _primes_mask(L, lo, hi):
+    """Mask over L.covers of the prime intervals [p, q] with lo <= p < q <= hi;
+    for columns lo and hi of k queries, a k x |covers| stack of masks."""
+    return L.leq[lo, L.cover_lo] & L.leq[L.cover_hi, hi]
+
+
+def _relation_list(L, first, second):
+    """Sorted distinct ((p, q), (p', q')) over the pairs of cover indices
+    (first[i], second[i]).  The cover list is sorted, so index order is the
+    order of the pairs."""
+    if not len(first):
+        return []
+    base = len(L.covers) + 1
+    # a stable sort, not np.unique: numpy 2's unique costs over 1 MB of
+    # resident memory on its first call in a process
+    keys = np.sort(first.astype(np.int64) * base + second, kind="stable")
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    first, second = np.divmod(keys[fresh], base)
+    covers = L.covers
+    return [(covers[f], covers[g]) for f, g in zip(first.tolist(), second.tolist())]
+
+
+def _matches(keys, values):
+    """The pairs (i, k) with keys[k] == values[i], keys sorted, ordered by i
+    and then k, as two index arrays."""
+    first = np.searchsorted(keys, values)
+    count = np.searchsorted(keys, values, side="right") - first
+    rows = np.repeat(np.arange(len(values)), count)
+    return rows, np.arange(len(rows)) - np.repeat(np.cumsum(count) - count - first, count)
 
 
 def caustic_relations(L):
-    """Equality and absorption pairs over the prime intervals of L."""
-    X, Y = set(), set()
-    for pair in caustic_pairs(L):
-        for s, t in (pair, pair[::-1]):
-            m, j = L.mt(s, t), L.jn(s, t)
-            first_steps = [w for w in L.covers_of(m) if L.le(w, t)]
-            last_steps = [v for v in L.cocovers_of(j) if L.le(s, v)]
-            for w in first_steps:
-                for v in last_steps:
-                    X.add(((m, w), (v, j)))
-                for pq in _primes_within(L, w, t):
-                    Y.add((pq, (m, w)))
-            for v in L.cocovers_of(j):
-                if L.le(t, v):
-                    for pq in _primes_within(L, t, v):
-                        Y.add((pq, (v, j)))
-    return sorted(X), sorted(Y)
+    """Equality and absorption pairs over the prime intervals of L.
+
+    For each caustic pair in both orientations (s, t), with m = s ^ t and
+    j = s v t: every first step (m, w), w <= t, equals every last step
+    (v, j), s <= v; every prime interval of [w, t] is absorbed by (m, w),
+    and every prime interval of [t, v], t <= v, by (v, j).
+    """
+    pairs = np.array(caustic_pairs(L), dtype=np.intp).reshape(-1, 2)
+    s, t = np.concatenate([pairs, pairs[:, ::-1]]).T
+    lo, hi, leq = L.cover_lo, L.cover_hi, L.leq
+    # steps as (pair, cover) rows ordered by pair; the cover list is sorted
+    # by lower end, `by_hi` orders it by upper end
+    i, first = _matches(lo, L.meet[s, t])
+    keep = leq[hi[first], t[i]]
+    i, first = i[keep], first[keep]
+    by_hi = np.argsort(hi, kind="stable")
+    k, last = _matches(hi[by_hi], L.join[s, t])
+    last = by_hi[last]
+    keep = leq[s[k], lo[last]]
+    r, q = _matches(k[keep], i)
+    X = _relation_list(L, first[r], last[keep][q])
+    # absorption queries (lo, hi, absorbing cover); an empty interval absorbs nothing
+    keep = leq[t[k], lo[last]]
+    k, last = k[keep], last[keep]
+    queries = np.concatenate([np.stack([hi[first], t[i], first], axis=1),
+                              np.stack([t[k], lo[last], last], axis=1)])
+    queries = queries[queries[:, 0] != queries[:, 1]]
+    absorbed = [np.empty((0, 2), dtype=np.intp)]
+    step = max(1, _BLOCK_CELLS // max(1, len(L.covers)))
+    for at in range(0, len(queries), step):
+        part = queries[at:at + step]
+        row, prime = np.nonzero(_primes_mask(L, part[:, :1], part[:, 1:2]))
+        absorbed.append(np.stack([prime, part[row, 2]], axis=1))
+    absorbed = np.concatenate(absorbed)
+    return X, _relation_list(L, absorbed[:, 0], absorbed[:, 1])
 
 
 @dataclass
@@ -199,7 +285,7 @@ def congruence_correspondence_check(L, D=None, con=None, samples=200, seed=7):
     collapsing is the bounded-multiple domination of delta values."""
     D = D or dimension_monoid(L)
     con = con if con is not None else all_congruences(L)
-    lowersets, sets, classify = semilattice_quotient(D.qo)
+    sets = D.qo.lower_sets()
     images = np.array([_collapsed_down_set(D, t) for t in con.congruences])
     found = set(map(_index_set, images))
     if len(found) != len(con.congruences) or found != set(sets):
@@ -486,8 +572,8 @@ def is_v_modular(L, bound=4, D=None):
                     fresh.append(tgt)
             frontier = fresh
         for (c, d) in sorted(seen):
-            parts = sorted({delta(D, p, q) for p, q in _primes_within(L, c, d)},
-                           key=lambda v: v.values)
+            within = np.flatnonzero(_primes_mask(L, c, d)).tolist()
+            parts = sorted({delta(D, *L.covers[i]) for i in within}, key=lambda v: v.values)
             if not _bounded_sum_search(val, parts, bound):
                 return False, (source, (c, d))
     return True, None

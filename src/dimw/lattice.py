@@ -171,6 +171,9 @@ class FiniteLattice:
         # a linear extension
         order = np.argsort(leq.sum(axis=0), kind="stable").tolist()
         self.covers = _covers_of_leq(leq, order)
+        # the cover list once more as two index arrays, for masked passes
+        ends = np.array(self.covers, dtype=np.intp).reshape(-1, 2)
+        self.cover_lo, self.cover_hi = ends.T.copy()
         self._up = [[] for _ in range(n)]
         self._down = [[] for _ in range(n)]
         for a, b in self.covers:
@@ -178,7 +181,7 @@ class FiniteLattice:
             self._down[b].append(a)
         self.meet, self.join = self._tables(order)
         self.bottom, self.top = order[0], order[-1]
-        for a in (self.leq, self.meet, self.join):
+        for a in (self.leq, self.meet, self.join, self.cover_lo, self.cover_hi):
             a.flags.writeable = False
         self._height = None
 
@@ -233,9 +236,6 @@ class FiniteLattice:
             raise ValueError("interval endpoints must satisfy a <= b")
         mask = self.leq[a] & self.leq[:, b]
         return [int(z) for z in np.flatnonzero(mask)]
-
-    def open_interval(self, a, b):
-        return [z for z in self.interval(a, b) if z != a and z != b]
 
     def atoms(self):
         return self.covers_of(self.bottom)

@@ -86,6 +86,9 @@ class QOSystem:
     def lower_sets(self):
         """All lower sets of (P, <=), sorted; frozensets of indices."""
         k = len(self.points)
+        # the pass below allocates 2^k x k
+        if k > 20:
+            raise ParamTooLarge("lower-set lattice guarded to 20 points")
         # row `bits` holds the subset with member i iff bit i of `bits` is set
         subsets = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(bool)
         lower = subsets[(self.down_set(subsets) == subsets).all(axis=1)]
@@ -418,8 +421,6 @@ def semilattice_quotient(qo):
     map sending a vector to the lower set generated by its support."""
     from .lattice import FiniteLattice
 
-    if len(qo.points) > 20:
-        raise ParamTooLarge("lower-set lattice guarded to 20 points")
     sets = qo.lower_sets()
     names = ["{" + ",".join(sorted(qo.points[i] for i in s)) + "}" for s in sets]
     member = np.zeros((len(sets), len(qo.points)), dtype=bool)

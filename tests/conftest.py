@@ -115,6 +115,34 @@ def grid_vectors(qo, max_coeff):
     return out
 
 
+def random_poset(rng):
+    """A random poset on up to 9 elements, half of them with a bottom and a
+    top added, as (names, cover-style edges) in shuffled index order."""
+    n = rng.randint(1, 9)
+    if rng.random() < 0.5:
+        n = max(n, 3)
+        rank = list(range(1, n - 1))
+        rng.shuffle(rank)
+        rank = [0] + rank + [n - 1]
+        edges = [(rank[0], x) for x in rank[1:]] + [(x, rank[-1]) for x in rank[:-1]]
+    else:
+        rank = list(range(n))
+        rng.shuffle(rank)
+        edges = []
+    p = rng.uniform(0.1, 0.7)
+    edges += [(rank[i], rank[j]) for i in range(n) for j in range(i + 1, n)
+              if rng.random() < p]
+    rng.shuffle(edges)
+    return [f"x{i}" for i in range(n)], edges
+
+
+def random_posets(count=600, seed=20261018):
+    """The seeded sample of random posets the table and caustic-pair oracle
+    tests run over; about half of them are lattices."""
+    rng = random.Random(seed)
+    return [random_poset(rng) for _ in range(count)]
+
+
 def random_eight_element_lattices(count, seed=20240817):
     """Deterministic sample of 8-element lattices (random order closures)."""
     rng = random.Random(seed)

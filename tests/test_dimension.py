@@ -5,13 +5,14 @@ import pytest
 
 from dimw import dimension as dim
 from dimw import lattice as lat
+from dimw.cli import CATALOG_INSTANCES
 from dimw.congruence import all_congruences, quotient_lattice
 from dimw.dimension import (DimensionWord, caustic_pairs, caustic_relations, delta,
                             dep_check, dimension_monoid, distributive_dim,
                             functor_checks, intervals_projective, is_v_modular,
                             projectivity_classes, schreier_refine, word_compare)
-from dimw.errors import NotDistributive, NotModular
-from conftest import builtins_up_to, random_eight_element_lattices
+from dimw.errors import NotALattice, NotDistributive, NotModular
+from conftest import builtins_up_to, random_eight_element_lattices, random_posets
 
 
 def by_names(L, pairs):
@@ -43,6 +44,83 @@ def test_caustic_relations_n5_exact():
     assert set(Y) == wantY
 
 
+def _open_interval(L, a, b):
+    return [z for z in L.interval(a, b) if z != a and z != b]
+
+
+def loop_caustic_pairs(L):
+    """Reference: the pairwise loop over the four collapse conditions."""
+    out = []
+    for a in range(L.n):
+        for b in range(a + 1, L.n):
+            if L.le(a, b) or L.le(b, a):
+                continue
+            m, j = L.mt(a, b), L.jn(a, b)
+            if (all(L.jn(x, b) == j for x in _open_interval(L, m, a))
+                    and all(L.jn(a, y) == j for y in _open_interval(L, m, b))
+                    and all(L.mt(x, b) == m for x in _open_interval(L, a, j))
+                    and all(L.mt(a, y) == m for y in _open_interval(L, b, j))):
+                out.append((a, b))
+    return out
+
+
+def _loop_primes_within(L, lo, hi):
+    """Prime intervals [p, q] with lo <= p < q <= hi."""
+    return [(p, q) for p, q in L.covers if L.le(lo, p) and L.le(q, hi)]
+
+
+def loop_caustic_relations(L):
+    """Reference: relation emission as set unions over loop_caustic_pairs."""
+    X, Y = set(), set()
+    for pair in loop_caustic_pairs(L):
+        for s, t in (pair, pair[::-1]):
+            m, j = L.mt(s, t), L.jn(s, t)
+            first_steps = [w for w in L.covers_of(m) if L.le(w, t)]
+            last_steps = [v for v in L.cocovers_of(j) if L.le(s, v)]
+            for w in first_steps:
+                for v in last_steps:
+                    X.add(((m, w), (v, j)))
+                for pq in _loop_primes_within(L, w, t):
+                    Y.add((pq, (m, w)))
+            for v in L.cocovers_of(j):
+                if L.le(t, v):
+                    for pq in _loop_primes_within(L, t, v):
+                        Y.add((pq, (v, j)))
+    return sorted(X), sorted(Y)
+
+
+def assert_same_as_loop(L):
+    pairs, (X, Y) = caustic_pairs(L), caustic_relations(L)
+    assert pairs == loop_caustic_pairs(L), L.name
+    assert (X, Y) == loop_caustic_relations(L), L.name
+    coords = [v for ab in pairs for v in ab]
+    coords += [v for rel in X + Y for pq in rel for v in pq]
+    assert all(type(v) is int for v in coords), L.name
+
+
+def test_caustic_stages_match_loops_on_catalog(monkeypatch):
+    lattices = [lat.builtin_spec(spec) for spec in CATALOG_INSTANCES]
+    for L in lattices:
+        assert_same_as_loop(L)
+    monkeypatch.setattr(dim, "_BLOCK_CELLS", 1)  # one row per block
+    for L in lattices:
+        assert_same_as_loop(L)
+
+
+def test_caustic_stages_match_loops_on_random_lattices():
+    lattices = 0
+    for names, edges in random_posets():
+        try:
+            L = lat.build_lattice(names, [(names[a], names[b]) for a, b in edges])
+        except NotALattice:
+            continue
+        assert_same_as_loop(L)
+        lattices += 1
+    assert lattices >= 100
+    for L in random_eight_element_lattices(20):
+        assert_same_as_loop(L)
+
+
 def test_caustic_relations_boolean_square():
     B2 = lat.builtin("boolean", 2)
     X, Y = caustic_relations(B2)
@@ -66,6 +144,16 @@ def test_dimension_monoid_shapes():
         assert len(D.qo.p0) == idem, spec
     B3 = dimension_monoid(lat.builtin("boolean", 3))
     assert B3.qo.is_antichain()
+
+
+def test_dimension_monoid_of_large_simple_modular_and_distributive():
+    # subspace:2,5 is simple, modular and geometric, so D L is Z+
+    D = dimension_monoid(lat.builtin_spec("subspace:2,5"))
+    assert (len(D.qo.points), D.qo.p0) == (1, frozenset())
+    # boolean:9 is distributive: one point per join-irreducible, none idempotent
+    D = dimension_monoid(lat.builtin_spec("boolean:9"))
+    assert (len(D.qo.points), D.qo.p0) == (9, frozenset())
+    assert D.qo.is_antichain()
 
 
 def _shape_from_covers(n, primes):

@@ -1,13 +1,10 @@
-
-import random
-
 import numpy as np
 import pytest
 
 from dimw import lattice as lat
 from dimw.errors import CycleError, NotALattice, ParamTooLarge, UnknownBuiltin
 
-from conftest import builtins_up_to
+from conftest import builtins_up_to, random_posets
 
 
 def test_two_chain():
@@ -226,27 +223,6 @@ def test_coproduct_builtins_match_free_lattice_oracle():
         assert lattice_isomorphism(L, F) is not None, key
 
 
-def _random_poset(rng):
-    """A random poset on up to 9 elements, half of them with a bottom and a
-    top added, as (names, cover-style edges) in shuffled index order."""
-    n = rng.randint(1, 9)
-    if rng.random() < 0.5:
-        n = max(n, 3)
-        rank = list(range(1, n - 1))
-        rng.shuffle(rank)
-        rank = [0] + rank + [n - 1]
-        edges = [(rank[0], x) for x in rank[1:]] + [(x, rank[-1]) for x in rank[:-1]]
-    else:
-        rank = list(range(n))
-        rng.shuffle(rank)
-        edges = []
-    p = rng.uniform(0.1, 0.7)
-    edges += [(rank[i], rank[j]) for i in range(n) for j in range(i + 1, n)
-              if rng.random() < p]
-    rng.shuffle(edges)
-    return [f"x{i}" for i in range(n)], edges
-
-
 def _order_oracle(n, edges):
     leq = [[i == j for j in range(n)] for i in range(n)]
     for a, b in edges:
@@ -280,10 +256,8 @@ def _table_oracle(n, leq):
 
 
 def test_tables_match_definition_on_random_posets():
-    rng = random.Random(20261018)
     seen = {"lattice": 0, "not": 0}
-    for _ in range(600):
-        names, edges = _random_poset(rng)
+    for names, edges in random_posets():
         n = len(names)
         leq = _order_oracle(n, edges)
         tables, failure = _table_oracle(n, leq)

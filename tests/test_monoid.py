@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dimw import monoid as mon
-from dimw.errors import NotBelow, NotInF
+from dimw.errors import NotBelow, NotInF, ParamTooLarge
 from dimw.lattice import is_distributive
 from dimw.monoid import (INF, QOSystem, build_qosystem, from_reduced,
                          in_canonical_form, index, refine, residual,
@@ -531,6 +531,18 @@ def test_semilattice_quotient_shapes():
     latt2, _, _ = semilattice_quotient(single)
     assert latt2.n == 2
     assert is_distributive(latt5)
+
+
+def test_lower_sets_guard_precedes_the_subset_table(monkeypatch):
+    qo = QOSystem([f"p{i}" for i in range(21)], [])
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("subset table allocated")
+
+    monkeypatch.setattr(mon.np, "arange", no_table)
+    for call in (qo.lower_sets, lambda: semilattice_quotient(qo)):
+        with pytest.raises(ParamTooLarge, match="lower-set lattice guarded to 20 points"):
+            call()
 
 
 def test_semilattice_quotient_matches_propto_oracle():
