@@ -53,7 +53,6 @@ def cmd_props(args):
 def cmd_con(args):
     L = _load(args)
     C = con.all_congruences(L)
-    K = C.as_lattice()
     doc = {"congruences": len(C),
            "meet_irreducible": len(C.meet_irreducibles()),
            "join_irreducible": len(C.join_irreducibles()),
@@ -62,7 +61,7 @@ def cmd_con(args):
           f"Con({L.name}): {len(C)} congruences "
           f"({len(C.meet_irreducibles())} meet-irreducible, "
           f"{len(C.join_irreducibles())} join-irreducible); "
-          f"simple: {len(C) == 2}; congruence lattice height {K.height()}")
+          f"simple: {len(C) == 2}; congruence lattice height {C.height()}")
     return 0
 
 

@@ -1,8 +1,15 @@
 """Congruences of finite lattices, their lattice, quotients, rect L.
 
-A congruence is stored as a partition of the element indices; the generation
-loop is a union-find fixed point that merges (x^z, y^z) and (xvz, yvz) for
-every merged pair (x, y) and every z.
+Con L is read off the join-irreducible elements (R. Freese, "Computing
+congruences efficiently", Algebra Universalis 59 (2008) 337-343).  Each
+join-irreducible j has one lower cover j_*, and j D k holds when
+j <= k v x but j !<= k_* v x for some x.  con(j_*, j) <= con(k_*, k) exactly
+when j D* k (the reflexive-transitive closure), so the strong components of
+D are the join-irreducible congruences and Con L is the lattice of down-sets
+of their quotient order.  The congruence that collapses a down-set S of
+classes sends x to lo(x), the join of the join-irreducibles below x whose
+class is not in S; x and y share a block iff lo(x) = lo(y).  A congruence is
+stored as a partition of the element indices.
 """
 
 import json
@@ -10,10 +17,18 @@ import json
 import numpy as np
 
 from .errors import ParamTooLarge
-from .lattice import FiniteLattice, _UnionFind, product
+from .lattice import FiniteLattice, _transitive_closure, product
 
-CON_SIZE_GUARD = 500
+# the D pass reads |J|^2 * n cells of the order table
+CON_PASS_GUARD = 10 ** 8
+# Con L is listed only if it has at most CON_COUNT_GUARD congruences whose
+# partitions (|Con L| * n tuple slots) fit in CON_TABLE_GUARD cells
 CON_COUNT_GUARD = 100_000
+CON_TABLE_GUARD = 1 << 21
+# the refinement order is a |Con L|^2 bool matrix
+CON_ORDER_GUARD = 1 << 24
+# the row blocks of the partition pass hold at most this many cells
+_BLOCK_CELLS = 1 << 16
 
 
 class Congruence:
@@ -48,26 +63,6 @@ class Congruence:
 
     def same(self, x, y):
         return self.block_of[x] == self.block_of[y]
-
-    def refines(self, other):
-        """self <= other in Con L: every block of self lies in a block of other."""
-        seen = {}
-        for i in range(self.over.n):
-            b = self.block_of[i]
-            if b in seen:
-                if seen[b] != other.block_of[i]:
-                    return False
-            else:
-                seen[b] = other.block_of[i]
-        return True
-
-    def join(self, other):
-        uf = _UnionFind(self.over.n)
-        for part in (self, other):
-            for block in part.blocks():
-                for x in block[1:]:
-                    uf.union(block[0], x)
-        return Congruence(self.over, tuple(uf.find(i) for i in range(self.over.n)))
 
     def is_compatible(self):
         L = self.over
@@ -116,20 +111,122 @@ class Congruence:
             ",".join(self.over.names[i] for i in b) for b in self.blocks())
 
 
+def _join_irreducibles(L):
+    """J(L) ascending, and the one lower cover of each."""
+    J = [j for j in range(L.n) if len(L.cocovers_of(j)) == 1]
+    lower = [L.cocovers_of(j)[0] for j in J]
+    return np.array(J, dtype=np.intp), np.array(lower, dtype=np.intp)
+
+
+def _d_block(L, J, lower, rows, cols):
+    """out[a, b] == (J[rows[a]] D J[cols[b]]): some x has j <= k v x but not
+    j <= k_* v x.  One pass of len(cols) * n cells per row."""
+    up, up_lo = L.join[J[cols]], L.join[lower[cols]]
+    out = np.empty((len(rows), len(cols)), dtype=bool)
+    for i, a in enumerate(rows):
+        le = L.leq[J[a]]
+        out[i] = (le[up] & ~le[up_lo]).any(axis=1)
+    return out
+
+
+def has_one_d_class(L):
+    """Do the join-irreducibles of L form a single D-class?  A search from
+    the first one along D and then against it, each of which stops as soon
+    as it has reached everything it can; a chain pays for one row."""
+    J, lower = _join_irreducibles(L)
+    every = np.arange(len(J))
+    for forward in (True, False):
+        seen = every == 0
+        frontier = every[seen]
+        while len(frontier):
+            hit = (_d_block(L, J, lower, frontier, every).any(axis=0) if forward
+                   else _d_block(L, J, lower, every, frontier).any(axis=1))
+            frontier = np.flatnonzero(hit & ~seen)
+            seen |= hit
+        if not seen.all():
+            return False
+    return True
+
+
+class DClasses:
+    """The join-irreducibles of L grouped into the strong components of D.
+
+    `J` lists them ascending and `cls[a]` is the class of J[a]; classes are
+    numbered in the order of their least members.  below[c, d] holds when
+    the congruence of class c lies below that of class d.
+    """
+
+    def __init__(self, L):
+        J, lower = _join_irreducibles(L)
+        cells = len(J) ** 2 * L.n
+        if cells > CON_PASS_GUARD:
+            raise ParamTooLarge(f"D-relation pass of {cells} cells exceeds guard "
+                                f"{CON_PASS_GUARD}")
+        every = np.arange(len(J))
+        # D is reflexive (take x = 0), so each row of `same` holds its own index
+        reach = _transitive_closure(_d_block(L, J, lower, every, every))
+        same = reach & reach.T
+        first = same.argmax(axis=1) if len(J) else every
+        reps, cls = np.unique(first, return_inverse=True)
+        self.over, self.J, self.cls = L, J, cls
+        self.below = reach[np.ix_(reps, reps)]
+        for a in (self.J, self.cls, self.below):
+            a.flags.writeable = False
+
+    def __len__(self):
+        return len(self.below)
+
+    def collapsed_by(self, pairs):
+        """Class mask of the congruence generated by the pairs: the down-set
+        of the classes of the j <= a v b with j !<= a ^ b."""
+        L = self.over
+        a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        leq = L.leq[self.J]
+        inside = (leq[:, L.join[a, b]] & ~leq[:, L.meet[a, b]]).any(axis=1)
+        return self.below[:, np.unique(self.cls[inside])].any(axis=1)
+
+    def partitions(self, collapsed):
+        """block_of rows of the congruences that collapse the classes of each
+        row of `collapsed`.  lo(x) joins the j <= x of the other classes in
+        one masked pass per j; a block is named by its least index."""
+        L = self.over
+        n = L.n
+        keep = ~collapsed[:, self.cls]
+        out = np.empty((len(keep), n), dtype=np.int32)
+        step = max(1, _BLOCK_CELLS // n)
+        for s in range(0, len(keep), step):
+            part = keep[s:s + step]
+            lo = np.full((len(part), n), L.bottom, dtype=np.intp)
+            for a, j in enumerate(self.J.tolist()):
+                lo = np.where(part[:, a, None] & L.leq[j], L.join[lo, j], lo)
+            # keys distinct across rows; the first index of each key is the
+            # least member of its block
+            lo += n * np.arange(len(part))[:, None]
+            _, first, inverse = np.unique(lo, return_index=True, return_inverse=True)
+            out[s:s + step] = (first % n)[inverse].reshape(len(part), n)
+        return out
+
+
+def _down_sets(below, limit):
+    """The down-sets of the order below[c, d] (c <= d) as a mask per row.
+    Classes join in a linear extension, each to the sets that hold all its
+    predecessors, so the count only grows: past `limit` it stops, before
+    anything is built from the sets."""
+    k = len(below)
+    sets = [0]
+    for c in np.argsort(below.sum(axis=0), kind="stable").tolist():
+        need = sum(1 << int(d) for d in np.flatnonzero(below[:, c]) if d != c)
+        sets += [s | 1 << c for s in sets if s & need == need]
+        if len(sets) > limit:
+            raise ParamTooLarge("congruence lattice too large")
+    return np.array([[s >> c & 1 for c in range(k)] for s in sets],
+                    dtype=bool).reshape(len(sets), k)
+
+
 def congruence_from_pairs(L, pairs):
     """Smallest congruence of L merging every given pair."""
-    uf = _UnionFind(L.n)
-    work = []
-    for a, b in pairs:
-        if uf.union(a, b):
-            work.append((a, b))
-    while work:
-        x, y = work.pop()
-        for z in range(L.n):
-            for u, v in ((L.mt(x, z), L.mt(y, z)), (L.jn(x, z), L.jn(y, z))):
-                if uf.union(u, v):
-                    work.append((u, v))
-    return Congruence(L, tuple(uf.find(i) for i in range(L.n)))
+    D = DClasses(L)
+    return Congruence(L, D.partitions(D.collapsed_by(pairs)[None, :])[0].tolist())
 
 
 def principal_congruence(L, a, b):
@@ -138,21 +235,38 @@ def principal_congruence(L, a, b):
 
 
 class CongruenceLattice:
-    """All congruences of a finite lattice under the refinement order."""
+    """All congruences of a finite lattice under the refinement order.
 
-    def __init__(self, L, congruences):
-        self.over = L
-        self.congruences = congruences
-        m = len(congruences)
-        leq = np.zeros((m, m), dtype=bool)
-        for i, c in enumerate(congruences):
-            for j, d in enumerate(congruences):
-                leq[i, j] = c.refines(d)
-        self.leq = leq
+    Congruence i collapses the D-classes marked in members[i]; the list is
+    sorted by block count, then block_of, both descending.
+    """
+
+    def __init__(self, classes, members):
+        L = classes.over
+        found = [Congruence(L, r.tolist()) for r in classes.partitions(members)]
+        order = sorted(range(len(found)), reverse=True,
+                       key=lambda i: (found[i].block_count(), found[i].block_of))
+        self.over, self.classes = L, classes
+        self.members = members[order]
+        self.members.flags.writeable = False
+        self.congruences = [found[i] for i in order]
+        self._index = {m.tobytes(): i for i, m in enumerate(self.members)}
+        self._leq = None
         self._lat = None
 
     def __len__(self):
         return len(self.congruences)
+
+    @property
+    def leq(self):
+        """leq[i, j]: congruence i refines j, i.e. its classes are among j's."""
+        if self._leq is None:
+            if len(self) ** 2 > CON_ORDER_GUARD:
+                raise ParamTooLarge("congruence lattice too large")
+            # members[i] <= members[j] unless some class of i is missing from j
+            self._leq = ~(self.members @ ~self.members.T)
+            self._leq.flags.writeable = False
+        return self._leq
 
     def as_lattice(self):
         if self._lat is None:
@@ -161,63 +275,46 @@ class CongruenceLattice:
                                       name=f"Con({self.over.name})")
         return self._lat
 
+    def height(self):
+        """Length of the longest chain of Con L: the number of D-classes."""
+        return len(self.classes)
+
+    def _positions(self, masks):
+        return sorted(self._index[m.tobytes()] for m in masks)
+
     def join_irreducibles(self):
-        K = self.as_lattice()
-        return [i for i in range(K.n) if len(K.cocovers_of(i)) == 1]
+        """Indices of the congruences with one lower cover: the principal
+        down-sets of the class order."""
+        return self._positions(self.classes.below.T)
 
     def meet_irreducibles(self):
-        """Indices of congruences with exactly one upper cover (coarse excluded)."""
-        K = self.as_lattice()
-        return [i for i in range(K.n) if len(K.covers_of(i)) == 1]
+        """Indices of congruences with exactly one upper cover (coarse
+        excluded): the complements of the principal up-sets."""
+        return self._positions(~self.classes.below)
 
-    def index_of(self, theta):
-        return self.congruences.index(theta)
+    def principal(self, a, b):
+        """Theta(a, b), read from the list."""
+        mask = self.classes.collapsed_by([(a, b)])
+        return self.congruences[self._index[mask.tobytes()]]
 
 
 def all_congruences(L):
-    """Con L, generated by closing the principal prime-interval congruences
-    under join, together with the identity."""
-    if L.n > CON_SIZE_GUARD:
-        raise ParamTooLarge(f"congruence enumeration guarded to {CON_SIZE_GUARD} elements")
-    gens = []
-    seen = set()
-    for a, b in L.covers:
-        t = principal_congruence(L, a, b)
-        if t not in seen:
-            seen.add(t)
-            gens.append(t)
-    found = {Congruence.identity(L)}
-    frontier = list(found)
-    while frontier:
-        fresh = []
-        for t in frontier:
-            for g in gens:
-                u = t.join(g)
-                if u not in found:
-                    found.add(u)
-                    fresh.append(u)
-                    if len(found) > CON_COUNT_GUARD:
-                        raise ParamTooLarge("congruence lattice too large")
-        frontier = fresh
-    ordered = sorted(found, key=lambda c: (c.block_count(), c.block_of), reverse=True)
-    return CongruenceLattice(L, ordered)
+    """Con L: one congruence per down-set of the D-class order."""
+    classes = DClasses(L)
+    limit = min(CON_COUNT_GUARD, CON_TABLE_GUARD // L.n)
+    return CongruenceLattice(classes, _down_sets(classes.below, limit))
 
 
 def quotient_lattice(L, theta):
     """L / theta together with the block index of every element of L."""
-    blocks = theta.blocks()
-    proj = [0] * L.n
-    for bi, block in enumerate(blocks):
-        for x in block:
-            proj[x] = bi
-    m = len(blocks)
-    leq = np.zeros((m, m), dtype=bool)
-    for i, bi in enumerate(blocks):
-        for j, bj in enumerate(blocks):
-            leq[i, j] = any(L.le(x, y) for x in bi for y in bj)
-    names = ["[%s]" % L.names[b[0]] for b in blocks]
+    # blocks in the order of their least members, as in theta.blocks()
+    reps, proj = np.unique(theta.block_of, return_inverse=True)
+    onehot = proj[:, None] == np.arange(len(reps))
+    # [x] <= [y] iff some member of [x] lies below some member of [y]
+    leq = onehot.T @ L.leq @ onehot
+    names = ["[%s]" % L.names[r] for r in reps.tolist()]
     Q = FiniteLattice(names, leq, name=f"{L.name}/~", _validate=False)
-    return Q, proj
+    return Q, proj.tolist()
 
 
 def meet_irreducible_congruences(L):

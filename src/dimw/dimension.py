@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .congruence import all_congruences, principal_congruence, quotient_lattice
+from .congruence import all_congruences, quotient_lattice
 from .errors import MismatchError, NotDistributive, NotModular
 from .lattice import dual as lattice_dual
 from .lattice import _UnionFind, is_distributive, is_modular, product
@@ -298,7 +298,7 @@ def congruence_correspondence_check(L, D=None, con=None, samples=200, seed=7):
                             witness=tuple(wrong[0].tolist()))
     points = np.arange(len(D.qo.points))
     for (a, b) in L.covers:
-        t = principal_congruence(L, a, b)
+        t = con.principal(a, b)
         want = D.qo.down_set(points == D.gen[(a, b)])
         if not np.array_equal(_collapsed_down_set(D, t), want):
             raise MismatchError("principal congruence image is not the point's lower set",
@@ -307,7 +307,7 @@ def congruence_correspondence_check(L, D=None, con=None, samples=200, seed=7):
     quads = 0
     while quads < samples:
         x, y, a, b = (rng.randrange(L.n) for _ in range(4))
-        collapsed = principal_congruence(L, a, b).same(x, y)
+        collapsed = con.principal(a, b).same(x, y)
         dominated = propto(delta(D, x, y), delta(D, a, b))
         if collapsed != dominated:
             raise MismatchError(

@@ -639,13 +639,11 @@ def is_semimodular(L):
 
 
 def is_simple(L):
-    """L is simple iff every prime interval generates the coarse congruence."""
-    from .congruence import principal_congruence
+    """L is simple iff it has two or more elements and its join-irreducibles
+    form a single class of Freese's D-relation."""
+    from .congruence import has_one_d_class
 
-    if L.n == 1:
-        return False
-    return all(principal_congruence(L, a, b).block_count() == 1
-               for a, b in L.covers)
+    return L.n > 1 and has_one_d_class(L)
 
 
 def properties_report(L):

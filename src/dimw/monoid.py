@@ -414,22 +414,3 @@ def from_reduced(r):
     for p, c in r.items():
         out = out + r.qo.generator(p) * (1 if c == INF else c)
     return out
-
-
-def semilattice_quotient(qo):
-    """The distributive lattice of lower sets of (P, <=) together with the
-    map sending a vector to the lower set generated by its support."""
-    from .lattice import FiniteLattice
-
-    sets = qo.lower_sets()
-    names = ["{" + ",".join(sorted(qo.points[i] for i in s)) + "}" for s in sets]
-    member = np.zeros((len(sets), len(qo.points)), dtype=bool)
-    for i, s in enumerate(sets):
-        member[i, list(s)] = True
-    # sets[i] <= sets[j] unless some member of sets[i] is missing from sets[j]
-    lat = FiniteLattice(names, ~(member @ ~member.T), name="lowersets", _validate=False)
-
-    def classify(x):
-        return _index_set(qo.down_set(np.array(x.values) != 0))
-
-    return lat, sets, classify

@@ -219,3 +219,8 @@ def test_check_all_coprod_c3_c1():
     assert set(json.loads(proc.stdout)) == {
         "congruence_correspondence", "dual_functor", "axioms", "v_modular",
         "dimension_extension"}
+
+
+def test_con_refuses_a_large_congruence_lattice_at_once():
+    # chain:60 has 2^59 congruences; the down-set count stops past the guard
+    assert _cli("con", "--builtin", "chain:60") == (1, ["error: congruence lattice too large"])

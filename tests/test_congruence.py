@@ -1,12 +1,20 @@
+import random
+
+import numpy as np
 import pytest
 
+from dimw import congruence as cg
 from dimw import lattice as lat
+from dimw.cli import CATALOG_INSTANCES
 from dimw.congruence import (Congruence, all_congruences, congruence_from_pairs,
                              principal_congruence, quotient_lattice,
                              rectangular_extension)
-from dimw.lattice import _set_partitions
+from dimw.errors import ParamTooLarge
+from dimw.lattice import FiniteLattice, _set_partitions
 
-from conftest import builtins_up_to
+from conftest import builtins_up_to, random_posets
+from oracles import (closure_congruences, closure_from_pairs, closure_principal,
+                     is_simple_by_primes)
 
 
 def brute_force_congruences(L):
@@ -170,3 +178,90 @@ def test_congruence_sidecar_in_lattice_file(tmp_path):
     L = lat.from_json(path.read_text())
     back = Congruence.from_json(L, loaded_doc)
     assert blocks_by_names(L, back) == blocks_by_names(N5, theta)
+
+
+def random_lattices(count=40):
+    """The first lattices among the seeded random posets."""
+    out = []
+    for names, edges in random_posets():
+        try:
+            out.append(lat.build_lattice(names, [(names[a], names[b]) for a, b in edges],
+                                         name=f"rand{len(out)}"))
+        except Exception:
+            continue
+        if len(out) == count:
+            break
+    return out
+
+
+def test_all_congruences_match_closure_oracle():
+    specs = CATALOG_INSTANCES + ("boolean:6", "subspace:2,4")
+    for L in [lat.builtin_spec(s) for s in specs] + random_lattices():
+        con = all_congruences(L)
+        ordered, leq = closure_congruences(L)
+        assert [c.block_of for c in con.congruences] == [c.block_of for c in ordered], L.name
+        assert np.array_equal(con.leq, leq), L.name
+        K = FiniteLattice(["t%d" % i for i in range(len(ordered))], leq)
+        assert con.join_irreducibles() == [
+            i for i in range(K.n) if len(K.cocovers_of(i)) == 1], L.name
+        assert con.meet_irreducibles() == [
+            i for i in range(K.n) if len(K.covers_of(i)) == 1], L.name
+        assert con.height() == K.height(), L.name
+
+
+def test_principal_congruence_matches_closure_oracle():
+    for L in builtins_up_to(20) + random_lattices():
+        con = all_congruences(L)
+        for a in range(L.n):
+            for b in range(L.n):
+                want = closure_principal(L, a, b)
+                assert principal_congruence(L, a, b) == want, (L.name, a, b)
+                assert con.principal(a, b) == want, (L.name, a, b)
+
+
+def test_congruence_from_pairs_matches_closure_oracle():
+    rng = random.Random(7)
+    for L in builtins_up_to(60) + random_lattices():
+        for _ in range(6):
+            pairs = [(rng.randrange(L.n), rng.randrange(L.n))
+                     for _ in range(rng.randint(0, 4))]
+            assert congruence_from_pairs(L, pairs) == closure_from_pairs(L, pairs), (
+                L.name, pairs)
+
+
+def test_is_simple_matches_prime_interval_loop():
+    for L in builtins_up_to(60) + random_lattices():
+        assert lat.is_simple(L) == is_simple_by_primes(L), L.name
+    # the search stops after one row of D: a chain's classes are singletons
+    assert not lat.is_simple(lat.builtin("chain", 1000))
+
+
+def test_count_guard_precedes_the_partitions(monkeypatch):
+    def refuse(self, collapsed):
+        raise AssertionError(f"{len(collapsed)} partitions built before the count guard")
+
+    monkeypatch.setattr(cg.DClasses, "partitions", refuse)
+    # 2^59 congruences
+    with pytest.raises(ParamTooLarge, match="congruence lattice too large"):
+        all_congruences(lat.builtin("chain", 60))
+    # 16 congruences of 16 elements: one cell over the partition table guard
+    monkeypatch.setattr(cg, "CON_TABLE_GUARD", 16 * 16 - 1)
+    with pytest.raises(ParamTooLarge, match="congruence lattice too large"):
+        all_congruences(lat.builtin("boolean", 4))
+
+
+def test_pass_guard_precedes_the_d_pass(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("D-relation pass run before the cell guard")
+
+    monkeypatch.setattr(cg, "_d_block", refuse)
+    # 999 join-irreducibles: 999^2 * 1000 cells
+    with pytest.raises(ParamTooLarge, match="D-relation pass"):
+        all_congruences(lat.builtin("chain", 1000))
+
+
+def test_order_guard_precedes_the_order_table(monkeypatch):
+    con = all_congruences(lat.builtin("chain", 4))
+    monkeypatch.setattr(cg, "CON_ORDER_GUARD", len(con) ** 2 - 1)
+    with pytest.raises(ParamTooLarge, match="congruence lattice too large"):
+        con.leq

@@ -1,12 +1,13 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from dimw import dimension as dim
 from dimw import lattice as lat
 from dimw.cli import CATALOG_INSTANCES
-from dimw.congruence import all_congruences, quotient_lattice
+from dimw.congruence import DClasses, all_congruences, quotient_lattice
 from dimw.dimension import (DimensionWord, caustic_pairs, caustic_relations, delta,
                             dep_check, dimension_monoid, distributive_dim,
                             functor_checks, intervals_projective, is_v_modular,
@@ -399,6 +400,26 @@ def test_congruence_correspondence_on_catalog(small_builtins):
     for L in small_builtins:
         report = dim.congruence_correspondence_check(L, samples=200)
         assert report["congruences"] == report["lower_sets"], L.name
+
+
+def test_d_class_order_is_the_point_order():
+    """A second derivation of D L's point order, without caustic pairs: the
+    D-classes of the join-irreducibles j, each through its prime interval
+    [j_*, j], biject with the points, and the class order is the point
+    order, class by class."""
+    specs = (("boolean:8", "subspace:2,4", "partition:5", "subspace:3,3")
+             + CATALOG_INSTANCES + ("boolean:9", "subspace:2,5"))
+    for spec in specs:
+        L = lat.builtin_spec(spec)
+        D = dimension_monoid(L)
+        classes = DClasses(L)
+        point = [None] * len(classes)
+        for j, c in zip(classes.J.tolist(), classes.cls.tolist()):
+            p = D.gen[(L.cocovers_of(j)[0], j)]
+            assert point[c] in (None, p), spec
+            point[c] = p
+        assert sorted(point) == list(range(len(D.qo.points))), spec
+        assert np.array_equal(classes.below, D.qo.below[np.ix_(point, point)]), spec
 
 
 def test_correspondence_counts():
