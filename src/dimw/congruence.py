@@ -1,4 +1,4 @@
-"""Congruences of finite lattices, their lattice, quotients, rect L.
+"""Congruences of finite lattices, their lattice and quotients.
 
 Con L is read off the join-irreducible elements (R. Freese, "Computing
 congruences efficiently", Algebra Universalis 59 (2008) 337-343).  Each
@@ -17,7 +17,7 @@ import json
 import numpy as np
 
 from .errors import ParamTooLarge
-from .lattice import FiniteLattice, _transitive_closure, product
+from .lattice import FiniteLattice, _transitive_closure
 
 # the D pass reads |J|^2 * n cells of the order table
 CON_PASS_GUARD = 10 ** 8
@@ -315,37 +315,3 @@ def quotient_lattice(L, theta):
     names = ["[%s]" % L.names[r] for r in reps.tolist()]
     Q = FiniteLattice(names, leq, name=f"{L.name}/~", _validate=False)
     return Q, proj.tolist()
-
-
-def meet_irreducible_congruences(L):
-    """The non-coarse meet-irreducible congruences of L, in Con L order."""
-    con = all_congruences(L)
-    return [con.congruences[i] for i in con.meet_irreducibles()]
-
-
-def rectangular_extension(L):
-    """rect L: the product of the quotients by the non-coarse meet-irreducible
-    congruences, plus the natural embedding of L."""
-    thetas = meet_irreducible_congruences(L)
-    factors = []
-    projs = []
-    for theta in thetas:
-        Q, proj = quotient_lattice(L, theta)
-        factors.append(Q)
-        projs.append(proj)
-    if not factors:
-        # 1-element lattice: rect is itself
-        return L, list(range(L.n)), []
-    R = factors[0]
-    for F in factors[1:]:
-        R = product(R, F)
-    embed = []
-    for x in range(L.n):
-        pos = 0
-        for F, proj in zip(factors, projs):
-            pos = pos * F.n + proj[x]
-        embed.append(pos)
-    if len(set(embed)) != L.n:
-        raise AssertionError("rectangular embedding failed to be injective")
-    R.name = f"rect({L.name})"
-    return R, embed, thetas

@@ -14,6 +14,10 @@ Emission finds the first and last steps of all oriented pairs at once in
 the sorted cover arrays (`cover_lo`, `cover_hi`), tests "[p, q] lies in
 [lo, hi]" as one mask over the covers per query, and sorts and deduplicates
 the relations as pairs of cover indices.
+
+Delta(a, b) counts the generator points of the prime intervals on the
+index-least maximal chain of [a ^ b, a v b] and sums the generators in one
+`QOSystem.combination`; each monoid caches its values by pair.
 """
 
 import itertools
@@ -163,9 +167,6 @@ class DimensionMonoid:
             groups[self.gen[pq]].append(pq)
         return groups
 
-    def delta(self, a, b):
-        return delta(self, a, b)
-
     def delta_word(self, word):
         out = self.qo.zero()
         for (a, b), mult in word.items():
@@ -198,10 +199,9 @@ def delta(D, a, b):
     if key in D._delta_cache:
         return D._delta_cache[key]
     L = D.lattice
-    lo, hi = L.mt(a, b), L.jn(a, b)
-    out = D.qo.zero()
-    for u, v in itertools.pairwise(L.maximal_chain(lo, hi)):
-        out = out + D.qo.generator(D.gen[(u, v)])
+    chain = L.maximal_chain(L.mt(a, b), L.jn(a, b))
+    points = np.array([D.gen[step] for step in itertools.pairwise(chain)], dtype=np.intp)
+    out = D.qo.combination(np.bincount(points, minlength=len(D.qo)))
     D._delta_cache[key] = out
     return out
 

@@ -386,11 +386,9 @@ def _boolean(n):
         raise ParamTooLarge("boolean lattice too large")
     names = ["".join("1" if s >> i & 1 else "0" for i in range(n)) or "()"
              for s in range(2 ** n)]
-    m = 2 ** n
-    leq = np.zeros((m, m), dtype=bool)
-    for s in range(m):
-        for t in range(m):
-            leq[s, t] = (s & t) == s
+    # subsets as bit masks; 16 bits cover every size the guard admits
+    s = np.arange(2 ** n, dtype=np.uint16)
+    leq = (s[:, None] & s) == s[:, None]
     return FiniteLattice(names, leq, name=f"boolean:{n}", _validate=False)
 
 
@@ -580,12 +578,13 @@ def is_modular(L):
 
 
 def is_distributive(L):
-    meet, join = L.meet, L.join
-    for x in range(L.n):
-        mx = meet[x]
-        lhs = mx[join]  # x ^ (y v z)
-        rhs = join[np.ix_(mx, mx)]
-        if not np.array_equal(lhs, rhs):
+    """A finite lattice is distributive iff every join-irreducible j is
+    join-prime: j <= y v z implies j <= y or j <= z."""
+    for j in range(L.n):
+        if len(L._down[j]) != 1:
+            continue
+        row = L.leq[j]
+        if (row[L.join] & ~row[:, None] & ~row[None, :]).any():
             return False
     return True
 

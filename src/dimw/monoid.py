@@ -8,6 +8,7 @@ and order are componentwise; INF is float("inf") with guarded arithmetic.
 """
 
 import itertools
+import operator
 
 import numpy as np
 
@@ -15,13 +16,6 @@ from .errors import NotBelow, NotInF, ParamTooLarge, RefinementNotFound
 from .lattice import _transitive_closure, _UnionFind
 
 INF = float("inf")
-
-
-def _scale(k, v):
-    # k * v in Z+ u {oo}; 0 * oo is 0 here (empty sum)
-    if k == 0 or v == 0:
-        return 0
-    return k * v
 
 
 class QOSystem:
@@ -76,6 +70,16 @@ class QOSystem:
         vals = [INF if r else 0 for r in self.rel[:, p].tolist()]
         vals[p] = INF if p in self.p0 else 1
         return DimVector(self, tuple(vals), validate=False)
+
+    def combination(self, counts):
+        """The sum of counts[p] copies of f_p over the points, for non-negative
+        integer counts: oo strictly below a counted point and on a counted
+        self-related point (rel holds its diagonal), counts[p] elsewhere."""
+        counts = np.asarray(counts, dtype=np.int64)
+        infinite = self.rel @ (counts > 0)
+        return DimVector(self, tuple(INF if oo else c for oo, c
+                                     in zip(infinite.tolist(), counts.tolist())),
+                         validate=False)
 
     def vector(self, mapping, validate=True):
         vals = [0] * len(self.points)
@@ -144,17 +148,19 @@ class DimVector:
 
     def __add__(self, other):
         assert self.qo is other.qo
-        return DimVector(self.qo, tuple(a + b for a, b in zip(self.values, other.values)),
+        return DimVector(self.qo, tuple(map(operator.add, self.values, other.values)),
                          validate=False)
 
     def __mul__(self, k):
-        return DimVector(self.qo, tuple(_scale(k, v) for v in self.values),
-                         validate=False)
+        # 0 * oo is 0 here (empty sum)
+        if k == 0:
+            return self.qo.zero()
+        return DimVector(self.qo, [k * v for v in self.values], validate=False)
 
     __rmul__ = __mul__
 
     def __le__(self, other):
-        return all(a <= b for a, b in zip(self.values, other.values))
+        return all(map(operator.le, self.values, other.values))
 
     def __eq__(self, other):
         return (isinstance(other, DimVector) and self.qo is other.qo
@@ -249,15 +255,9 @@ def build_qosystem(generators, equalities, absorptions):
 def truncate(qo, mapping, n):
     """rho_n: sum over points of (value ^ n) copies of the generator."""
     if isinstance(mapping, DimVector):
-        values = mapping.values
-    else:
-        values = tuple(mapping)
-    out = qo.zero()
-    for p, v in enumerate(values):
-        c = min(v, n)  # min(oo, n) == n
-        if c > 0:
-            out = out + qo.generator(p) * int(c)
-    return out
+        mapping = mapping.values
+    # min(oo, n) == n
+    return qo.combination([max(0, int(min(v, n))) for v in mapping])
 
 
 def residual(x, y):
@@ -410,7 +410,7 @@ def to_reduced(x):
 
 
 def from_reduced(r):
-    out = r.qo.zero()
+    counts = [0] * len(r.qo)
     for p, c in r.items():
-        out = out + r.qo.generator(p) * (1 if c == INF else c)
-    return out
+        counts[p] = 1 if c == INF else c
+    return r.qo.combination(counts)

@@ -1,10 +1,15 @@
-"""Test-side oracles for Con L and for the lower-set lattice of a QO-system.
+"""Test-side oracles for Con L, for the lower-set lattice of a QO-system,
+for Delta and for distributivity.
 
 The congruence oracle is the union-find fixed point that generated
 congruences before they were read off the D-relation: close a set of merged
 pairs under (x^z, y^z) and (xvz, yvz) for every z, and list Con L by closing
-the principal congruences of the prime intervals under join.
+the principal congruences of the prime intervals under join.  Delta is
+summed one generator per step of the maximal chain, and distributivity is
+tested on the identity x ^ (y v z) = (x ^ y) v (x ^ z) itself.
 """
+
+import itertools
 
 import numpy as np
 
@@ -92,3 +97,23 @@ def semilattice_quotient(qo):
         return _index_set(qo.down_set(np.array(x.values) != 0))
 
     return lat, sets, classify
+
+
+def delta_by_steps(D, a, b):
+    """Delta(a, b) as one vector addition per step of the index-least
+    maximal chain of [a ^ b, a v b]."""
+    L = D.lattice
+    out = D.qo.zero()
+    for u, v in itertools.pairwise(L.maximal_chain(L.mt(a, b), L.jn(a, b))):
+        out = out + D.qo.generator(D.gen[(u, v)])
+    return out
+
+
+def is_distributive_by_identity(L):
+    """x ^ (y v z) == (x ^ y) v (x ^ z) for all x, y, z."""
+    meet, join = L.meet, L.join
+    for x in range(L.n):
+        mx = meet[x]
+        if not np.array_equal(mx[join], join[np.ix_(mx, mx)]):
+            return False
+    return True

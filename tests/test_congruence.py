@@ -7,8 +7,7 @@ from dimw import congruence as cg
 from dimw import lattice as lat
 from dimw.cli import CATALOG_INSTANCES
 from dimw.congruence import (Congruence, all_congruences, congruence_from_pairs,
-                             principal_congruence, quotient_lattice,
-                             rectangular_extension)
+                             principal_congruence, quotient_lattice)
 from dimw.errors import ParamTooLarge
 from dimw.lattice import FiniteLattice, _set_partitions
 
@@ -124,31 +123,6 @@ def test_congruence_from_prime_pairs():
     M3 = lat.builtin("M3")
     t2 = congruence_from_pairs(M3, list(M3.covers))
     assert t2.block_count() == 1
-
-
-def test_rectangular_extension_simple():
-    M3 = lat.builtin("M3")
-    R, embed, thetas = rectangular_extension(M3)
-    assert R.n == M3.n and len(thetas) == 1
-    assert sorted(embed) == list(range(M3.n))
-
-
-def test_rectangular_extension_chain3():
-    C3 = lat.builtin("chain", 3)
-    R, embed, thetas = rectangular_extension(C3)
-    assert R.n == 4 and len(thetas) == 2
-    assert lat.is_distributive(R)
-    assert len(set(embed)) == 3
-
-
-def test_rectangular_extension_n5_injective():
-    N5 = lat.builtin("N5")
-    R, embed, _ = rectangular_extension(N5)
-    assert len(set(embed)) == N5.n
-    # the embedding preserves and reflects order
-    for x in range(N5.n):
-        for y in range(N5.n):
-            assert N5.le(x, y) == R.le(embed[x], embed[y])
 
 
 def test_congruence_serialization():

@@ -14,6 +14,7 @@ from dimw.dimension import (DimensionWord, caustic_pairs, caustic_relations, del
                             projectivity_classes, schreier_refine, word_compare)
 from dimw.errors import NotALattice, NotDistributive, NotModular
 from conftest import builtins_up_to, random_eight_element_lattices, random_posets
+from oracles import delta_by_steps
 
 
 def by_names(L, pairs):
@@ -298,6 +299,25 @@ def test_delta_basics():
     M3 = lat.builtin("M3")
     DM = dimension_monoid(M3)
     assert delta(DM, M3.bottom, M3.top) == DM.qo.generator(0) * 2
+
+
+def test_delta_matches_per_step_sum_on_catalog():
+    for spec in CATALOG_INSTANCES:
+        L = lat.builtin_spec(spec)
+        D = dimension_monoid(L)
+        for a in range(L.n):
+            for b in range(L.n):
+                assert delta(D, a, b) == delta_by_steps(D, a, b), (spec, a, b)
+
+
+def test_delta_matches_per_step_sum_on_larger_lattices():
+    rng = random.Random(150)
+    for spec in ("chain:150", "boolean:7", "subspace:2,4"):
+        L = lat.builtin_spec(spec)
+        D = dimension_monoid(L)
+        for _ in range(300):
+            a, b = rng.randrange(L.n), rng.randrange(L.n)
+            assert delta(D, a, b) == delta_by_steps(D, a, b), (spec, a, b)
 
 
 def test_axioms_on_small_catalog():

@@ -4,7 +4,8 @@ import pytest
 from dimw import lattice as lat
 from dimw.errors import CycleError, NotALattice, ParamTooLarge, UnknownBuiltin
 
-from conftest import builtins_up_to, random_posets
+from conftest import builtins_up_to, random_eight_element_lattices, random_posets
+from oracles import is_distributive_by_identity
 
 
 def test_two_chain():
@@ -144,6 +145,31 @@ def test_property_implications_on_catalog():
         if rep.distributive:
             assert rep.modular, L.name
         assert rep.geometric == (rep.semimodular and rep.atomistic), L.name
+
+
+def test_is_distributive_matches_identity_check():
+    lattices = builtins_up_to(60) + random_eight_element_lattices(40)
+    for names, edges in random_posets():
+        try:
+            lattices.append(lat.build_lattice(names, [(names[a], names[b]) for a, b in edges]))
+        except NotALattice:
+            pass
+    seen = {True: 0, False: 0}
+    for L in lattices:
+        want = is_distributive_by_identity(L)
+        assert lat.is_distributive(L) == want, L.name
+        seen[want] += 1
+    assert seen[True] >= 50 and seen[False] >= 50, seen
+
+
+def test_boolean_order_matches_loop_definition():
+    for n in range(7):
+        m = 2 ** n
+        leq = np.zeros((m, m), dtype=bool)
+        for s in range(m):
+            for t in range(m):
+                leq[s, t] = (s & t) == s
+        assert np.array_equal(lat.builtin("boolean", n).leq, leq), n
 
 
 def test_subspace_lattices_complemented_modular():

@@ -333,6 +333,34 @@ def test_not_in_f_detected():
         mon.DimVector(qo, tuple(vals))
 
 
+def generator_copies(qo, counts):
+    """counts[p] copies of f_p summed one addition at a time."""
+    out = qo.zero()
+    for p, k in enumerate(counts):
+        for _ in range(k):
+            out = out + qo.generator(p)
+    return out
+
+
+def test_combination_is_the_sum_of_generator_copies():
+    rng = random.Random(8)
+    self_related = zero_counts = 0
+    for _ in range(300):
+        qo = random_qosystem(rng, max_points=6)
+        counts = [rng.choice((0, 0, 1, 2, 3)) for _ in qo.points]
+        self_related += any(counts[p] for p in qo.p0)
+        zero_counts += counts.count(0)
+        got = qo.combination(counts)
+        assert got == generator_copies(qo, counts), (qo, counts)
+        assert all(type(v) is int or v == INF for v in got.values)
+        for p in range(len(qo)):
+            assert qo.combination(np.arange(len(qo)) == p) == qo.generator(p)
+    assert self_related >= 50 and zero_counts >= 300, (self_related, zero_counts)
+    empty = QOSystem([], [])
+    assert empty.combination([]) == empty.zero() == generator_copies(empty, [])
+    assert empty.combination(np.zeros(0, dtype=np.int64)).values == ()
+
+
 def test_truncate():
     qo, gmap = n5_system()
     assert truncate(qo, qo.zero(), 5) == qo.zero()
