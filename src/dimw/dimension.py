@@ -18,6 +18,13 @@ the relations as pairs of cover indices.
 Delta(a, b) counts the generator points of the prime intervals on the
 index-least maximal chain of [a ^ b, a v b] and sums the generators in one
 `QOSystem.combination`; each monoid caches its values by pair.
+
+V-modularity and DEP are table passes too.  `is_v_modular` closes the
+one-step weak-projectivity relation on element pairs, an n^2 x n^2 bool
+matrix guarded to n <= 24, and searches each (source point, target point
+set) once; `dep_check` stacks the word values upstairs and in each factor
+as float arrays and compares their order matrices whole.  The test suite
+checks both against the element loops they replaced (`tests/oracles.py`).
 """
 
 import itertools
@@ -28,9 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .congruence import all_congruences, quotient_lattice
-from .errors import MismatchError, NotDistributive, NotModular
+from .errors import MismatchError, NotDistributive, NotModular, ParamTooLarge
 from .lattice import dual as lattice_dual
-from .lattice import _UnionFind, is_distributive, is_modular, product
+from .lattice import _transitive_closure, _UnionFind, is_distributive, is_modular, product
 from .monoid import DimVector, QOSystem, _index_set, build_qosystem
 
 
@@ -170,7 +177,8 @@ class DimensionMonoid:
     def delta_word(self, word):
         out = self.qo.zero()
         for (a, b), mult in word.items():
-            out = out + delta(self, a, b) * mult
+            value = delta(self, a, b)
+            out = out + (value if mult == 1 else value * mult)
         return out
 
     def report_dict(self):
@@ -506,24 +514,6 @@ def functor_checks(L, theta=None, B=None, D=None):
 # -- V-modularity and DEP ---------------------------------------------------
 
 
-def _weak_targets(L, iv):
-    """One-step weakly projective successors of the interval iv."""
-    u, v = iv
-    out = set()
-    for c in range(L.n):
-        if L.mt(v, c) == u:  # [u, v] up into [c, d] for any d >= v v c
-            base = L.jn(v, c)
-            for d in range(L.n):
-                if L.le(base, d):
-                    out.add((c, d))
-        if L.jn(u, c) == v:  # [u, v] down into [c', c] for any c' <= u ^ c
-            cap = L.mt(u, c)
-            for cp in range(L.n):
-                if L.le(cp, cap):
-                    out.add((cp, c))
-    return out
-
-
 def _bounded_sum_search(target, parts, bound):
     """Is target a sum of at most `bound` vectors from parts (with repeats)?
 
@@ -549,40 +539,88 @@ def _bounded_sum_search(target, parts, bound):
     return False
 
 
+# is_v_modular holds one bool cell per pair of element pairs
+_V_MODULAR_CELLS = 24 ** 4
+
+
+def _weak_projectivity(L):
+    """reach[u*n + v, c*n + d]: [u, v] is weakly projective into [c, d] in one
+    or more steps.  One step goes up, [u, v] -> [c, d] when v ^ c == u and
+    v v c <= d, or down, [u, v] -> [c', c] when u v c == v and c' <= u ^ c."""
+    n = L.n
+    ids = np.arange(n)
+    up = ((L.meet[None] == ids[:, None, None])[..., None]       # [u, v, c, .]
+          & L.leq[L.join][None])                                # [., v, c, d]
+    cap = L.leq.T[L.meet].transpose(0, 2, 1)                    # [u, c', c]
+    down = ((L.join[:, None, :] == ids[None, :, None])[:, :, None, :]  # [u, v, ., c]
+            & cap[:, None])                                     # [u, ., c', c]
+    return _transitive_closure((up | down).reshape(n * n, n * n))
+
+
 def is_v_modular(L, bound=4, D=None):
     """Bounded check that weakly projective images stay in the canonical
     submonoid of the target interval.
 
     Sources range over prime intervals: a general source decomposes into a
     chain of primes, each weakly projective into the same target, so any
-    failure already shows up on a prime.
+    failure already shows up on a prime.  The targets of every source are
+    its row of one transitive closure of the one-step relation on element
+    pairs, n^2 x n^2 cells, walked in (c, d) order.  The sum search depends
+    only on the source's point and the points of the target's primes, so
+    each such pair is searched once.
     """
+    n = L.n
+    if n ** 4 > _V_MODULAR_CELLS:
+        raise ParamTooLarge(f"V-modularity check of {n} elements needs {n ** 4} "
+                            f"cells, over the guard {_V_MODULAR_CELLS}")
     D = D or dimension_monoid(L)
+    reach = _weak_projectivity(L)
+    # the primes inside each [c, d], and the set of their points as a key
+    c, d = np.divmod(np.arange(n * n), n)
+    within = _primes_mask(L, c[:, None], d[:, None])
+    inside = np.zeros((n * n, len(D.qo)), dtype=bool)
+    rows, primes = np.nonzero(within)
+    inside[rows, np.array([D.gen[pq] for pq in L.covers], dtype=np.intp)[primes]] = True
+    kind = [row.tobytes() for row in inside]
+    verdicts = {}
     for source in L.covers:
+        p = D.gen[source]
         val = delta(D, *source)
-        seen = {source}
-        frontier = [source]
-        while frontier:
-            fresh = []
-            for iv in frontier:
-                for tgt in _weak_targets(L, iv):
-                    if tgt in seen:
-                        continue
-                    seen.add(tgt)
-                    fresh.append(tgt)
-            frontier = fresh
-        for (c, d) in sorted(seen):
-            within = np.flatnonzero(_primes_mask(L, c, d)).tolist()
-            parts = sorted({delta(D, *L.covers[i]) for i in within}, key=lambda v: v.values)
-            if not _bounded_sum_search(val, parts, bound):
-                return False, (source, (c, d))
+        # [u, v] goes up into itself (c = u, d = v), so its row holds it
+        for t in np.flatnonzero(reach[source[0] * n + source[1]]).tolist():
+            key = (p, kind[t])
+            if key not in verdicts:
+                parts = sorted({delta(D, *L.covers[i]) for i in np.flatnonzero(within[t])},
+                               key=lambda v: v.values)
+                verdicts[key] = _bounded_sum_search(val, parts, bound)
+            if not verdicts[key]:
+                return False, (source, divmod(t, n))
     return True, None
+
+
+def _order_matrix(V):
+    """le[i, j]: row i of V lies componentwise below row j."""
+    out = np.ones((len(V), len(V)), dtype=bool)
+    for col in V.T:
+        out &= col[:, None] <= col
+    return out
+
+
+def _word_values(DM, pairs, words):
+    """Each word's value in DM, a float row per word with INF kept; `words`
+    indexes `pairs`, padded with len(pairs)."""
+    rows = [delta(DM, a, b).values for a, b in pairs] + [DM.qo.zero().values]
+    table = np.array(rows, dtype=float).reshape(len(rows), len(DM.qo))
+    return table[words].sum(axis=1)
 
 
 def dep_check(L, con=None, D=None, k=3, max_pool=8, seed=11):
     """Order preservation and reflection of the subdirect-product map on
     dimension words of length <= k; the factors are the quotients by the
-    non-coarse meet-irreducible congruences of con (default Con L)."""
+    non-coarse meet-irreducible congruences of con (default Con L).
+
+    The word values stack into one array upstairs and one per factor; the
+    order upstairs must equal the AND of the factors' orders."""
     con = con if con is not None else all_congruences(L)
     D = D or dimension_monoid(L)
     quots = []
@@ -595,26 +633,13 @@ def dep_check(L, con=None, D=None, k=3, max_pool=8, seed=11):
         pool = sorted(rng.sample(pool, max_pool))
     words = []
     for length in range(0, k + 1):
-        words.extend(itertools.combinations_with_replacement(pool, length))
+        words.extend(itertools.combinations_with_replacement(range(len(pool)), length))
     if len(words) > 400:
         words = [words[0]] + rng.sample(words[1:], 399)
-
-    def evaluate(word):
-        big = D.qo.zero()
-        for a, b in word:
-            big = big + delta(D, a, b)
-        small = []
-        for DQ, proj in quots:
-            v = DQ.qo.zero()
-            for a, b in word:
-                v = v + delta(DQ, proj[a], proj[b])
-            small.append(v)
-        return big, small
-
-    evaluated = [evaluate(w) for w in words]
-    for (bx, sx), (by, sy) in itertools.product(evaluated, evaluated):
-        upstairs = bx <= by
-        downstairs = all(u <= v for u, v in zip(sx, sy))
-        if upstairs != downstairs:
-            return False
-    return True
+    words = _padded(words, len(pool))
+    upstairs = _order_matrix(_word_values(D, pool, words))
+    downstairs = np.ones_like(upstairs)
+    for DQ, proj in quots:
+        small = [(proj[a], proj[b]) for a, b in pool]
+        downstairs &= _order_matrix(_word_values(DQ, small, words))
+    return np.array_equal(upstairs, downstairs)

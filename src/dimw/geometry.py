@@ -5,6 +5,12 @@ and the two-piece decomposition of equal-dimension pairs.
 
 All searches iterate elements in index order and return the first witness,
 so outputs are reproducible.
+
+Huhn's identity, the decomposition closures and `lesssim` are passes over
+the order, meet and join tables: the identity over blocks of tuples, the
+closures as a least fixpoint of bool matrix products over n^3 tensors.  The
+test suite checks them against the element loops they replaced
+(`tests/oracles.py`).
 """
 
 import itertools
@@ -16,6 +22,10 @@ from .dimension import delta, dimension_monoid
 from .errors import MismatchError
 from .lattice import _transitive_closure, is_modular, is_sectionally_complemented
 from .monoid import index as monoid_index
+
+# a block of n_distributive_identity holds about this many cells, one per x
+# and tuple
+_IDENTITY_CELLS = 1 << 15
 
 
 def perspective(L, a, b):
@@ -150,23 +160,32 @@ def index_equality_check(L, D=None):
 
 
 def n_distributive_identity(L, n):
-    """Method A: evaluate Huhn's identity over all tuples."""
+    """Method A: evaluate Huhn's identity
+    x v (y_0 ^ ... ^ y_n) == meet over i of (x v meet of the y_j, j != i)
+    for every x and every multiset of n + 1 elements.  The multisets come in
+    blocks of about _IDENTITY_CELLS cells; the meets of all but one y are
+    prefix meets met with suffix meets, and both sides are table rows over x.
+    """
     meet, join = L.meet, L.join
-    for ys in itertools.combinations_with_replacement(range(L.n), n + 1):
-        m_all = ys[0]
-        for y in ys[1:]:
-            m_all = int(meet[m_all, y])
-        rhs = None
+    cols = join.T
+    tuples = itertools.combinations_with_replacement(range(L.n), n + 1)
+    step = max(1, _IDENTITY_CELLS // L.n)
+    while True:
+        ys = np.fromiter(itertools.chain.from_iterable(itertools.islice(tuples, step)),
+                         dtype=np.intp).reshape(-1, n + 1)
+        if not len(ys):
+            return True
+        # prefix[:, i] meets y_0 .. y_{i-1}, suffix[:, i] meets y_i .. y_n
+        prefix = np.full((len(ys), n + 2), L.top)
+        suffix = np.full((len(ys), n + 2), L.top)
         for i in range(n + 1):
-            m_i = None
-            for j, y in enumerate(ys):
-                if j != i:
-                    m_i = y if m_i is None else int(meet[m_i, y])
-            col = join[:, m_i]
-            rhs = col if rhs is None else meet[rhs, col]
-        if not np.array_equal(join[:, m_all], rhs):
+            prefix[:, i + 1] = meet[prefix[:, i], ys[:, i]]
+            suffix[:, n - i] = meet[suffix[:, n + 1 - i], ys[:, n - i]]
+        rhs = cols[meet[prefix[:, 0], suffix[:, 1]]]
+        for i in range(1, n + 1):
+            rhs = meet[rhs, cols[meet[prefix[:, i], suffix[:, i + 1]]]]
+        if not np.array_equal(cols[prefix[:, n + 1]], rhs):
             return False
-    return True
 
 
 def diamonds(L, m, first_only=False):
@@ -348,38 +367,32 @@ def two_piece_decomposition(L, a, b, D=None, sim=None):
 
 def _decomposition_closure(L, rel):
     """Pairs (a, b) with matching independent decompositions whose parts are
-    rel-related (the "by decomposition" closure of rel)."""
-    n = L.n
+    rel-related (the "by decomposition" closure of rel): the least fixpoint
+    above rel | eye of adding (a, b) when a = a0 + a1 and b = b0 + b1 with
+    rel[a0, b0], out[a1, b1], a0 not in {0, a} and b0 != 0.
+
+    With sc[x, a, y] = (x ^ y == 0) & (x v y == a), each round is two bool
+    matrix products over n^3 tensors; the rounds add pairs monotonically, so
+    they stop at the least fixpoint.
+    """
+    n, bottom = L.n, L.bottom
+    ids = np.arange(n)
+    sc = (L.meet == bottom)[:, None, :] & (L.join[:, None, :] == ids[None, :, None])
+    sc[bottom] = False
+    # left[a, (a0, a1)] = sc[a0, a, a1] with a0 != a
+    left = sc.copy()
+    left[ids, ids] = False
+    left = left.transpose(1, 0, 2).reshape(n, n * n)
+    # right[a0, b1, b] = OR over b0 of rel[a0, b0] & sc[b0, b, b1]
+    right = (np.asarray(rel, dtype=bool) @ sc.reshape(n, n * n)).reshape(n, n, n)
+    right = right.transpose(0, 2, 1)
     out = np.array(rel, dtype=bool) | np.eye(n, dtype=bool)
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            for b in range(n):
-                if out[a, b]:
-                    continue
-                hit = False
-                for a0 in L.interval(L.bottom, a):
-                    if a0 == L.bottom or a0 == a:
-                        continue
-                    for b0 in range(n):
-                        if not rel[a0, b0] or not L.le(b0, b) or b0 == L.bottom:
-                            continue
-                        for a1 in sectional_complements(L, a0, a):
-                            for b1 in sectional_complements(L, b0, b):
-                                if out[a1, b1]:
-                                    hit = True
-                                    break
-                            if hit:
-                                break
-                        if hit:
-                            break
-                    if hit:
-                        break
-                if hit:
-                    out[a, b] = True
-                    changed = True
-    return out
+    while True:
+        # (out @ right)[a0, a1, b] = OR over b1 of out[a1, b1] & right[a0, b1, b]
+        grown = out | left @ (out @ right).reshape(n * n, n)
+        if np.array_equal(grown, out):
+            return out
+        out = grown
 
 
 def relations_suite(L, D=None):
@@ -388,21 +401,19 @@ def relations_suite(L, D=None):
     D = D or dimension_monoid(L)
     sim = perspectivity_matrix(L)
     approx = _transitive_closure(sim)
-    n = L.n
-    lesssim = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        for b in range(n):
-            lesssim[a, b] = any(L.le(y, b) and sim[a, y] for y in range(n))
+    lesssim = sim @ L.leq
     simeq = _decomposition_closure(L, sim)
     approxeq = _decomposition_closure(L, approx)
     if is_sectionally_complemented(L) and is_modular(L):
-        for a in range(n):
-            for b in range(n):
-                same_delta = delta(D, L.bottom, a) == delta(D, L.bottom, b)
-                if bool(approxeq[a, b]) != same_delta:
-                    raise MismatchError(
-                        "projectivity by decomposition must match dimension equality",
-                        witness=(L.names[a], L.names[b]))
+        values = {}
+        ids = np.array([values.setdefault(delta(D, L.bottom, a), len(values))
+                        for a in range(L.n)])
+        wrong = np.argwhere(approxeq != (ids[:, None] == ids[None, :]))
+        if len(wrong):
+            a, b = wrong[0].tolist()
+            raise MismatchError(
+                "projectivity by decomposition must match dimension equality",
+                witness=(L.names[a], L.names[b]))
     return {"sim": sim, "approx": approx, "lesssim": lesssim,
             "simeq": simeq, "approxeq": approxeq}
 

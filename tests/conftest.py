@@ -165,3 +165,10 @@ def random_eight_element_lattices(count, seed=20240817):
         if L.n == 8 and L not in found:
             found.append(L)
     return found
+
+
+def cross_check_lattices():
+    """The lattices the cross-check kernels are compared with their oracles
+    on: the catalog entries of at most 24 elements and a seeded sample of
+    eight-element lattices."""
+    return builtins_up_to(24) + random_eight_element_lattices(20)

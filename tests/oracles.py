@@ -1,5 +1,6 @@
 """Test-side oracles for Con L, for the lower-set lattice of a QO-system,
-for Delta and for distributivity.
+for Delta, for distributivity and for the cross-checks of dimension and
+geometry.
 
 The congruence oracle is the union-find fixed point that generated
 congruences before they were read off the D-relation: close a set of merged
@@ -7,13 +8,23 @@ pairs under (x^z, y^z) and (xvz, yvz) for every z, and list Con L by closing
 the principal congruences of the prime intervals under join.  Delta is
 summed one generator per step of the maximal chain, and distributivity is
 tested on the identity x ^ (y v z) = (x ^ y) v (x ^ z) itself.
+
+The cross-check oracles are the element loops that V-modularity, DEP,
+n-distributivity and the decomposition closure ran before they became
+passes over the tables: a breadth-first search of weakly projective
+intervals with one sum search per target, the pairwise product of DEP word
+values, Huhn's identity evaluated one tuple at a time, and the closure
+rescanned pair by pair until nothing changes.
 """
 
 import itertools
+import random
 
 import numpy as np
 
-from dimw.congruence import Congruence
+from dimw.congruence import Congruence, all_congruences, quotient_lattice
+from dimw.dimension import _bounded_sum_search, _primes_mask, delta, dimension_monoid
+from dimw.geometry import sectional_complements
 from dimw.lattice import FiniteLattice, _UnionFind
 from dimw.monoid import _index_set
 
@@ -117,3 +128,142 @@ def is_distributive_by_identity(L):
         if not np.array_equal(mx[join], join[np.ix_(mx, mx)]):
             return False
     return True
+
+
+def _weak_targets(L, iv):
+    """One-step weakly projective successors of the interval iv."""
+    u, v = iv
+    out = set()
+    for c in range(L.n):
+        if L.mt(v, c) == u:  # [u, v] up into [c, d] for any d >= v v c
+            base = L.jn(v, c)
+            for d in range(L.n):
+                if L.le(base, d):
+                    out.add((c, d))
+        if L.jn(u, c) == v:  # [u, v] down into [c', c] for any c' <= u ^ c
+            cap = L.mt(u, c)
+            for cp in range(L.n):
+                if L.le(cp, cap):
+                    out.add((cp, c))
+    return out
+
+
+def is_v_modular_by_search(L, bound=4, D=None):
+    """V-modularity with a breadth-first search of the weakly projective
+    targets of each prime and one sum search per target."""
+    D = D or dimension_monoid(L)
+    for source in L.covers:
+        val = delta(D, *source)
+        seen = {source}
+        frontier = [source]
+        while frontier:
+            fresh = []
+            for iv in frontier:
+                for tgt in _weak_targets(L, iv):
+                    if tgt in seen:
+                        continue
+                    seen.add(tgt)
+                    fresh.append(tgt)
+            frontier = fresh
+        for (c, d) in sorted(seen):
+            within = np.flatnonzero(_primes_mask(L, c, d)).tolist()
+            parts = sorted({delta(D, *L.covers[i]) for i in within}, key=lambda v: v.values)
+            if not _bounded_sum_search(val, parts, bound):
+                return False, (source, (c, d))
+    return True, None
+
+
+def dep_check_by_pairs(L, con=None, D=None, k=3, max_pool=8, seed=11):
+    """DEP comparing the order of every pair of word values upstairs with
+    the order in every factor, one pair at a time."""
+    con = con if con is not None else all_congruences(L)
+    D = D or dimension_monoid(L)
+    quots = []
+    for i in con.meet_irreducibles():
+        Q, proj = quotient_lattice(L, con.congruences[i])
+        quots.append((dimension_monoid(Q), proj))
+    rng = random.Random(seed)
+    pool = list(L.covers)
+    if len(pool) > max_pool:
+        pool = sorted(rng.sample(pool, max_pool))
+    words = []
+    for length in range(0, k + 1):
+        words.extend(itertools.combinations_with_replacement(pool, length))
+    if len(words) > 400:
+        words = [words[0]] + rng.sample(words[1:], 399)
+
+    def evaluate(word):
+        big = D.qo.zero()
+        for a, b in word:
+            big = big + delta(D, a, b)
+        small = []
+        for DQ, proj in quots:
+            v = DQ.qo.zero()
+            for a, b in word:
+                v = v + delta(DQ, proj[a], proj[b])
+            small.append(v)
+        return big, small
+
+    evaluated = [evaluate(w) for w in words]
+    for (bx, sx), (by, sy) in itertools.product(evaluated, evaluated):
+        upstairs = bx <= by
+        downstairs = all(u <= v for u, v in zip(sx, sy))
+        if upstairs != downstairs:
+            return False
+    return True
+
+
+def n_distributive_by_tuples(L, n):
+    """Huhn's identity evaluated one multiset of n + 1 elements at a time."""
+    meet, join = L.meet, L.join
+    for ys in itertools.combinations_with_replacement(range(L.n), n + 1):
+        m_all = ys[0]
+        for y in ys[1:]:
+            m_all = int(meet[m_all, y])
+        rhs = None
+        for i in range(n + 1):
+            m_i = None
+            for j, y in enumerate(ys):
+                if j != i:
+                    m_i = y if m_i is None else int(meet[m_i, y])
+            col = join[:, m_i]
+            rhs = col if rhs is None else meet[rhs, col]
+        if not np.array_equal(join[:, m_all], rhs):
+            return False
+    return True
+
+
+def decomposition_closure_by_loop(L, rel):
+    """The decomposition closure of rel, rescanning every pair until a pass
+    adds nothing."""
+    n = L.n
+    out = np.array(rel, dtype=bool) | np.eye(n, dtype=bool)
+    changed = True
+    while changed:
+        changed = False
+        for a in range(n):
+            for b in range(n):
+                if out[a, b]:
+                    continue
+                hit = False
+                for a0 in L.interval(L.bottom, a):
+                    if a0 == L.bottom or a0 == a:
+                        continue
+                    for b0 in range(n):
+                        if not rel[a0, b0] or not L.le(b0, b) or b0 == L.bottom:
+                            continue
+                        for a1 in sectional_complements(L, a0, a):
+                            for b1 in sectional_complements(L, b0, b):
+                                if out[a1, b1]:
+                                    hit = True
+                                    break
+                            if hit:
+                                break
+                        if hit:
+                            break
+                    if hit:
+                        break
+                if hit:
+                    out[a, b] = True
+                    changed = True
+    return out

@@ -12,9 +12,10 @@ from dimw.dimension import (DimensionWord, caustic_pairs, caustic_relations, del
                             dep_check, dimension_monoid, distributive_dim,
                             functor_checks, intervals_projective, is_v_modular,
                             projectivity_classes, schreier_refine, word_compare)
-from dimw.errors import NotALattice, NotDistributive, NotModular
-from conftest import builtins_up_to, random_eight_element_lattices, random_posets
-from oracles import delta_by_steps
+from dimw.errors import NotALattice, NotDistributive, NotModular, ParamTooLarge
+from conftest import (builtins_up_to, cross_check_lattices, random_eight_element_lattices,
+                      random_posets)
+from oracles import delta_by_steps, dep_check_by_pairs, is_v_modular_by_search
 
 
 def by_names(L, pairs):
@@ -622,6 +623,55 @@ def test_v_modularity():
     assert is_v_modular(lat.builtin("M3"))[0]
     for spec in ("chain:4", "boolean:3"):
         assert is_v_modular(lat.builtin_spec(spec))[0], spec
+
+
+def test_v_modular_matches_search_oracle():
+    verdicts = set()
+    for L in cross_check_lattices():
+        D = dimension_monoid(L)
+        for bound in (1, 4):
+            got = is_v_modular(L, bound=bound, D=D)
+            assert got == is_v_modular_by_search(L, bound=bound, D=D), (L.name, bound)
+            verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+def test_v_modular_refuses_a_large_lattice_at_once(monkeypatch):
+    B5 = lat.builtin("boolean", 5)
+
+    def refuse(*args):
+        raise AssertionError("the guard must come first")
+
+    monkeypatch.setattr(dim, "dimension_monoid", refuse)
+    monkeypatch.setattr(dim, "_weak_projectivity", refuse)
+    with pytest.raises(ParamTooLarge, match="32 elements"):
+        is_v_modular(B5)
+
+
+class _Factors:
+    """A congruence list whose meet-irreducibles are a chosen subset, so
+    that DEP runs on too few factors."""
+
+    def __init__(self, con, keep):
+        self.congruences, self._keep = con.congruences, keep
+
+    def meet_irreducibles(self):
+        return self._keep
+
+
+def test_dep_check_matches_pairwise_oracle():
+    verdicts = []
+    for L in cross_check_lattices():
+        con = all_congruences(L)
+        D = dimension_monoid(L)
+        irreducible = con.meet_irreducibles()
+        runs = [(con, 3), (_Factors(con, irreducible[:1]), 2),
+                (_Factors(con, irreducible[1:]), 2), (con, 0)]
+        for factors, k in runs:
+            got = dep_check(L, factors, D, k=k)
+            assert got == dep_check_by_pairs(L, factors, D, k=k), (L.name, k)
+            verdicts.append(got)
+    assert verdicts.count(False) >= 20 and verdicts.count(True) >= 20
 
 
 def test_dep_check():

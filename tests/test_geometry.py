@@ -7,6 +7,7 @@ import pytest
 from dimw import geometry as geo
 from dimw import lattice as lat
 from dimw.dimension import delta, dimension_monoid
+from dimw.lattice import _transitive_closure
 from dimw.geometry import (diam_congruence, diam_ideal_equivalence_check, diamonds,
                            eqwords_refinement, independent, index_equality_check,
                            is_normal, jonsson_decomposition, lattice_index, m_ideal,
@@ -14,6 +15,8 @@ from dimw.geometry import (diam_congruence, diam_ideal_equivalence_check, diamon
                            perspective, perspectivity_matrix, relations_suite,
                            sectional_complements, transitivity_cancellativity_check,
                            two_piece_decomposition, v_measure_check)
+from conftest import builtins_up_to, cross_check_lattices
+from oracles import decomposition_closure_by_loop, n_distributive_by_tuples
 
 SC_MODULAR_SPECS = ("subspace:2,2", "subspace:2,3", "subspace:3,2",
                     "boolean:2", "boolean:3", "boolean:4")
@@ -99,6 +102,33 @@ def test_n_distributive():
     assert n_distributive(S23, 3)
     # methods agree separately as well
     assert geo.n_distributive_identity(S23, 3) and not geo.n_distributive_identity(S23, 2)
+
+
+@pytest.mark.parametrize("cells", [geo._IDENTITY_CELLS, 64])
+def test_n_distributive_identity_matches_tuple_oracle(monkeypatch, cells):
+    # 64 cells make blocks of a few tuples, so a failure can sit in any block
+    monkeypatch.setattr(geo, "_IDENTITY_CELLS", cells)
+    verdicts = []
+    for L in cross_check_lattices():
+        for n in (1, 2, 3):
+            got = geo.n_distributive_identity(L, n)
+            assert got == n_distributive_by_tuples(L, n), (L.name, n)
+            verdicts.append(got)
+    assert verdicts.count(False) >= 10 and verdicts.count(True) >= 10
+
+
+def test_decomposition_closure_matches_loop_oracle():
+    # a random relation also relates 0 to other elements, which perspectivity
+    # never does, so the a0 and b0 exclusions matter
+    rng = np.random.default_rng(5)
+    grown = 0
+    for L in cross_check_lattices():
+        sim = perspectivity_matrix(L)
+        for rel in (sim, _transitive_closure(sim), rng.random((L.n, L.n)) < 0.2):
+            got = geo._decomposition_closure(L, rel)
+            assert np.array_equal(got, decomposition_closure_by_loop(L, rel)), L.name
+            grown += int((got & ~rel).any())
+    assert grown >= 5
 
 
 def test_diamonds():
@@ -224,13 +254,13 @@ def test_relations_suite_geometric_dimension():
 
 
 def test_lesssim_characterization():
-    S22 = lat.builtin("subspace", 2, 2)
-    rels = relations_suite(S22)
-    sim = rels["sim"]
-    for a in range(S22.n):
-        for b in range(S22.n):
-            direct = any(S22.le(y, b) and sim[a, y] for y in range(S22.n))
-            assert bool(rels["lesssim"][a, b]) == direct
+    for L in builtins_up_to(24):
+        rels = relations_suite(L)
+        sim = rels["sim"]
+        for a in range(L.n):
+            for b in range(L.n):
+                direct = any(L.le(y, b) and sim[a, y] for y in range(L.n))
+                assert bool(rels["lesssim"][a, b]) == direct, L.name
 
 
 def test_transitivity_cancellativity():
