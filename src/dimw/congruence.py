@@ -183,7 +183,9 @@ class DClasses:
         a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
         leq = L.leq[self.J]
         inside = (leq[:, L.join[a, b]] & ~leq[:, L.meet[a, b]]).any(axis=1)
-        return self.below[:, np.unique(self.cls[inside])].any(axis=1)
+        hit = np.zeros(len(self.below), dtype=bool)
+        hit[self.cls[inside]] = True
+        return self.below[:, hit].any(axis=1)
 
     def partitions(self, collapsed):
         """block_of rows of the congruences that collapse the classes of each

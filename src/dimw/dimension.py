@@ -15,9 +15,15 @@ the sorted cover arrays (`cover_lo`, `cover_hi`), tests "[p, q] lies in
 [lo, hi]" as one mask over the covers per query, and sorts and deduplicates
 the relations as pairs of cover indices.
 
-Delta(a, b) counts the generator points of the prime intervals on the
-index-least maximal chain of [a ^ b, a v b] and sums the generators in one
-`QOSystem.combination`; each monoid caches its values by pair.
+Delta is additive along chains, so Delta(a, b) is summed over one maximal
+chain of [a ^ b, a v b], the index-least one.  The lattice walks it along a
+step column per upper end, memoised on the lattice, so a chain costs one
+list lookup per step; the generator points of its prime intervals are
+counted with one bincount and summed in one `QOSystem.combination`, which
+does Python work only at the positions that become infinite and skips the
+product when the QO-system has no relation at all.  Each monoid caches its
+values by pair.  `DimensionWord.parse` tries its compiled
+`k*(...)` pattern only on terms that contain `*`.
 
 V-modularity and DEP are table passes too.  `is_v_modular` closes the
 one-step weak-projectivity relation on element pairs, an n^2 x n^2 bool
@@ -37,21 +43,14 @@ import numpy as np
 from .congruence import all_congruences, quotient_lattice
 from .errors import MismatchError, NotDistributive, NotModular, ParamTooLarge
 from .lattice import dual as lattice_dual
-from .lattice import _transitive_closure, _UnionFind, is_distributive, is_modular, product
+from .lattice import (_padded, _transitive_closure, _UnionFind, is_distributive, is_modular,
+                      product)
 from .monoid import DimVector, QOSystem, _index_set, build_qosystem
 
 
 # the row blocks of the caustic-pair passes and of the absorption masks hold
 # at most this many cells, which bounds their temporaries on large lattices
 _BLOCK_CELLS = 1 << 14
-
-
-def _padded(lists, pad):
-    """The lists as the rows of one int array, padded with `pad`."""
-    out = np.full((len(lists), max(map(len, lists))), pad)
-    for x, row in enumerate(lists):
-        out[x, :len(row)] = row
-    return out
 
 
 def _collapses_below(leq, join, meet, up):
@@ -216,6 +215,9 @@ def delta(D, a, b):
 
 # -- dimension words -------------------------------------------------------
 
+# a term `k*(a..b)`: k copies of a..b
+_MULTIPLE = re.compile(r"(\d+)\s*\*\s*\((.+)\)")
+
 
 class DimensionWord:
     """Formal multiset of element pairs, each evaluated through delta."""
@@ -239,22 +241,24 @@ class DimensionWord:
     @classmethod
     def parse(cls, text, L):
         """Parse `a..b + c..d + 2*(e..f)` using element names of L."""
+        index = L.index
         terms = []
         for raw in text.split("+"):
             raw = raw.strip()
             if not raw:
                 continue
             mult = 1
-            m = re.fullmatch(r"(\d+)\s*\*\s*\((.+)\)", raw)
+            m = _MULTIPLE.fullmatch(raw) if "*" in raw else None
             if m:
                 mult, raw = int(m.group(1)), m.group(2).strip()
             if ".." not in raw:
                 raise ValueError(f"bad word term {raw!r}")
-            aname, bname = (name.strip() for name in raw.split("..", 1))
-            for name in (aname, bname):
-                if name not in L.index:
-                    raise ValueError(f"unknown element {name!r} in word {text!r}")
-            terms.append((L.index[aname], L.index[bname], mult))
+            aname, bname = raw.split("..", 1)
+            a, b = index.get(aname.strip()), index.get(bname.strip())
+            if a is None or b is None:
+                name = (aname if a is None else bname).strip()
+                raise ValueError(f"unknown element {name!r} in word {text!r}")
+            terms.append((a, b, mult))
         return cls(terms)
 
 

@@ -80,6 +80,14 @@ class _UnionFind:
         return True
 
 
+def _padded(lists, pad):
+    """The lists as the rows of one int array, padded with `pad`."""
+    out = np.full((len(lists), max(map(len, lists))), pad)
+    for x, row in enumerate(lists):
+        out[x, :len(row)] = row
+    return out
+
+
 def _covers_of_leq(leq, order):
     """The covering pairs of the order leq, ascending, given a linear
     extension `order` of it.  The first element of a set in a linear
@@ -141,7 +149,10 @@ class FiniteLattice:
     """A finite lattice with derived order, cover, meet and join tables.
 
     Instances are immutable after construction and safe to share between
-    threads; every operation in this package is a pure function.
+    threads; every operation in this package is a pure function.  The only
+    state that changes is idempotent memos filled on first use (the height
+    and the step columns of `maximal_chain`): a second thread that fills
+    the same entry computes the same value.
     """
 
     def __init__(self, names, leq, name="L", _validate=True):
@@ -184,6 +195,8 @@ class FiniteLattice:
         for a in (self.leq, self.meet, self.join, self.cover_lo, self.cover_hi):
             a.flags.writeable = False
         self._height = None
+        self._up_slots = None
+        self._toward = {}
 
     def _tables(self, order):
         # the meet table is the join table of the dual order
@@ -252,13 +265,36 @@ class FiniteLattice:
         return self._height
 
     def maximal_chain(self, a, b):
-        """The index-least maximal chain from a to b (a <= b required)."""
+        """The index-least maximal chain from a to b (a <= b required).
+
+        Each step goes from z to the least upper cover of z that lies below
+        b.  For a target b these steps form one column, toward_b[z], built
+        the first time b is a target: one gather of leq[up, b] over the
+        upper covers (ascending, padded with the top, which lies below b
+        only when b is the top and then comes after every real cover) and
+        an argmax over the slots.  The column is kept on the lattice, so a
+        chain costs one list lookup per step.
+        """
+        if not self.leq[a, b]:
+            raise ValueError("chain endpoints must satisfy a <= b")
         chain = [a]
+        if a == b:
+            return chain
+        toward = self._toward.get(b)
+        if toward is None:
+            toward = self._toward[b] = self._toward_column(b)
         z = a
         while z != b:
-            z = min(w for w in self.covers_of(z) if self.le(w, b))
+            z = toward[z]
             chain.append(z)
         return chain
+
+    def _toward_column(self, b):
+        if self._up_slots is None:
+            self._up_slots = _padded(self._up, self.top)
+        up = self._up_slots
+        first = self.leq[up, b].argmax(axis=1)
+        return up[np.arange(self.n), first].tolist()
 
     def __eq__(self, other):
         return (isinstance(other, FiniteLattice) and self.names == other.names

@@ -45,6 +45,8 @@ class QOSystem:
         self.below = rel | eye
         self.below.flags.writeable = False
         self.p0 = frozenset(np.flatnonzero(rel.diagonal()).tolist())
+        # no pair at all: the monoid is free and no value is ever oo
+        self._free = not rel.any()
 
     def _as_index(self, p):
         return p if isinstance(p, int) else self.index[str(p)]
@@ -74,12 +76,14 @@ class QOSystem:
     def combination(self, counts):
         """The sum of counts[p] copies of f_p over the points, for non-negative
         integer counts: oo strictly below a counted point and on a counted
-        self-related point (rel holds its diagonal), counts[p] elsewhere."""
+        self-related point (rel holds its diagonal), counts[p] elsewhere.
+        Python work is paid only at the oo positions."""
         counts = np.asarray(counts, dtype=np.int64)
-        infinite = self.rel @ (counts > 0)
-        return DimVector(self, tuple(INF if oo else c for oo, c
-                                     in zip(infinite.tolist(), counts.tolist())),
-                         validate=False)
+        vals = counts.tolist()
+        if not self._free:
+            for p in (self.rel @ (counts > 0)).nonzero()[0].tolist():
+                vals[p] = INF
+        return DimVector(self, vals, validate=False)
 
     def vector(self, mapping, validate=True):
         vals = [0] * len(self.points)

@@ -7,7 +7,9 @@ congruences before they were read off the D-relation: close a set of merged
 pairs under (x^z, y^z) and (xvz, yvz) for every z, and list Con L by closing
 the principal congruences of the prime intervals under join.  Delta is
 summed one generator per step of the maximal chain, and distributivity is
-tested on the identity x ^ (y v z) = (x ^ y) v (x ^ z) itself.
+tested on the identity x ^ (y v z) = (x ^ y) v (x ^ z) itself.  The
+maximal chain Delta sums over is walked one cover at a time, independent of
+the lattice's step columns.
 
 The cross-check oracles are the element loops that V-modularity, DEP,
 n-distributivity and the decomposition closure ran before they became
@@ -110,12 +112,23 @@ def semilattice_quotient(qo):
     return lat, sets, classify
 
 
+def maximal_chain_by_covers(L, a, b):
+    """The index-least maximal chain from a to b, stepping each time to the
+    least upper cover that lies below b."""
+    chain = [a]
+    z = a
+    while z != b:
+        z = min(w for w in L.covers_of(z) if L.le(w, b))
+        chain.append(z)
+    return chain
+
+
 def delta_by_steps(D, a, b):
     """Delta(a, b) as one vector addition per step of the index-least
     maximal chain of [a ^ b, a v b]."""
     L = D.lattice
     out = D.qo.zero()
-    for u, v in itertools.pairwise(L.maximal_chain(L.mt(a, b), L.jn(a, b))):
+    for u, v in itertools.pairwise(maximal_chain_by_covers(L, L.mt(a, b), L.jn(a, b))):
         out = out + D.qo.generator(D.gen[(u, v)])
     return out
 

@@ -224,3 +224,36 @@ def test_check_all_coprod_c3_c1():
 def test_con_refuses_a_large_congruence_lattice_at_once():
     # chain:60 has 2^59 congruences; the down-set count stops past the guard
     assert _cli("con", "--builtin", "chain:60") == (1, ["error: congruence lattice too large"])
+
+
+def test_in_process_calls_do_not_share_word_lists(capsys):
+    # the parser is built once per process; each call's --word list is its own
+    assert run(["compare", "--builtin", "N5", "--word", "0..a", "--word", "0..c + c..a"]) == 0
+    assert capsys.readouterr().out == "equal\n"
+    assert run(["compare", "--builtin", "N5", "--word", "0..a", "--word", "0..b"]) == 0
+    assert capsys.readouterr().out == "incomparable\n"
+    assert run(["compare", "--builtin", "N5", "--word", "0..b"]) == 2
+    assert "exactly two" in capsys.readouterr().err
+
+
+def test_eval_keeps_big_multiplicities_exact(capsys):
+    argv = ["eval", "--builtin", "N5", "--json", "--word"]
+    assert run(argv + ["99999999999999999999*(0..a) + 0..1"]) == 0
+    out = capsys.readouterr().out
+    assert '"p1": 100000000000000000000' in out
+    assert json.loads(out) == {"values": {"p0": 1, "p1": 10 ** 20, "p2": "inf"}}
+    assert run(argv + ["9223372036854775807*(0..a) + 4611686018427387904*(c..1)"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"values": {
+        "p0": 2 ** 62, "p1": 2 ** 63 - 1, "p2": "inf"}}
+
+
+def test_check_all_reports_the_checks_it_skips(capsys):
+    assert run(["check", "--all", "--builtin", "boolean:5", "--json"]) == 0
+    out, err = capsys.readouterr()
+    assert sorted(json.loads(out)) == ["axioms", "congruence_correspondence", "dual_functor",
+                                       "index_equality", "relations_suite",
+                                       "transitivity_cancellativity"]
+    assert err.splitlines() == ["note: skipped v_modular and dimension_extension: boolean:5 "
+                                "has 32 elements, over the 24-element guard"]
+    assert run(["check", "--all", "--builtin", "N5", "--json"]) == 0
+    assert capsys.readouterr().err == ""

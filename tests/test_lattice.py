@@ -5,7 +5,7 @@ from dimw import lattice as lat
 from dimw.errors import CycleError, NotALattice, ParamTooLarge, UnknownBuiltin
 
 from conftest import builtins_up_to, random_eight_element_lattices, random_posets
-from oracles import is_distributive_by_identity
+from oracles import is_distributive_by_identity, maximal_chain_by_covers
 
 
 def test_two_chain():
@@ -322,3 +322,34 @@ def test_large_chain_and_boolean_build():
     assert np.array_equal(B.meet, np.bitwise_and.outer(ids, ids))
     assert B.covers_of(0) == [2 ** i for i in range(10)]
     assert B.cocovers_of(1023) == [1023 - 2 ** i for i in reversed(range(10))]
+
+
+def _random_poset_lattices():
+    out = []
+    for names, edges in random_posets():
+        try:
+            out.append(lat.build_lattice(names, [(names[a], names[b]) for a, b in edges]))
+        except NotALattice:
+            continue
+    return out
+
+
+def test_maximal_chain_matches_cover_loop_oracle():
+    lattices = (builtins_up_to(60) + random_eight_element_lattices(20)
+                + _random_poset_lattices()
+                + [lat.builtin_spec("boolean:7"), lat.builtin_spec("chain:150")])
+    assert len(lattices) >= 150
+    for L in lattices:
+        # the column of each b is built at its first pair and read by the rest
+        for a, b in np.argwhere(L.leq).tolist():
+            assert L.maximal_chain(a, b) == maximal_chain_by_covers(L, a, b), (L.name, a, b)
+
+
+def test_maximal_chain_rejects_unordered_endpoints():
+    N5 = lat.builtin("N5")
+    i = N5.index
+    for a, b in (("1", "0"), ("a", "b"), ("b", "c")):
+        with pytest.raises(ValueError, match="a <= b"):
+            N5.maximal_chain(i[a], i[b])
+    assert N5.maximal_chain(i["b"], i["b"]) == [i["b"]]
+    assert lat.builtin("chain", 1).maximal_chain(0, 0) == [0]

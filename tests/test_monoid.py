@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -356,6 +357,15 @@ def test_combination_is_the_sum_of_generator_copies():
         for p in range(len(qo)):
             assert qo.combination(np.arange(len(qo)) == p) == qo.generator(p)
     assert self_related >= 50 and zero_counts >= 300, (self_related, zero_counts)
+    # every count vector over {0, 1, 2} on every QO-system of at most three
+    # points, as a list and as the int64 array a bincount gives
+    for k in range(1, 4):
+        for qo in enumerate_qosystems(k):
+            for counts in itertools.product(range(3), repeat=k):
+                want = generator_copies(qo, counts)
+                assert qo.combination(list(counts)) == want, (qo, counts)
+                got = qo.combination(np.array(counts, dtype=np.int64))
+                assert got == want and all(type(v) is int or v == INF for v in got.values)
     empty = QOSystem([], [])
     assert empty.combination([]) == empty.zero() == generator_copies(empty, [])
     assert empty.combination(np.zeros(0, dtype=np.int64)).values == ()
