@@ -174,11 +174,14 @@ class DimensionMonoid:
         return groups
 
     def delta_word(self, word):
-        out = self.qo.zero()
+        """The sum of the word's terms, from its first term; 0 if it is empty."""
+        out = None
         for (a, b), mult in word.items():
             value = delta(self, a, b)
-            out = out + (value if mult == 1 else value * mult)
-        return out
+            if mult != 1:
+                value = value * mult
+            out = value if out is None else out + value
+        return self.qo.zero() if out is None else out
 
     def report_dict(self):
         L = self.lattice
@@ -240,13 +243,12 @@ class DimensionWord:
 
     @classmethod
     def parse(cls, text, L):
-        """Parse `a..b + c..d + 2*(e..f)` using element names of L."""
+        """Parse `a..b + c..d + 2*(e..f)` using element names of L.  A blank
+        text is the empty word; an empty term between `+` signs is an error."""
         index = L.index
         terms = []
-        for raw in text.split("+"):
+        for raw in text.split("+") if text.strip() else ():
             raw = raw.strip()
-            if not raw:
-                continue
             mult = 1
             m = _MULTIPLE.fullmatch(raw) if "*" in raw else None
             if m:

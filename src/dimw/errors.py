@@ -31,10 +31,6 @@ class NotBelow(DimwError):
     """residual(x, y) requires x <= y componentwise."""
 
 
-class RefinementNotFound(DimwError):
-    """Refinement search exhausted; indicates an implementation or bound bug."""
-
-
 class NotDistributive(DimwError):
     """Operation requires a distributive lattice."""
 

@@ -418,7 +418,9 @@ def _chain(n):
 
 
 def _boolean(n):
-    if n < 0 or 2 ** n > SIZE_GUARD:
+    if n < 0:
+        raise UnknownBuiltin("boolean needs n >= 0")
+    if 2 ** n > SIZE_GUARD:
         raise ParamTooLarge("boolean lattice too large")
     names = ["".join("1" if s >> i & 1 else "0" for i in range(n)) or "()"
              for s in range(2 ** n)]
@@ -479,6 +481,8 @@ def _partition(n):
 
 def _subspaces(q, n):
     """All subspaces of F_q^n as sorted reduced-echelon basis rows."""
+    if n < 0:
+        raise UnknownBuiltin("subspace needs n >= 0")
     if q not in (2, 3) or q ** n > 81:
         raise ParamTooLarge("subspace lattice supported for q in {2,3}, q^n <= 81")
     vectors = list(itertools.product(range(q), repeat=n))
@@ -570,7 +574,14 @@ def builtin(key, *params):
     fn, arity = _BUILTINS[key]
     if len(params) != arity:
         raise UnknownBuiltin(f"builtin {key!r} takes {arity} integer parameter(s)")
-    return fn(*[int(p) for p in params])
+    ints = []
+    for p in params:
+        try:
+            ints.append(int(p))
+        except ValueError:
+            raise UnknownBuiltin(f"builtin {key!r} takes integer parameters, "
+                                 f"got {p!r}") from None
+    return fn(*ints)
 
 
 def builtin_spec(spec):

@@ -7,12 +7,11 @@ whose finite nonzero positions form an antichain with finite maxima.  Addition
 and order are componentwise; INF is float("inf") with guarded arithmetic.
 """
 
-import itertools
 import operator
 
 import numpy as np
 
-from .errors import NotBelow, NotInF, ParamTooLarge, RefinementNotFound
+from .errors import NotBelow, NotInF, ParamTooLarge
 from .lattice import _transitive_closure, _UnionFind
 
 INF = float("inf")
@@ -77,8 +76,12 @@ class QOSystem:
         """The sum of counts[p] copies of f_p over the points, for non-negative
         integer counts: oo strictly below a counted point and on a counted
         self-related point (rel holds its diagonal), counts[p] elsewhere.
-        Python work is paid only at the oo positions."""
-        counts = np.asarray(counts, dtype=np.int64)
+        Python work is paid only at the oo positions; counts past int64 stay
+        exact Python ints."""
+        try:
+            counts = np.asarray(counts, dtype=np.int64)
+        except OverflowError:
+            counts = np.array(counts, dtype=object)
         vals = counts.tolist()
         if not self._free:
             for p in (self.rel @ (counts > 0)).nonzero()[0].tolist():
@@ -174,8 +177,7 @@ class DimVector:
         return hash(self.values)
 
     def meet(self, other):
-        """Componentwise infimum; lands in the relaxed class, not necessarily
-        the canonical one."""
+        """Componentwise infimum, as a tuple; not necessarily canonical."""
         return tuple(min(a, b) for a, b in zip(self.values, other.values))
 
     def to_json_dict(self):
@@ -188,12 +190,8 @@ class DimVector:
         return "<" + " ".join(parts) + ">" if parts else "<0>"
 
 
-def violates_canonical_form(qo, values, relaxed=False):
-    """Return a reason string if the map is not in canonical form, else None.
-
-    relaxed=True checks only the first group of conditions (antitone support,
-    0/oo on self-related points, finite antichain), not finiteness of maxima.
-    """
+def violates_canonical_form(qo, values):
+    """Return a reason string if the map is not in canonical form, else None."""
     v = np.array(values, dtype=float)
     # the diagonal of rel never fires: v[p] < v[p] is false
     bad = qo.rel & (v[:, None] < v)
@@ -207,12 +205,11 @@ def violates_canonical_form(qo, values, relaxed=False):
     finite = (v > 0) & (v < INF)
     if finite @ qo.rel @ finite:
         return "finite positions are not an antichain"
-    if not relaxed:
-        # a self-related point is related to itself, so only plain points
-        # can be infinite with nothing of the support strictly above them
-        bad = (v == INF) & ~(qo.rel @ (v != 0))
-        if np.count_nonzero(bad):
-            return f"infinite value at maximal non-self-related point {qo.points[bad.argmax()]}"
+    # a self-related point is related to itself, so only plain points can be
+    # infinite with nothing of the support strictly above them
+    bad = (v == INF) & ~(qo.rel @ (v != 0))
+    if np.count_nonzero(bad):
+        return f"infinite value at maximal non-self-related point {qo.points[bad.argmax()]}"
     return None
 
 
@@ -289,87 +286,46 @@ def index(x):
     return int(max(x.values, default=0)) if not x.is_zero() else 0
 
 
-def _solution_sets(cell, target, grid):
-    """Per-coordinate candidate values t with cell + t == target."""
-    out = []
-    for c, s in zip(cell.values, target.values):
-        if s == INF:
-            if c == INF:
-                out.append(grid)  # anything works
-            else:
-                out.append((INF,))
-        else:
-            if c > s:
-                return None
-            out.append((s - c,))
-    return out
-
-
-def _enum_vectors(qo, coord_sets):
-    for combo in itertools.product(*coord_sets):
-        if in_canonical_form(qo, combo):
-            yield DimVector(qo, combo, validate=False)
-
-
 def refine(a0, a1, b0, b1):
-    """A 2x2 refinement matrix for a0 + a1 == b0 + b1.
+    """A 2x2 refinement ((c00, c01), (c10, c11)) of a0 + a1 == b0 + b1: rows
+    sum to a0, a1 and columns to b0, b1.  One pass visits each point after
+    every point strictly above it.  At a self-related point c_ij is oo if a_i
+    and b_j both are, else 0.  At a plain point a cell already nonzero strictly
+    above it is forced to oo; the others, in the order 00, 01, 10, 11, take the
+    least of what row i and column j still need there (0 if that is oo),
+    subtracted from both: the north-west corner rule of Z+.
 
-    Tries the truncated-meet corner first, then falls back to an exhaustive
-    search over the coefficient grid {0..Nmax, oo}.
+    Proof.  A cell (i, j) nonzero above p makes a_i and b_j positive above p,
+    so both are oo at p (a canonical vector is antitone, finite only on an
+    antichain): a forced oo never breaks a sum.  If a_i is oo at a plain p, a_i
+    has support strictly above p, where some cell of row i is nonzero, so row
+    i holds a forced cell; finite rows and columns hold none.  If
+    a0[p] + a1[p] is finite, p is the Z+ case; if it is oo, at most one row
+    and one column are finite, and the greedy meets their demands exactly.
+    Each cell is canonical: oo at a plain point only below its own support,
+    finite and positive only where none of its support lies above.
     """
     qo = a0.qo
     if a0 + a1 != b0 + b1:
         raise ValueError("refine requires equal sums")
-    nmax = int(max(v.max_finite() for v in (a0, a1, b0, b1)))
-    corner = a0.meet(b0)
-
-    def complete(c00):
-        if not (c00 <= a0 and c00 <= b0):
-            return None
-        c01 = residual(c00, a0)
-        c10 = residual(c00, b0)
-        candidates = []
-        if c10 <= a1:
-            candidates.append(residual(c10, a1))
-        if c01 <= b1:
-            candidates.append(residual(c01, b1))
-        for c11 in candidates:
-            if c10 + c11 == a1 and c01 + c11 == b1:
-                return (c00, c01), (c10, c11)
-        return None
-
-    for m in range(nmax, -1, -1):
-        got = complete(truncate(qo, corner, m))
-        if got:
-            return got
-
-    grid = tuple(range(nmax + 1)) + (INF,)
-    meet_sets = [tuple(v for v in grid if v <= c) for c in corner]
-    for c00 in _enum_vectors(qo, meet_sets):
-        s01 = _solution_sets(c00, a0, grid)
-        s10 = _solution_sets(c00, b0, grid)
-        if s01 is None or s10 is None:
-            continue
-        for c01 in _enum_vectors(qo, s01):
-            for c10 in _enum_vectors(qo, s10):
-                sa = _solution_sets(c10, a1, grid)
-                sb = _solution_sets(c01, b1, grid)
-                if sa is None or sb is None:
-                    continue
-                both = []
-                ok = True
-                for ta, tb in zip(sa, sb):
-                    common = tuple(v for v in ta if v in tb)
-                    if not common:
-                        ok = False
-                        break
-                    both.append(common)
-                if not ok:
-                    continue
-                for c11 in _enum_vectors(qo, both):
-                    if c10 + c11 == a1 and c01 + c11 == b1:
-                        return (c00, c01), (c10, c11)
-    raise RefinementNotFound("no refinement within the coefficient grid")
+    cells = [[0] * len(qo) for _ in range(4)]
+    above = [np.flatnonzero(r).tolist() for r in qo.rel]
+    # row p of below counts the points at or above p
+    for p in np.argsort(qo.below.sum(axis=1), kind="stable").tolist():
+        # what rows 0, 1 and columns 2, 3 still need at p; oo - n stays oo
+        need = [a0.values[p], a1.values[p], b0.values[p], b1.values[p]]
+        for c, i, j in zip(cells, (0, 0, 1, 1), (2, 3, 2, 3)):
+            if p in qo.p0:
+                c[p] = INF if need[i] == need[j] == INF else 0
+            elif any(c[q] for q in above[p]):
+                c[p] = INF
+            else:
+                v = min(need[i], need[j])
+                c[p] = v = 0 if v == INF else v
+                need[i] -= v
+                need[j] -= v
+    c00, c01, c10, c11 = (DimVector(qo, c, validate=False) for c in cells)
+    return (c00, c01), (c10, c11)
 
 
 class ReducedRep:

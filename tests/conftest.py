@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -23,8 +24,10 @@ def small_builtins():
     return builtins_up_to(60)
 
 
+@functools.cache
 def enumerate_qosystems(n):
-    """All antisymmetric transitive relations on n labeled points."""
+    """All antisymmetric transitive relations on n labeled points, built once
+    per session; a tuple, so no caller can change the shared catalog."""
     pairs = [(a, b) for a in range(n) for b in range(n)]
     out = []
     for bits in range(1 << len(pairs)):
@@ -49,7 +52,7 @@ def enumerate_qosystems(n):
         if ok:
             out.append(QOSystem([f"p{i}" for i in range(n)],
                                 [(a, b) for a in range(n) for b in range(n) if rel[a][b]]))
-    return out
+    return tuple(out)
 
 
 def qosystem_signature(qo):
@@ -63,12 +66,13 @@ def qosystem_signature(qo):
     return n, best
 
 
+@functools.cache
 def qosystem_reps(n):
     """One representative per isomorphism class of n-point QO-systems."""
     seen = {}
     for qo in enumerate_qosystems(n):
         seen.setdefault(qosystem_signature(qo), qo)
-    return list(seen.values())
+    return tuple(seen.values())
 
 
 def random_qosystem(rng, max_points=5):
@@ -103,6 +107,7 @@ def random_vector(rng, qo, max_coeff=3, max_terms=3):
     return out
 
 
+@functools.cache
 def grid_vectors(qo, max_coeff):
     """All canonical vectors with coefficients in {0..max_coeff, oo}."""
     from dimw.monoid import DimVector, in_canonical_form
@@ -112,7 +117,7 @@ def grid_vectors(qo, max_coeff):
     for combo in itertools.product(grid, repeat=len(qo.points)):
         if in_canonical_form(qo, combo):
             out.append(DimVector(qo, combo, validate=False))
-    return out
+    return tuple(out)
 
 
 def random_poset(rng):

@@ -201,7 +201,7 @@ def test_criterion_9_primitive_monoid_suite():
                 break
         return INF if best == cap + 1 else best
 
-    for qo in systems + pipeline_systems:
+    for qo in [*systems, *pipeline_systems]:
         samples = [qo.zero()] + [random_vector(rng, qo, max_coeff=2) for _ in range(3)]
         for x in samples:
             ok = ok and from_reduced(to_reduced(x)) == x

@@ -257,3 +257,32 @@ def test_check_all_reports_the_checks_it_skips(capsys):
                                 "has 32 elements, over the 24-element guard"]
     assert run(["check", "--all", "--builtin", "N5", "--json"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_nonsense_builtin_parameters_and_empty_word_terms():
+    for argv, line in (
+            (("dim", "--builtin", "partition:abc"),
+             "error: builtin 'partition' takes integer parameters, got 'abc'"),
+            (("dim", "--builtin", "boolean:-1"), "error: boolean needs n >= 0"),
+            (("eval", "--builtin", "N5", "--word", "0..a +"), "error: bad word term ''")):
+        assert _cli(*argv) == (1, [line]), argv
+
+
+def test_malformed_words_and_builtins_in_process(capsys):
+    for argv, line in (
+            (["dim", "--builtin", "subspace:2,x"],
+             "error: builtin 'subspace' takes integer parameters, got 'x'"),
+            (["dim", "--builtin", "subspace:2,-1"], "error: subspace needs n >= 0"),
+            (["eval", "--builtin", "N5", "--word", "+ 0..a"], "error: bad word term ''"),
+            (["eval", "--builtin", "N5", "--word", "0..a ++ a..1"], "error: bad word term ''"),
+            (["compare", "--builtin", "N5", "--word", "0..a", "--word", "0..b +"],
+             "error: bad word term ''")):
+        assert run(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [line], argv
+    # a blank word is the empty sum, not an empty term
+    for word in ("", "  "):
+        assert run(["eval", "--builtin", "N5", "--word", word]) == 0
+        assert capsys.readouterr().out == f"{word} = <0>\n"
+    assert run(["compare", "--builtin", "N5", "--word", "", "--word", "0..0"]) == 0
+    assert capsys.readouterr().out == "equal\n"

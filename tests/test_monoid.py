@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from dimw import monoid as mon
 from dimw.errors import NotBelow, NotInF, ParamTooLarge
 from dimw.lattice import is_distributive
-from dimw.monoid import (INF, QOSystem, build_qosystem, from_reduced,
-                         in_canonical_form, index, refine, residual,
-                         to_reduced, truncate)
+from dimw.monoid import (INF, DimVector, QOSystem, ReducedRep, build_qosystem,
+                         from_reduced, in_canonical_form, index, refine,
+                         residual, to_reduced, truncate, violates_canonical_form)
 
 from conftest import enumerate_qosystems, grid_vectors, qosystem_reps, random_qosystem, random_vector
 from oracles import semilattice_quotient
@@ -371,6 +371,16 @@ def test_combination_is_the_sum_of_generator_copies():
     assert empty.combination(np.zeros(0, dtype=np.int64)).values == ()
 
 
+def test_counts_past_int64_stay_exact():
+    qo = QOSystem(["p0", "p1", "p2"], [("p0", "p1"), ("p2", "p2")])
+    big = 10 ** 20
+    assert from_reduced(ReducedRep(qo, {1: big})).values == (INF, big, 0)
+    assert truncate(qo, (big, 0, 0), big).values == (big, 0, 0)
+    got = qo.combination([2 ** 63, 1, 2 ** 64])
+    assert got.values == (INF, 1, INF)
+    assert all(type(v) is int or v == INF for v in got.values)
+
+
 def test_truncate():
     qo, gmap = n5_system()
     assert truncate(qo, qo.zero(), 5) == qo.zero()
@@ -549,10 +559,49 @@ def test_refine_stress_random():
         if not b0 <= s:
             continue
         b1 = residual(b0, s)
-        (c00, c01), (c10, c11) = refine(a0, a1, b0, b1)
-        assert c00 + c01 == a0 and c10 + c11 == a1
-        assert c00 + c10 == b0 and c01 + c11 == b1
+        assert_refines(a0, a1, b0, b1)
         done += 1
+
+
+def assert_refines(a0, a1, b0, b1):
+    """refine's four cells are canonical, and rows and columns sum right."""
+    cells = (c00, c01), (c10, c11) = refine(a0, a1, b0, b1)
+    assert c00 + c01 == a0 and c10 + c11 == a1, (a0, a1, b0, b1)
+    assert c00 + c10 == b0 and c01 + c11 == b1, (a0, a1, b0, b1)
+    for c in (c00, c01, c10, c11):
+        assert violates_canonical_form(c.qo, c.values) is None, (c, a0, a1, b0, b1)
+    return cells
+
+
+def test_refine_exhaustive_small():
+    # every equal-sum quadruple over {0, 1, oo} on every QO-system of at most
+    # two points and on the three-point isomorphism representatives
+    count = 0
+    for qo in (*enumerate_qosystems(1), *enumerate_qosystems(2), *qosystem_reps(3)):
+        pairs_by_sum = {}
+        for a0, a1 in itertools.product(grid_vectors(qo, 1), repeat=2):
+            pairs_by_sum.setdefault(a0 + a1, []).append((a0, a1))
+        for pairs in pairs_by_sum.values():
+            for (a0, a1), (b0, b1) in itertools.product(pairs, repeat=2):
+                assert_refines(a0, a1, b0, b1)
+                count += 1
+    assert count == 6720
+
+
+def test_refine_cost_does_not_grow_with_the_coefficients():
+    # p1 < p2 < p4 and p3 < p4; a search over the coefficient grid needs 11 s
+    # here at k = 3 and grows without bound
+    qo = QOSystem([f"p{i}" for i in range(5)],
+                  [("p1", "p2"), ("p1", "p4"), ("p2", "p4"), ("p3", "p4")])
+    for k in (10, 10 ** 20):
+        a0 = DimVector(qo, (0, INF, INF, INF, 3 * k))
+        a1 = DimVector(qo, (3 * k, INF, k, 0, 0))
+        b1 = DimVector(qo, (3 * k, INF, 4 * k, 4 * k, 0))
+        (c00, c01), (c10, c11) = assert_refines(a0, a1, a0, b1)
+        assert c00 == a0
+        assert c01.values == (0, INF, 4 * k, 4 * k, 0)
+        assert c10.values == (0, INF, k, 0, 0)
+        assert c11.values == (3 * k, 0, 0, 0, 0)
 
 
 def propto_oracle(x, y, cap=5):
