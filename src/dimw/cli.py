@@ -59,10 +59,9 @@ def cmd_con(args):
            "join_irreducible": len(C.join_irreducibles()),
            "simple": len(C) == 2}
     _emit(args, doc,
-          f"Con({L.name}): {len(C)} congruences "
-          f"({len(C.meet_irreducibles())} meet-irreducible, "
-          f"{len(C.join_irreducibles())} join-irreducible); "
-          f"simple: {len(C) == 2}; congruence lattice height {C.height()}")
+          f"Con({L.name}): {len(C)} congruences ({doc['meet_irreducible']} meet-irreducible, "
+          f"{doc['join_irreducible']} join-irreducible); simple: {doc['simple']}; "
+          f"congruence lattice height {C.height()}")
     return 0
 
 
@@ -157,15 +156,15 @@ def cmd_check(args):
             if not dim.dep_check(L, C, D, k=min(args.bound, 3)):
                 raise MismatchError("subdirect map does not reflect order")
 
-        if L.n <= 24:
+        if L.n <= dim.V_MODULAR_GUARD:
             ok, witness = dim.is_v_modular(L, bound=args.bound, D=D)
             results["v_modular"] = {"status": "yes" if ok else "no",
                                     "witness": None if witness is None else
                                     [[L.names[u], L.names[v]] for u, v in witness]}
             run("dimension_extension", dep)
         else:
-            print(f"note: skipped v_modular and dimension_extension: {L.name} has "
-                  f"{L.n} elements, over the 24-element guard", file=sys.stderr)
+            print(f"note: skipped v_modular and dimension_extension: {L.name} has {L.n} "
+                  f"elements, over the {dim.V_MODULAR_GUARD}-element guard", file=sys.stderr)
         if lat.is_sectionally_complemented(L) and lat.is_modular(L):
             run("index_equality", lambda: geo.index_equality_check(L, D))
             run("relations_suite", lambda: geo.relations_suite(L, D))

@@ -17,7 +17,7 @@ import json
 import numpy as np
 
 from .errors import ParamTooLarge
-from .lattice import FiniteLattice, _transitive_closure
+from .lattice import FiniteLattice, _join_irreducibles, _transitive_closure
 
 # the D pass reads |J|^2 * n cells of the order table
 CON_PASS_GUARD = 10 ** 8
@@ -109,13 +109,6 @@ class Congruence:
     def __repr__(self):
         return "Congruence(%s)" % " | ".join(
             ",".join(self.over.names[i] for i in b) for b in self.blocks())
-
-
-def _join_irreducibles(L):
-    """J(L) ascending, and the one lower cover of each."""
-    J = [j for j in range(L.n) if len(L.cocovers_of(j)) == 1]
-    lower = [L.cocovers_of(j)[0] for j in J]
-    return np.array(J, dtype=np.intp), np.array(lower, dtype=np.intp)
 
 
 def _d_block(L, J, lower, rows, cols):

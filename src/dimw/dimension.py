@@ -43,8 +43,8 @@ import numpy as np
 from .congruence import all_congruences, quotient_lattice
 from .errors import MismatchError, NotDistributive, NotModular, ParamTooLarge
 from .lattice import dual as lattice_dual
-from .lattice import (_padded, _transitive_closure, _UnionFind, is_distributive, is_modular,
-                      product)
+from .lattice import (_join_irreducibles, _matches, _padded, _transitive_closure, _UnionFind,
+                      is_distributive, is_modular, product)
 from .monoid import DimVector, QOSystem, _index_set, build_qosystem
 
 
@@ -110,15 +110,6 @@ def _relation_list(L, first, second):
     first, second = np.divmod(keys[fresh], base)
     covers = L.covers
     return [(covers[f], covers[g]) for f, g in zip(first.tolist(), second.tolist())]
-
-
-def _matches(keys, values):
-    """The pairs (i, k) with keys[k] == values[i], keys sorted, ordered by i
-    and then k, as two index arrays."""
-    first = np.searchsorted(keys, values)
-    count = np.searchsorted(keys, values, side="right") - first
-    rows = np.repeat(np.arange(len(values)), count)
-    return rows, np.arange(len(rows)) - np.repeat(np.cumsum(count) - count - first, count)
 
 
 def caustic_relations(L):
@@ -356,7 +347,7 @@ def distributive_dim(L):
     """
     if not is_distributive(L):
         raise NotDistributive(f"{L.name} is not distributive")
-    J = [x for x in range(L.n) if len(L.cocovers_of(x)) == 1]
+    J = _join_irreducibles(L)[0].tolist()
 
     def f(a, b):
         lo, hi = L.mt(a, b), L.jn(a, b)
@@ -391,7 +382,7 @@ def schreier_refine(L, chain1, chain2):
     return cells
 
 
-def intervals_projective(L, iv1, iv2, max_steps=None):
+def intervals_projective(L, iv1, iv2):
     """Whether two intervals are connected by transpositions (BFS)."""
     seen = {iv1}
     frontier = [iv1]
@@ -545,8 +536,9 @@ def _bounded_sum_search(target, parts, bound):
     return False
 
 
-# is_v_modular holds one bool cell per pair of element pairs
-_V_MODULAR_CELLS = 24 ** 4
+# is_v_modular holds one bool cell per pair of element pairs: n^4 for n at
+# most V_MODULAR_GUARD elements
+V_MODULAR_GUARD = 24
 
 
 def _weak_projectivity(L):
@@ -576,9 +568,9 @@ def is_v_modular(L, bound=4, D=None):
     each such pair is searched once.
     """
     n = L.n
-    if n ** 4 > _V_MODULAR_CELLS:
+    if n > V_MODULAR_GUARD:
         raise ParamTooLarge(f"V-modularity check of {n} elements needs {n ** 4} "
-                            f"cells, over the guard {_V_MODULAR_CELLS}")
+                            f"cells, over the guard {V_MODULAR_GUARD ** 4}")
     D = D or dimension_monoid(L)
     reach = _weak_projectivity(L)
     # the primes inside each [c, d], and the set of their points as a key

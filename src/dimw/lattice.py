@@ -88,6 +88,15 @@ def _padded(lists, pad):
     return out
 
 
+def _matches(keys, values):
+    """The pairs (i, k) with keys[k] == values[i], keys sorted, ordered by i
+    and then k, as two index arrays."""
+    first = np.searchsorted(keys, values)
+    count = np.searchsorted(keys, values, side="right") - first
+    rows = np.repeat(np.arange(len(values)), count)
+    return rows, np.arange(len(rows)) - np.repeat(np.cumsum(count) - count - first, count)
+
+
 def _covers_of_leq(leq, order):
     """The covering pairs of the order leq, ascending, given a linear
     extension `order` of it.  The first element of a set in a linear
@@ -611,77 +620,83 @@ class PropertyReport:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-def is_modular(L):
-    """Exhaustive check of a >= c implies a ^ (b v c) == (a ^ b) v c."""
-    meet, join, leq = L.meet, L.join, L.leq
-    for c in range(L.n):
-        above = np.flatnonzero(leq[c])
-        jc = join[:, c]  # b v c over all b
-        lhs = meet[np.ix_(above, jc)]
-        rhs = join[meet[above, :], c]
-        if not np.array_equal(lhs, rhs):
-            return False
-    return True
+def _join_irreducibles(L):
+    """J(L) ascending, and the one lower cover of each."""
+    J = np.array([j for j in range(L.n) if len(L._down[j]) == 1], dtype=np.intp)
+    return J, np.array([L._down[j][0] for j in J], dtype=np.intp)
 
 
-def is_distributive(L):
-    """A finite lattice is distributive iff every join-irreducible j is
-    join-prime: j <= y v z implies j <= y or j <= z."""
-    for j in range(L.n):
-        if len(L._down[j]) != 1:
-            continue
-        row = L.leq[j]
-        if (row[L.join] & ~row[:, None] & ~row[None, :]).any():
-            return False
-    return True
-
-
-def is_complemented(L):
-    m0 = L.meet == L.bottom
-    j1 = L.join == L.top
-    return bool((m0 & j1).any(axis=1).all())
-
-
-def is_sectionally_complemented(L):
-    for a in range(L.n):
-        inside = L.leq[:, a]
-        ok = (L.meet == L.bottom) & (L.join == a) & inside[None, :]
-        if not ok[inside].any(axis=1).all():
-            return False
-    return True
-
-
-def is_relatively_complemented(L):
-    for a in range(L.n):
-        for b in np.flatnonzero(L.leq[a]):
-            inside = L.leq[a] & L.leq[:, b]
-            ok = (L.meet == a) & (L.join == int(b)) & inside[None, :]
-            if not ok[inside].any(axis=1).all():
-                return False
-    return True
-
-
-def is_atomistic(L):
-    atoms = L.atoms()
-    for x in range(L.n):
-        s = L.bottom
-        for a in atoms:
-            if L.le(a, x):
-                s = L.jn(s, a)
-        if s != x:
-            return False
-    return True
+def _semimodular(lo, hi, join):
+    """Birkhoff's condition on the covers lo[i] < hi[i], sorted by (lo, hi):
+    whenever a != b both cover c, a v b covers a and b.  On a lattice of
+    finite length this is upper semimodularity (Birkhoff, Lattice Theory,
+    ch. II).  The covers are found in the sorted distinct keys lo * n + hi."""
+    n = len(join)
+    i, k = _matches(lo, lo)
+    a, b = hi[i[i < k]], hi[k[i < k]]
+    wanted = np.concatenate([a, b]) * n + np.tile(join[a, b], 2)
+    return len(_matches(lo * n + hi, wanted)[0]) == len(wanted)
 
 
 def is_semimodular(L):
-    cov = np.zeros((L.n, L.n), dtype=bool)
-    for a, b in L.covers:
-        cov[a, b] = True
-    for a in range(L.n):
-        for b in range(L.n):
-            if cov[L.mt(a, b), a] and not cov[b, L.jn(a, b)]:
-                return False
-    return True
+    return _semimodular(L.cover_lo, L.cover_hi, L.join)
+
+
+def is_modular(L):
+    """A lattice of finite length is modular iff it and its dual are
+    semimodular (Birkhoff, Lattice Theory, ch. II).  The dual's covers are
+    the reversed pairs, sorted again."""
+    by_hi = np.lexsort((L.cover_lo, L.cover_hi))
+    return is_semimodular(L) and _semimodular(L.cover_hi[by_hi], L.cover_lo[by_hi], L.meet)
+
+
+def is_distributive(L):
+    """L is distributive iff it is modular and |J(L)| is its height.
+
+    Proof.  Each step x < y of a maximal chain puts some join-irreducible
+    below y but not x, so the height l is at most |J|.  If l = |J| in a
+    modular L, every maximal chain has length l and each step adds exactly
+    one, so |J(z)| is the rank r(z) of every z.  Then r(x v y) + r(x ^ y) =
+    r(x) + r(y) gives |J(x v y)| = |J(x) u J(y)|: every j is join-prime, and
+    L is distributive.  Conversely a distributive L is the lattice of
+    down-sets of J, whose height is |J|.
+    """
+    return is_modular(L) and len(_join_irreducibles(L)[0]) == L.height()
+
+
+def is_complemented(L):
+    return bool(((L.meet == L.bottom) & (L.join == L.top)).any(axis=1).all())
+
+
+def is_sectionally_complemented(L):
+    """Every x <= z has a y with x ^ y = 0 and x v y = z: hit[x, x v y] over
+    the y with x ^ y = 0, one row per x."""
+    hit = np.zeros((L.n, L.n), dtype=bool)
+    for x in range(L.n):
+        hit[x, L.join[x, L.meet[x] == L.bottom]] = True
+    return bool((hit | ~L.leq).all())
+
+
+def is_relatively_complemented(L):
+    """L has no three-element interval: for every 2-chain a < m < b of covers
+    some upper cover of a other than m lies below b (A. Bjorner, "On
+    complements in lattices of finite length", Discrete Math. 36, 1981).
+    Bjorner complements each x in [a, b] by induction on the length of
+    [a, b], starting from a y maximal in [a, b] with x ^ y = a.
+    """
+    lo, hi = L.cover_lo, L.cover_hi
+    i, k = _matches(lo, hi)  # cover i = (a, m) and cover k = (m, b)
+    a, b = lo[i], hi[k]
+    chain, up = _matches(lo, a)
+    count = np.bincount(chain[L.leq[hi[up], b[chain]]], minlength=len(a))
+    return bool((count >= 2).all())
+
+
+def is_atomistic(L):
+    """Every join-irreducible covers the bottom: an atomistic j is the join
+    of the atoms below it, so it is one of them; conversely every x is the
+    join of the join-irreducibles below it."""
+    return bool((_join_irreducibles(L)[1] == L.bottom).all())
 
 
 def is_simple(L):
@@ -693,13 +708,11 @@ def is_simple(L):
 
 
 def properties_report(L):
-    distributive = is_distributive(L)
-    modular = distributive or is_modular(L)
     semimodular = is_semimodular(L)
     atomistic = is_atomistic(L)
     return PropertyReport(
-        modular=modular,
-        distributive=distributive,
+        modular=is_modular(L),
+        distributive=is_distributive(L),
         complemented=is_complemented(L),
         sectionally_complemented=is_sectionally_complemented(L),
         relatively_complemented=is_relatively_complemented(L),

@@ -264,18 +264,20 @@ def truncate(qo, mapping, n):
 def residual(x, y):
     """The canonical t with x + t == y, for x <= y componentwise.
 
-    Componentwise-largest solution truncated at the first level that makes
-    the sum exact; existence is guaranteed for canonical inputs.
+    zbar = y - x truncated at 0 if x == y, else at the least even level
+    >= max(M, 1), M the largest finite coefficient of zbar.  A level below M
+    cuts it; every level >= max(M, 1) gives t the support of zbar, which
+    fixes the oo positions of x + t, so all such levels are exact or none
+    is.  Existence is guaranteed for canonical inputs.
     """
     if not x <= y:
         raise NotBelow("residual requires x <= y")
     zbar = tuple(INF if yv == INF else yv - xv for xv, yv in zip(x.values, y.values))
-    limit = int(max(x.max_finite(), y.max_finite())) + 1
-    for n in range(limit + 1):
-        t = truncate(x.qo, zbar, 2 * n)
-        if x + t == y:
-            return t
-    raise AssertionError("residual construction failed; input not canonical?")
+    top = max((v for v in zbar if v != INF), default=0)
+    t = truncate(x.qo, zbar, 0 if x == y else 2 * ((max(top, 1) + 1) // 2))
+    if x + t != y:
+        raise AssertionError("residual construction failed; input not canonical?")
+    return t
 
 
 def index(x):

@@ -11,6 +11,13 @@ tested on the identity x ^ (y v z) = (x ^ y) v (x ^ z) itself.  The
 maximal chain Delta sums over is walked one cover at a time, independent of
 the lattice's step columns.
 
+The lattice predicates are tested on their definitions, element by element
+over the meet/join tables, where the library reads them off the covers: the
+modular law for every c <= a, the semimodular exchange for every pair, a
+complement for every x in every interval [a, b] or [0, a], and every element
+a join of atoms.  The residual x -> y searches the even truncation levels
+of y - x for the first exact one, where the library computes that level.
+
 The cross-check oracles are the element loops that V-modularity, DEP,
 n-distributivity and the decomposition closure ran before they became
 passes over the tables: a breadth-first search of weakly projective
@@ -26,9 +33,10 @@ import numpy as np
 
 from dimw.congruence import Congruence, all_congruences, quotient_lattice
 from dimw.dimension import _bounded_sum_search, _primes_mask, delta, dimension_monoid
+from dimw.errors import NotBelow
 from dimw.geometry import sectional_complements
 from dimw.lattice import FiniteLattice, _UnionFind
-from dimw.monoid import _index_set
+from dimw.monoid import INF, _index_set, truncate
 
 
 def closure_from_pairs(L, pairs):
@@ -141,6 +149,78 @@ def is_distributive_by_identity(L):
         if not np.array_equal(mx[join], join[np.ix_(mx, mx)]):
             return False
     return True
+
+
+def is_modular_by_identity(L):
+    """a >= c implies a ^ (b v c) == (a ^ b) v c, for all a, b, c."""
+    meet, join, leq = L.meet, L.join, L.leq
+    for c in range(L.n):
+        above = np.flatnonzero(leq[c])
+        lhs = meet[np.ix_(above, join[:, c])]
+        rhs = join[meet[above, :], c]
+        if not np.array_equal(lhs, rhs):
+            return False
+    return True
+
+
+def is_semimodular_by_pairs(L):
+    """a ^ b < a a cover implies b < a v b a cover, for all a, b."""
+    cov = np.zeros((L.n, L.n), dtype=bool)
+    for a, b in L.covers:
+        cov[a, b] = True
+    for a in range(L.n):
+        for b in range(L.n):
+            if cov[L.mt(a, b), a] and not cov[b, L.jn(a, b)]:
+                return False
+    return True
+
+
+def is_sectionally_complemented_by_tables(L):
+    """Every x <= a has a y <= a with x ^ y = 0 and x v y = a."""
+    for a in range(L.n):
+        inside = L.leq[:, a]
+        ok = (L.meet == L.bottom) & (L.join == a) & inside[None, :]
+        if not ok[inside].any(axis=1).all():
+            return False
+    return True
+
+
+def is_relatively_complemented_by_tables(L):
+    """Every x in [a, b] has a y in [a, b] with x ^ y = a and x v y = b."""
+    for a in range(L.n):
+        for b in np.flatnonzero(L.leq[a]):
+            inside = L.leq[a] & L.leq[:, b]
+            ok = (L.meet == a) & (L.join == int(b)) & inside[None, :]
+            if not ok[inside].any(axis=1).all():
+                return False
+    return True
+
+
+def is_atomistic_by_atom_joins(L):
+    """Every x is the join of the atoms below it."""
+    atoms = L.atoms()
+    for x in range(L.n):
+        s = L.bottom
+        for a in atoms:
+            if L.le(a, x):
+                s = L.jn(s, a)
+        if s != x:
+            return False
+    return True
+
+
+def residual_by_levels(x, y):
+    """The residual by search: zbar = y - x truncated at the levels 0, 2,
+    4, ... until the sum is exact."""
+    if not x <= y:
+        raise NotBelow("residual requires x <= y")
+    zbar = tuple(INF if yv == INF else yv - xv for xv, yv in zip(x.values, y.values))
+    limit = int(max(x.max_finite(), y.max_finite())) + 1
+    for n in range(limit + 1):
+        t = truncate(x.qo, zbar, 2 * n)
+        if x + t == y:
+            return t
+    raise AssertionError("residual construction failed; input not canonical?")
 
 
 def _weak_targets(L, iv):

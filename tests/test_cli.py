@@ -6,8 +6,12 @@ from pathlib import Path
 
 import dimw
 from dimw import lattice as lat
-from dimw.cli import catalog_summary, export_dot, run
+from dimw.cli import CATALOG_INSTANCES, catalog_summary, export_dot, run
 from dimw.dimension import dimension_monoid
+
+from oracles import (is_atomistic_by_atom_joins, is_distributive_by_identity,
+                     is_modular_by_identity, is_relatively_complemented_by_tables,
+                     is_sectionally_complemented_by_tables, is_semimodular_by_pairs)
 
 
 def test_dim_verb_partition_4(capsys):
@@ -45,6 +49,22 @@ def test_validate_and_props(capsys):
     assert run(["props", "--builtin", "N5", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert doc["modular"] is False and doc["simple"] is False
+
+
+def test_props_matches_the_table_oracles_on_the_catalog(capsys):
+    for spec in CATALOG_INSTANCES:
+        L = lat.builtin_spec(spec)
+        semimodular, atomistic = is_semimodular_by_pairs(L), is_atomistic_by_atom_joins(L)
+        want = {"modular": is_modular_by_identity(L),
+                "distributive": is_distributive_by_identity(L),
+                "complemented": lat.is_complemented(L),
+                "sectionally_complemented": is_sectionally_complemented_by_tables(L),
+                "relatively_complemented": is_relatively_complemented_by_tables(L),
+                "atomistic": atomistic, "semimodular": semimodular,
+                "geometric": semimodular and atomistic,
+                "simple": lat.is_simple(L), "height": L.height()}
+        assert run(["props", "--builtin", spec, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == want, spec
 
 
 def test_usage_errors():

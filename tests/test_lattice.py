@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,10 @@ from dimw import lattice as lat
 from dimw.errors import CycleError, NotALattice, ParamTooLarge, UnknownBuiltin
 
 from conftest import builtins_up_to, random_eight_element_lattices, random_posets
-from oracles import is_distributive_by_identity, maximal_chain_by_covers
+from oracles import (is_atomistic_by_atom_joins, is_distributive_by_identity,
+                     is_modular_by_identity, is_relatively_complemented_by_tables,
+                     is_sectionally_complemented_by_tables, is_semimodular_by_pairs,
+                     maximal_chain_by_covers)
 
 
 def test_two_chain():
@@ -147,19 +152,29 @@ def test_property_implications_on_catalog():
         assert rep.geometric == (rep.semimodular and rep.atomistic), L.name
 
 
+@functools.cache
+def _predicate_lattices():
+    """The catalog up to 60 elements, the lattices among the random posets,
+    40 eight-element lattices, M3 x C2, N5 x C3 and M3 x M3, and the duals
+    of all of them."""
+    M3, N5 = lat.builtin("M3"), lat.builtin("N5")
+    out = (builtins_up_to(60) + _random_poset_lattices() + random_eight_element_lattices(40)
+           + [lat.product(M3, lat.builtin("chain", 2)), lat.product(N5, lat.builtin("chain", 3)),
+              lat.product(M3, M3)])
+    return tuple(out + [lat.dual(L) for L in out])
+
+
 def test_is_distributive_matches_identity_check():
-    lattices = builtins_up_to(60) + random_eight_element_lattices(40)
-    for names, edges in random_posets():
-        try:
-            lattices.append(lat.build_lattice(names, [(names[a], names[b]) for a, b in edges]))
-        except NotALattice:
-            pass
     seen = {True: 0, False: 0}
-    for L in lattices:
+    modular_only = 0
+    for L in _predicate_lattices():
         want = is_distributive_by_identity(L)
-        assert lat.is_distributive(L) == want, L.name
+        assert lat.is_distributive(L) is want, L.name
         seen[want] += 1
+        # |J| == height decides only once modularity holds
+        modular_only += is_modular_by_identity(L) and not want
     assert seen[True] >= 50 and seen[False] >= 50, seen
+    assert modular_only >= 10, modular_only
 
 
 def test_boolean_order_matches_loop_definition():
@@ -353,3 +368,33 @@ def test_maximal_chain_rejects_unordered_endpoints():
             N5.maximal_chain(i[a], i[b])
     assert N5.maximal_chain(i["b"], i["b"]) == [i["b"]]
     assert lat.builtin("chain", 1).maximal_chain(0, 0) == [0]
+
+
+@pytest.mark.parametrize("predicate, oracle", [
+    (lat.is_modular, is_modular_by_identity),
+    (lat.is_semimodular, is_semimodular_by_pairs),
+    (lat.is_sectionally_complemented, is_sectionally_complemented_by_tables),
+    (lat.is_relatively_complemented, is_relatively_complemented_by_tables),
+    (lat.is_atomistic, is_atomistic_by_atom_joins),
+], ids=lambda f: f.__name__)
+def test_cover_predicates_match_table_oracles(predicate, oracle):
+    seen = {True: 0, False: 0}
+    for L in _predicate_lattices():
+        want = oracle(L)
+        assert predicate(L) is want, L.name
+        seen[want] += 1
+    assert seen[True] >= 30 and seen[False] >= 30, seen
+
+
+def test_properties_report_on_large_lattices():
+    """Pinned reports of lattices the table oracles are too slow for."""
+    fields = ("modular", "distributive", "complemented", "sectionally_complemented",
+              "relatively_complemented", "atomistic", "semimodular", "geometric", "simple")
+    pins = {
+        "boolean:9": (True, True, True, True, True, True, True, True, False, 9),
+        "chain:500": (True, True, False, False, False, False, True, False, False, 499),
+        "subspace:2,4": (True, False, True, True, True, True, True, True, True, 4),
+    }
+    for spec, values in pins.items():
+        want = dict(zip(fields + ("height",), values))
+        assert lat.properties_report(lat.builtin_spec(spec)).as_dict() == want, spec

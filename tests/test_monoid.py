@@ -13,7 +13,7 @@ from dimw.monoid import (INF, DimVector, QOSystem, ReducedRep, build_qosystem,
                          residual, to_reduced, truncate, violates_canonical_form)
 
 from conftest import enumerate_qosystems, grid_vectors, qosystem_reps, random_qosystem, random_vector
-from oracles import semilattice_quotient
+from oracles import residual_by_levels, semilattice_quotient
 
 
 def n5_system():
@@ -412,6 +412,30 @@ def test_residual_exhaustive_small():
                 if x <= y:
                     t = residual(x, y)
                     assert x + t == y
+
+
+def test_residual_matches_level_search():
+    """The same t as the search over the even truncation levels, on every
+    comparable pair over {0, 1, 2, 3, oo}."""
+    systems = enumerate_qosystems(1) + enumerate_qosystems(2) + qosystem_reps(3)
+    pairs = 0
+    for qo in systems:
+        vecs = grid_vectors(qo, 3)
+        for x in vecs:
+            for y in vecs:
+                if x <= y:
+                    assert residual(x, y) == residual_by_levels(x, y), (qo.points, x.values,
+                                                                        y.values)
+                    pairs += 1
+    assert pairs == 3617
+
+
+def test_residual_cost_does_not_grow_with_the_coefficients():
+    # the level search runs one truncation per level up to the coefficient
+    qo = QOSystem(["a"], [])
+    f = qo.generator(0)
+    assert residual(qo.zero(), f * 10 ** 20) == f * 10 ** 20
+    assert residual(f * 3, f * 10 ** 20).values == (10 ** 20 - 3,)
 
 
 def index_oracle(x):
