@@ -8,8 +8,11 @@ when j D* k (the reflexive-transitive closure), so the strong components of
 D are the join-irreducible congruences and Con L is the lattice of down-sets
 of their quotient order.  The congruence that collapses a down-set S of
 classes sends x to lo(x), the join of the join-irreducibles below x whose
-class is not in S; x and y share a block iff lo(x) = lo(y).  A congruence is
-stored as a partition of the element indices.
+class is not in S; x and y share a block iff lo(x) = lo(y).  Con L is one
+block table: row i of `CongruenceLattice.blocks` is the block_of array of
+congruence i, each block named by its least member.  `DClasses.collapsed_by`
+gives the class masks the pairs generate in one stacked pass, and
+`CongruenceLattice.index_of` turns those masks into rows of the table.
 """
 
 import json
@@ -17,7 +20,7 @@ import json
 import numpy as np
 
 from .errors import ParamTooLarge
-from .lattice import FiniteLattice, _join_irreducibles, _transitive_closure
+from .lattice import FiniteLattice, _is_name, _join_irreducibles, _transitive_closure
 
 # the D pass reads |J|^2 * n cells of the order table
 CON_PASS_GUARD = 10 ** 8
@@ -40,7 +43,6 @@ class Congruence:
         # visited in ascending order, so the first one seen is the least
         rep = {}
         self.block_of = tuple(rep.setdefault(b, i) for i, b in enumerate(block_of))
-        self._blocks = None
 
     @classmethod
     def identity(cls, L):
@@ -51,12 +53,11 @@ class Congruence:
         return cls(L, (0,) * L.n)
 
     def blocks(self):
-        if self._blocks is None:
-            by_rep = {}
-            for i, b in enumerate(self.block_of):
-                by_rep.setdefault(b, []).append(i)
-            self._blocks = tuple(tuple(v) for _, v in sorted(by_rep.items()))
-        return self._blocks
+        # each block first appears at its least member, which names it
+        by_rep = {}
+        for i, b in enumerate(self.block_of):
+            by_rep.setdefault(b, []).append(i)
+        return tuple(map(tuple, by_rep.values()))
 
     def block_count(self):
         return len(set(self.block_of))
@@ -65,17 +66,11 @@ class Congruence:
         return self.block_of[x] == self.block_of[y]
 
     def is_compatible(self):
+        """x ^ z and x v z share a block with r ^ z and r v z for all x, z,
+        r the least member of x's block; so do any two members of a block."""
         L = self.over
-        for x in range(L.n):
-            for y in range(x + 1, L.n):
-                if not self.same(x, y):
-                    continue
-                for z in range(L.n):
-                    if not self.same(L.mt(x, z), L.mt(y, z)):
-                        return False
-                    if not self.same(L.jn(x, z), L.jn(y, z)):
-                        return False
-        return True
+        b = np.array(self.block_of, dtype=np.intp)
+        return all((b[t] == b[t[b]]).all() for t in (L.meet, L.join))
 
     def to_json(self):
         L = self.over
@@ -86,13 +81,25 @@ class Congruence:
     def from_json(cls, L, text):
         """Parse the sidecar format: {"congruence": [[names...], ...]}."""
         doc = json.loads(text) if isinstance(text, str) else text
+        if not isinstance(doc, dict):
+            raise ValueError("congruence sidecar must hold a JSON object")
+        if "congruence" not in doc:
+            raise ValueError("congruence sidecar has no 'congruence' key")
+        blocks = doc["congruence"]
+        if not isinstance(blocks, list) or not all(
+                isinstance(block, list) and all(map(_is_name, block)) for block in blocks):
+            raise ValueError("'congruence' must be a list of lists of names")
         block_of = [None] * L.n
-        for block in doc["congruence"]:
-            rep = min(L.index[x] for x in block)
-            for x in block:
+        for block in blocks:
+            if not block:
+                raise ValueError("empty block in congruence")
+            # names match by str(), as in build_lattice; Congruence renames blocks
+            for x in map(str, block):
+                if x not in L.index:
+                    raise ValueError(f"unknown element {x!r} in congruence")
                 if block_of[L.index[x]] is not None:
                     raise ValueError(f"element {x!r} appears in two blocks")
-                block_of[L.index[x]] = rep
+                block_of[L.index[x]] = L.index[str(block[0])]
         if None in block_of:
             raise ValueError("blocks do not cover every element")
         theta = cls(L, tuple(block_of))
@@ -170,15 +177,14 @@ class DClasses:
         return len(self.below)
 
     def collapsed_by(self, pairs):
-        """Class mask of the congruence generated by the pairs: the down-set
-        of the classes of the j <= a v b with j !<= a ^ b."""
+        """One class mask per pair (a, b) of the congruence it generates: the
+        down-set of the classes of the j <= a v b with j !<= a ^ b."""
         L = self.over
         a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
         leq = L.leq[self.J]
-        inside = (leq[:, L.join[a, b]] & ~leq[:, L.meet[a, b]]).any(axis=1)
-        hit = np.zeros(len(self.below), dtype=bool)
-        hit[self.cls[inside]] = True
-        return self.below[:, hit].any(axis=1)
+        inside = leq[:, L.join[a, b]] & ~leq[:, L.meet[a, b]]
+        onehot = self.cls[:, None] == np.arange(len(self.below))
+        return inside.T @ onehot @ self.below.T
 
     def partitions(self, collapsed):
         """block_of rows of the congruences that collapse the classes of each
@@ -221,36 +227,33 @@ def _down_sets(below, limit):
 def congruence_from_pairs(L, pairs):
     """Smallest congruence of L merging every given pair."""
     D = DClasses(L)
-    return Congruence(L, D.partitions(D.collapsed_by(pairs)[None, :])[0].tolist())
-
-
-def principal_congruence(L, a, b):
-    """Theta(a, b): the smallest congruence collapsing a and b."""
-    return congruence_from_pairs(L, [(a, b)])
+    return Congruence(L, D.partitions(D.collapsed_by(pairs).any(axis=0)[None, :])[0].tolist())
 
 
 class CongruenceLattice:
     """All congruences of a finite lattice under the refinement order.
 
-    Congruence i collapses the D-classes marked in members[i]; the list is
-    sorted by block count, then block_of, both descending.
+    Congruence i collapses the D-classes marked in members[i] and has the
+    block_of row blocks[i]; rows go by block count, then block_of, descending.
     """
 
     def __init__(self, classes, members):
         L = classes.over
-        found = [Congruence(L, r.tolist()) for r in classes.partitions(members)]
-        order = sorted(range(len(found)), reverse=True,
-                       key=lambda i: (found[i].block_count(), found[i].block_of))
+        blocks = classes.partitions(members)
+        # a block is named by its least member
+        count = (blocks == np.arange(L.n)).sum(axis=1)
+        order = np.lexsort(np.vstack([blocks.T[::-1], count]))[::-1]
         self.over, self.classes = L, classes
-        self.members = members[order]
-        self.members.flags.writeable = False
-        self.congruences = [found[i] for i in order]
+        self.members, self.blocks = members[order], blocks[order]
+        for a in (self.members, self.blocks):
+            a.flags.writeable = False
+        self.congruences = [Congruence(L, r) for r in self.blocks.tolist()]
         self._index = {m.tobytes(): i for i, m in enumerate(self.members)}
         self._leq = None
         self._lat = None
 
     def __len__(self):
-        return len(self.congruences)
+        return len(self.blocks)
 
     @property
     def leq(self):
@@ -265,7 +268,7 @@ class CongruenceLattice:
 
     def as_lattice(self):
         if self._lat is None:
-            names = ["t%d" % i for i in range(len(self.congruences))]
+            names = ["t%d" % i for i in range(len(self))]
             self._lat = FiniteLattice(names, self.leq.copy(),
                                       name=f"Con({self.over.name})")
         return self._lat
@@ -274,23 +277,23 @@ class CongruenceLattice:
         """Length of the longest chain of Con L: the number of D-classes."""
         return len(self.classes)
 
-    def _positions(self, masks):
-        return sorted(self._index[m.tobytes()] for m in masks)
+    def index_of(self, masks):
+        """Table positions of the congruences whose class masks are the rows."""
+        return np.array([self._index[m.tobytes()] for m in masks], dtype=np.intp)
 
     def join_irreducibles(self):
         """Indices of the congruences with one lower cover: the principal
         down-sets of the class order."""
-        return self._positions(self.classes.below.T)
+        return np.sort(self.index_of(self.classes.below.T)).tolist()
 
     def meet_irreducibles(self):
         """Indices of congruences with exactly one upper cover (coarse
         excluded): the complements of the principal up-sets."""
-        return self._positions(~self.classes.below)
+        return np.sort(self.index_of(~self.classes.below)).tolist()
 
     def principal(self, a, b):
-        """Theta(a, b), read from the list."""
-        mask = self.classes.collapsed_by([(a, b)])
-        return self.congruences[self._index[mask.tobytes()]]
+        """Theta(a, b), read from the table."""
+        return self.congruences[self.index_of(self.classes.collapsed_by([(a, b)]))[0]]
 
 
 def all_congruences(L):

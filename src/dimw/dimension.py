@@ -277,49 +277,53 @@ def propto(x, y):
     return x <= y * n
 
 
-def _collapsed_down_set(D, theta):
-    """Membership vector of the points below a point with a prime interval
-    that theta collapses."""
-    hit = np.zeros(len(D.qo.points), dtype=bool)
-    hit[[p for (a, b), p in D.gen.items() if theta.same(a, b)]] = True
+def _cover_points(D):
+    """The generator point of each prime interval, in L.covers order."""
+    return np.array([D.gen[pq] for pq in D.lattice.covers], dtype=np.intp)
+
+
+def _collapsed_down_sets(D, blocks):
+    """For each block_of row, the membership vector of the points below a
+    point with a prime interval that the row collapses."""
+    L = D.lattice
+    hit = np.zeros((len(blocks), len(D.qo)), dtype=bool)
+    rows, primes = np.nonzero(blocks[:, L.cover_lo] == blocks[:, L.cover_hi])
+    hit[rows, _cover_points(D)[primes]] = True
     return D.qo.down_set(hit)
 
 
 def congruence_correspondence_check(L, D=None, con=None, samples=200, seed=7):
     """Check that lower sets of the pipeline order match Con L and that
-    collapsing is the bounded-multiple domination of delta values."""
+    collapsing is the bounded-multiple domination of delta values.  The
+    principal congruences of covers and samples are rows of one pass."""
     D = D or dimension_monoid(L)
     con = con if con is not None else all_congruences(L)
     sets = D.qo.lower_sets()
-    images = np.array([_collapsed_down_set(D, t) for t in con.congruences])
+    images = _collapsed_down_sets(D, con.blocks)
     found = set(map(_index_set, images))
-    if len(found) != len(con.congruences) or found != set(sets):
+    if len(found) != len(con) or found != set(sets):
         raise MismatchError("congruence lattice does not match the lower sets",
-                            witness=(len(con.congruences), len(sets)))
+                            witness=(len(con), len(sets)))
     # images[i] <= images[j] unless some point of images[i] is missing from images[j]
     wrong = np.argwhere(con.leq != ~(images @ ~images.T))
     if len(wrong):
         raise MismatchError("refinement order does not match inclusion",
                             witness=tuple(wrong[0].tolist()))
-    points = np.arange(len(D.qo.points))
-    for (a, b) in L.covers:
-        t = con.principal(a, b)
-        want = D.qo.down_set(points == D.gen[(a, b)])
-        if not np.array_equal(_collapsed_down_set(D, t), want):
-            raise MismatchError("principal congruence image is not the point's lower set",
-                                witness=(L.names[a], L.names[b]))
     rng = random.Random(seed)
-    quads = 0
-    while quads < samples:
-        x, y, a, b = (rng.randrange(L.n) for _ in range(4))
-        collapsed = con.principal(a, b).same(x, y)
-        dominated = propto(delta(D, x, y), delta(D, a, b))
-        if collapsed != dominated:
+    quads = [[rng.randrange(L.n) for _ in range(4)] for _ in range(samples)]
+    rows = con.index_of(con.classes.collapsed_by(list(L.covers) + [q[2:] for q in quads]))
+    want = D.qo.down_set(_cover_points(D)[:, None] == np.arange(len(D.qo)))
+    bad = np.flatnonzero((images[rows[:len(L.covers)]] != want).any(axis=1))
+    if len(bad):
+        a, b = L.covers[bad[0]]
+        raise MismatchError("principal congruence image is not the point's lower set",
+                            witness=(L.names[a], L.names[b]))
+    for (x, y, a, b), theta in zip(quads, con.blocks[rows[len(L.covers):]].tolist()):
+        if (theta[x] == theta[y]) != propto(delta(D, x, y), delta(D, a, b)):
             raise MismatchError(
                 "collapsing and bounded domination disagree",
                 witness=tuple(L.names[z] for z in (x, y, a, b)))
-        quads += 1
-    return {"congruences": len(con.congruences), "lower_sets": len(sets),
+    return {"congruences": len(con), "lower_sets": len(sets),
             "sampled_quadruples": samples}
 
 
@@ -500,7 +504,7 @@ def functor_checks(L, theta=None, B=None, D=None):
     if theta is not None:
         Q, proj = quotient_lattice(L, theta)
         DQ = dimension_monoid(Q)
-        keep = np.flatnonzero(~_collapsed_down_set(D, theta)).tolist()
+        keep = np.flatnonzero(~_collapsed_down_sets(D, np.array([theta.block_of]))[0]).tolist()
         if qosystem_isomorphism(DQ.qo, _restricted(D.qo, keep)) is None:
             raise MismatchError("quotient system is not the restriction",
                                 witness=theta)
@@ -578,7 +582,7 @@ def is_v_modular(L, bound=4, D=None):
     within = _primes_mask(L, c[:, None], d[:, None])
     inside = np.zeros((n * n, len(D.qo)), dtype=bool)
     rows, primes = np.nonzero(within)
-    inside[rows, np.array([D.gen[pq] for pq in L.covers], dtype=np.intp)[primes]] = True
+    inside[rows, _cover_points(D)[primes]] = True
     kind = [row.tobytes() for row in inside]
     verdicts = {}
     for source in L.covers:

@@ -30,30 +30,22 @@ _IDENTITY_CELLS = 1 << 15
 
 def perspective(L, a, b):
     """First axis x (in element order) with a^x == b^x and avx == bvx."""
-    for x in range(L.n):
-        if L.mt(a, x) == L.mt(b, x) and L.jn(a, x) == L.jn(b, x):
-            return x
-    return None
+    axes = np.flatnonzero((L.meet[a] == L.meet[b]) & (L.join[a] == L.join[b]))
+    return int(axes[0]) if len(axes) else None
 
 
 def perspectivity_matrix(L):
-    sim = np.zeros((L.n, L.n), dtype=bool)
+    """sim[a, b]: a and b are perspective, one row pass per a."""
+    sim = np.empty((L.n, L.n), dtype=bool)
     for a in range(L.n):
-        sim[a, a] = True
-        for b in range(a + 1, L.n):
-            for x in range(L.n):
-                if L.mt(a, x) == L.mt(b, x) and L.jn(a, x) == L.jn(b, x):
-                    sim[a, b] = sim[b, a] = True
-                    break
+        sim[a] = ((L.meet[a] == L.meet) & (L.join[a] == L.join)).any(axis=1)
     return sim
 
 
 def proper_axis(L, a, b):
     """A proper axis of perspectivity between a and b, or None."""
     x = perspective(L, a, b)
-    if x is None:
-        return None
-    return L.mt(x, L.jn(a, b))
+    return None if x is None else L.mt(x, L.jn(a, b))
 
 
 def perspective_map(L, b, s, x):

@@ -148,6 +148,20 @@ def random_posets(count=600, seed=20261018):
     return [random_poset(rng) for _ in range(count)]
 
 
+def random_lattices(count=40):
+    """The first lattices among the seeded random posets."""
+    out = []
+    for names, edges in random_posets():
+        try:
+            out.append(lat.build_lattice(names, [(names[a], names[b]) for a, b in edges],
+                                         name=f"rand{len(out)}"))
+        except Exception:
+            continue
+        if len(out) == count:
+            break
+    return out
+
+
 def random_eight_element_lattices(count, seed=20240817):
     """Deterministic sample of 8-element lattices (random order closures)."""
     rng = random.Random(seed)

@@ -5,7 +5,9 @@ geometry.
 The congruence oracle is the union-find fixed point that generated
 congruences before they were read off the D-relation: close a set of merged
 pairs under (x^z, y^z) and (xvz, yvz) for every z, and list Con L by closing
-the principal congruences of the prime intervals under join.  Delta is
+the principal congruences of the prime intervals under join.  A partition is
+compatible when every pair of one block agrees on x^z and xvz for every z,
+tested pair by pair; perspectivity searches the axes x one at a time.  Delta is
 summed one generator per step of the maximal chain, and distributivity is
 tested on the identity x ^ (y v z) = (x ^ y) v (x ^ z) itself.  The
 maximal chain Delta sums over is walked one cover at a time, independent of
@@ -57,6 +59,42 @@ def closure_from_pairs(L, pairs):
 
 def closure_principal(L, a, b):
     return closure_from_pairs(L, [(a, b)])
+
+
+def is_compatible_by_pairs(theta):
+    """Every x ~ y of one block has x^z ~ y^z and xvz ~ yvz for every z."""
+    L = theta.over
+    for x in range(L.n):
+        for y in range(x + 1, L.n):
+            if not theta.same(x, y):
+                continue
+            for z in range(L.n):
+                if not theta.same(L.mt(x, z), L.mt(y, z)):
+                    return False
+                if not theta.same(L.jn(x, z), L.jn(y, z)):
+                    return False
+    return True
+
+
+def perspective_by_axes(L, a, b):
+    """First axis x (in element order) with a^x == b^x and avx == bvx."""
+    for x in range(L.n):
+        if L.mt(a, x) == L.mt(b, x) and L.jn(a, x) == L.jn(b, x):
+            return x
+    return None
+
+
+def perspectivity_by_axes(L):
+    """sim[a, b]: some axis makes a and b perspective, one search per pair."""
+    sim = np.zeros((L.n, L.n), dtype=bool)
+    for a in range(L.n):
+        sim[a, a] = True
+        for b in range(a + 1, L.n):
+            for x in range(L.n):
+                if L.mt(a, x) == L.mt(b, x) and L.jn(a, x) == L.jn(b, x):
+                    sim[a, b] = sim[b, a] = True
+                    break
+    return sim
 
 
 def refines(c, d):

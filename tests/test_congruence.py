@@ -6,27 +6,26 @@ import pytest
 from dimw import congruence as cg
 from dimw import lattice as lat
 from dimw.cli import CATALOG_INSTANCES
-from dimw.congruence import (Congruence, all_congruences, congruence_from_pairs,
-                             principal_congruence, quotient_lattice)
+from dimw.congruence import Congruence, all_congruences, congruence_from_pairs, quotient_lattice
 from dimw.errors import ParamTooLarge
 from dimw.lattice import FiniteLattice, _set_partitions
 
-from conftest import builtins_up_to, random_posets
+from conftest import builtins_up_to, random_lattices
 from oracles import (closure_congruences, closure_from_pairs, closure_principal,
-                     is_simple_by_primes)
+                     is_compatible_by_pairs, is_simple_by_primes)
 
 
-def brute_force_congruences(L):
-    out = []
+def every_partition(L):
     for p in _set_partitions(tuple(range(L.n))):
         block_of = [0] * L.n
         for b in p:
             for x in b:
                 block_of[x] = min(b)
-        c = Congruence(L, tuple(block_of))
-        if c.is_compatible():
-            out.append(c)
-    return out
+        yield Congruence(L, tuple(block_of))
+
+
+def brute_force_congruences(L):
+    return [c for c in every_partition(L) if c.is_compatible()]
 
 
 def blocks_by_names(L, theta):
@@ -36,24 +35,24 @@ def blocks_by_names(L, theta):
 def test_principal_congruence_n5():
     N5 = lat.builtin("N5")
     i = N5.index
-    t = principal_congruence(N5, i["c"], i["a"])
+    t = congruence_from_pairs(N5, [(i["c"], i["a"])])
     assert blocks_by_names(N5, t) == [("0",), ("1",), ("a", "c"), ("b",)]
-    t2 = principal_congruence(N5, i["0"], i["b"])
+    t2 = congruence_from_pairs(N5, [(i["0"], i["b"])])
     assert blocks_by_names(N5, t2) == [("0", "b"), ("1", "a", "c")]
 
 
 def test_principal_congruence_reflexive_case():
     for L in (lat.builtin("M3"), lat.builtin("chain", 4)):
         for x in range(L.n):
-            assert principal_congruence(L, x, x).block_count() == L.n
+            assert congruence_from_pairs(L, [(x, x)]).block_count() == L.n
 
 
 def test_theta_of_meet_join_pair():
     for L in (lat.builtin("N5"), lat.builtin("boolean", 3), lat.builtin("M3")):
         for a in range(L.n):
             for b in range(L.n):
-                assert principal_congruence(L, a, b) == principal_congruence(
-                    L, L.mt(a, b), L.jn(a, b))
+                assert congruence_from_pairs(L, [(a, b)]) == congruence_from_pairs(
+                    L, [(L.mt(a, b), L.jn(a, b))])
 
 
 def test_all_congruences_sizes():
@@ -109,7 +108,7 @@ def test_quotient_kernel_is_theta():
 def test_quotient_n5_by_theta_c_a():
     N5 = lat.builtin("N5")
     i = N5.index
-    Q, _ = quotient_lattice(N5, principal_congruence(N5, i["c"], i["a"]))
+    Q, _ = quotient_lattice(N5, congruence_from_pairs(N5, [(i["c"], i["a"])]))
     assert Q.n == 4
     assert lat.is_distributive(Q) and len(Q.atoms()) == 2  # Boolean square
 
@@ -128,13 +127,38 @@ def test_congruence_from_prime_pairs():
 def test_congruence_serialization():
     N5 = lat.builtin("N5")
     i = N5.index
-    t = principal_congruence(N5, i["0"], i["b"])
+    t = congruence_from_pairs(N5, [(i["0"], i["b"])])
     assert t.to_json() == '{"congruence": [["0", "b"], ["a", "c", "1"]]}'
     assert Congruence.from_json(N5, t.to_json()) == t
     with pytest.raises(ValueError):
         Congruence.from_json(N5, '{"congruence": [["0", "a"], ["b"], ["c"], ["1"]]}')
     with pytest.raises(ValueError):
         Congruence.from_json(N5, '{"congruence": [["0"], ["b"]]}')
+    # scalar names match as build_lattice stores them, by their str()
+    C3 = lat.from_json('{"elements": [0, 1, 2], "covers": [[0, 1], [1, 2]]}')
+    assert Congruence.from_json(C3, '{"congruence": [[0, 1], [2]]}').block_of == (0, 0, 2)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('["0", "a"]', "must hold a JSON object"),
+    ('{"blocks": [["0", "a", "b", "c", "1"]]}', "has no 'congruence' key"),
+    ('{"congruence": "0"}', "must be a list of lists of names"),
+    ('{"congruence": ["0", "a"]}', "must be a list of lists of names"),
+    ('{"congruence": [["0", ["a"]]]}', "must be a list of lists of names"),
+    ('{"congruence": [["0"], ["z"], ["a", "b", "c", "1"]]}', "unknown element 'z'"),
+    ('{"congruence": [["0"], [], ["a", "b", "c", "1"]]}', "empty block"),
+])
+def test_congruence_sidecar_rejects_malformed_documents(doc, message):
+    with pytest.raises(ValueError, match=message) as err:
+        Congruence.from_json(lat.builtin("N5"), doc)
+    assert "\n" not in str(err.value)
+
+
+def test_is_compatible_matches_pair_loop():
+    for L, count in ((lat.builtin("N5"), 5), (lat.builtin("M3"), 2)):
+        verdicts = [theta.is_compatible() for theta in every_partition(L)]
+        assert verdicts == [is_compatible_by_pairs(t) for t in every_partition(L)], L.name
+        assert sum(verdicts) == count, L.name
 
 
 def test_congruence_sidecar_in_lattice_file(tmp_path):
@@ -142,7 +166,7 @@ def test_congruence_sidecar_in_lattice_file(tmp_path):
 
     N5 = lat.builtin("N5")
     i = N5.index
-    theta = principal_congruence(N5, i["c"], i["a"])
+    theta = congruence_from_pairs(N5, [(i["c"], i["a"])])
     doc = json.loads(lat.to_json(N5))
     doc.update(json.loads(theta.to_json()))
     path = tmp_path / "n5_with_theta.json"
@@ -152,20 +176,6 @@ def test_congruence_sidecar_in_lattice_file(tmp_path):
     L = lat.from_json(path.read_text())
     back = Congruence.from_json(L, loaded_doc)
     assert blocks_by_names(L, back) == blocks_by_names(N5, theta)
-
-
-def random_lattices(count=40):
-    """The first lattices among the seeded random posets."""
-    out = []
-    for names, edges in random_posets():
-        try:
-            out.append(lat.build_lattice(names, [(names[a], names[b]) for a, b in edges],
-                                         name=f"rand{len(out)}"))
-        except Exception:
-            continue
-        if len(out) == count:
-            break
-    return out
 
 
 def test_all_congruences_match_closure_oracle():
@@ -186,11 +196,17 @@ def test_all_congruences_match_closure_oracle():
 def test_principal_congruence_matches_closure_oracle():
     for L in builtins_up_to(20) + random_lattices():
         con = all_congruences(L)
-        for a in range(L.n):
-            for b in range(L.n):
-                want = closure_principal(L, a, b)
-                assert principal_congruence(L, a, b) == want, (L.name, a, b)
-                assert con.principal(a, b) == want, (L.name, a, b)
+        pairs = [(a, b) for a in range(L.n) for b in range(L.n)]
+        # one stacked pass over all pairs gives the rows of one pass per pair
+        stacked = con.classes.collapsed_by(pairs)
+        assert np.array_equal(
+            stacked, np.vstack([con.classes.collapsed_by([ab]) for ab in pairs])), L.name
+        rows = con.blocks[con.index_of(stacked)].tolist()
+        for (a, b), row in zip(pairs, rows):
+            want = closure_principal(L, a, b)
+            assert congruence_from_pairs(L, [(a, b)]) == want, (L.name, a, b)
+            assert con.principal(a, b) == want, (L.name, a, b)
+            assert tuple(row) == want.block_of, (L.name, a, b)
 
 
 def test_congruence_from_pairs_matches_closure_oracle():

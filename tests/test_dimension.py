@@ -12,7 +12,8 @@ from dimw.dimension import (DimensionWord, caustic_pairs, caustic_relations, del
                             dep_check, dimension_monoid, distributive_dim,
                             functor_checks, intervals_projective, is_v_modular,
                             projectivity_classes, schreier_refine, word_compare)
-from dimw.errors import NotALattice, NotDistributive, NotModular, ParamTooLarge
+from dimw.errors import MismatchError, NotALattice, NotDistributive, NotModular, ParamTooLarge
+from dimw.monoid import QOSystem
 from conftest import (builtins_up_to, cross_check_lattices, random_eight_element_lattices,
                       random_posets)
 from oracles import delta_by_steps, dep_check_by_pairs, is_v_modular_by_search
@@ -447,6 +448,35 @@ def test_correspondence_counts():
     assert dim.congruence_correspondence_check(lat.builtin("N5"))["congruences"] == 5
     assert dim.congruence_correspondence_check(lat.builtin("M3"))["congruences"] == 2
     assert dim.congruence_correspondence_check(lat.builtin("chain", 3))["congruences"] == 4
+
+
+@pytest.mark.parametrize("spec, tamper, message, witness", [
+    ("N5", "order", "refinement order does not match inclusion", (0, 4)),
+    ("coprod_c3_c1", "order", "refinement order does not match inclusion", (0, 271)),
+    ("N5", "delta", "collapsing and bounded domination disagree", ("0", "1", "0", "b")),
+    ("coprod_c3_c1", "delta", "collapsing and bounded domination disagree",
+     ("e", "1", "c", "o")),
+    ("N5", "antichain", "congruence lattice does not match the lower sets", (5, 8)),
+    ("N5", "cover", "principal congruence image is not the point's lower set", ("0", "b")),
+])
+def test_correspondence_check_failures(spec, tamper, message, witness):
+    L = lat.builtin_spec(spec)
+    D, C = dimension_monoid(L), all_congruences(L)
+    if tamper == "order":
+        leq = C.leq.copy()
+        leq[0, -1] = not leq[0, -1]
+        C._leq = leq
+    elif tamper == "delta":
+        for a in range(L.n):
+            D._delta_cache[(a, L.top)] = D.qo.zero()
+    elif tamper == "antichain":
+        D = dim.DimensionMonoid(L, QOSystem(D.qo.points, []), D.gen)
+    else:
+        # 0..b moved onto another generator point
+        D = dim.DimensionMonoid(L, D.qo, {**D.gen, (L.index["0"], L.index["b"]): 2})
+    with pytest.raises(MismatchError, match=message) as err:
+        dim.congruence_correspondence_check(L, D, C)
+    assert err.value.witness == witness
 
 
 def test_projectivity_classes():

@@ -15,8 +15,9 @@ from dimw.geometry import (diam_congruence, diam_ideal_equivalence_check, diamon
                            perspective, perspectivity_matrix, relations_suite,
                            sectional_complements, transitivity_cancellativity_check,
                            two_piece_decomposition, v_measure_check)
-from conftest import builtins_up_to, cross_check_lattices
-from oracles import decomposition_closure_by_loop, n_distributive_by_tuples
+from conftest import builtins_up_to, cross_check_lattices, random_lattices
+from oracles import (decomposition_closure_by_loop, n_distributive_by_tuples,
+                     perspective_by_axes, perspectivity_by_axes)
 
 SC_MODULAR_SPECS = ("subspace:2,2", "subspace:2,3", "subspace:3,2",
                     "boolean:2", "boolean:3", "boolean:4")
@@ -58,6 +59,15 @@ def test_perspectivity_matrix_reflexive_symmetric():
         sim = perspectivity_matrix(L)
         assert sim.diagonal().all()
         assert np.array_equal(sim, sim.T)
+
+
+def test_perspectivity_matches_axis_search():
+    for L in builtins_up_to(60) + random_lattices():
+        assert np.array_equal(perspectivity_matrix(L), perspectivity_by_axes(L)), L.name
+        for a, b in itertools.product(range(L.n), repeat=2):
+            x = perspective(L, a, b)
+            assert x == perspective_by_axes(L, a, b), (L.name, a, b)
+            assert x is None or type(x) is int, (L.name, a, b)
 
 
 def test_independent():
