@@ -15,6 +15,7 @@ gives the class masks the pairs generate in one stacked pass, and
 `CongruenceLattice.index_of` turns those masks into rows of the table.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -247,13 +248,17 @@ class CongruenceLattice:
         self.members, self.blocks = members[order], blocks[order]
         for a in (self.members, self.blocks):
             a.flags.writeable = False
-        self.congruences = [Congruence(L, r) for r in self.blocks.tolist()]
         self._index = {m.tobytes(): i for i, m in enumerate(self.members)}
         self._leq = None
         self._lat = None
 
     def __len__(self):
         return len(self.blocks)
+
+    @functools.cached_property
+    def congruences(self):
+        """One Congruence per row of the table, built on first read."""
+        return [Congruence(self.over, r) for r in self.blocks.tolist()]
 
     @property
     def leq(self):

@@ -6,11 +6,11 @@ and the two-piece decomposition of equal-dimension pairs.
 All searches iterate elements in index order and return the first witness,
 so outputs are reproducible.
 
-Huhn's identity, the decomposition closures and `lesssim` are passes over
-the order, meet and join tables: the identity over blocks of tuples, the
-closures as a least fixpoint of bool matrix products over n^3 tensors.  The
-test suite checks them against the element loops they replaced
-(`tests/oracles.py`).
+Huhn's identity, normality, neutral ideals, the decomposition closures and
+`lesssim` are passes over the order, meet and join tables: the identity over
+the distinct meet states of its variables, level by level, the closures as
+least fixpoints of bool matrix products.  The test suite checks them against
+the element loops they replaced (`tests/oracles.py`).
 """
 
 import itertools
@@ -23,8 +23,8 @@ from .errors import MismatchError
 from .lattice import _transitive_closure, is_modular, is_sectionally_complemented
 from .monoid import index as monoid_index
 
-# a block of n_distributive_identity holds about this many cells, one per x
-# and tuple
+# a block of n_distributive_identity holds about this many states while they
+# grow, or cells, one per x and state, while they are tested
 _IDENTITY_CELLS = 1 << 15
 
 
@@ -152,32 +152,41 @@ def index_equality_check(L, D=None):
 
 
 def n_distributive_identity(L, n):
-    """Method A: evaluate Huhn's identity
-    x v (y_0 ^ ... ^ y_n) == meet over i of (x v meet of the y_j, j != i)
-    for every x and every multiset of n + 1 elements.  The multisets come in
-    blocks of about _IDENTITY_CELLS cells; the meets of all but one y are
-    prefix meets met with suffix meets, and both sides are table rows over x.
+    """Method A: Huhn's identity x v (y_0 ^ ... ^ y_n) == meet over i of
+    (x v m_i), m_i the meet of the y_j with j != i, for every x and y_0 .. y_n.
+    For n >= 1 the meet of the y is the meet of the m_i, so both sides depend
+    only on the state (m_0 .. m_n sorted, g = meet of the y).  One y gives
+    (top, y); adding z sends each m_i to m_i ^ z, adds g as an m and g to
+    g ^ z.  Each level keeps its distinct states, grown and tested in blocks
+    of about _IDENTITY_CELLS rows or cells.
     """
+    # join is symmetric, so row m of it is the column of x v m over x
     meet, join = L.meet, L.join
-    cols = join.T
-    tuples = itertools.combinations_with_replacement(range(L.n), n + 1)
+    elements = np.arange(L.n, dtype=meet.dtype)
+    states = np.stack([np.full_like(elements, L.top), elements], axis=1)
+    for _ in range(n):
+        level = np.empty((0, states.shape[1] + 1), dtype=states.dtype)
+        g = states[:, None, -1:]
+        step = max(1, _IDENTITY_CELLS // len(states))
+        for s in range(0, L.n, step):
+            zs = elements[s:s + step, None]
+            block = np.concatenate([meet[states[:, None, :-1], zs],
+                                    np.broadcast_to(g, (len(g), len(zs), 1)),
+                                    meet[g, zs]], axis=2).reshape(-1, level.shape[1])
+            block[:, :-1].sort(axis=1)
+            grown = np.concatenate([level, block])
+            grown = grown[np.lexsort(grown.T)]
+            level = grown[np.r_[True, (grown[1:] != grown[:-1]).any(axis=1)]]
+        states = level
     step = max(1, _IDENTITY_CELLS // L.n)
-    while True:
-        ys = np.fromiter(itertools.chain.from_iterable(itertools.islice(tuples, step)),
-                         dtype=np.intp).reshape(-1, n + 1)
-        if not len(ys):
-            return True
-        # prefix[:, i] meets y_0 .. y_{i-1}, suffix[:, i] meets y_i .. y_n
-        prefix = np.full((len(ys), n + 2), L.top)
-        suffix = np.full((len(ys), n + 2), L.top)
-        for i in range(n + 1):
-            prefix[:, i + 1] = meet[prefix[:, i], ys[:, i]]
-            suffix[:, n - i] = meet[suffix[:, n + 1 - i], ys[:, n - i]]
-        rhs = cols[meet[prefix[:, 0], suffix[:, 1]]]
-        for i in range(1, n + 1):
-            rhs = meet[rhs, cols[meet[prefix[:, i], suffix[:, i + 1]]]]
-        if not np.array_equal(cols[prefix[:, n + 1]], rhs):
+    for s in range(0, len(states), step):
+        block = states[s:s + step]
+        rhs = join[block[:, 0]]
+        for m in block[:, 1:-1].T:
+            rhs = meet[rhs, join[m]]
+        if not np.array_equal(join[block[:, -1]], rhs):
             return False
+    return True
 
 
 def diamonds(L, m, first_only=False):
@@ -237,34 +246,25 @@ def is_normal(L, sim=None, members=None):
 
     Returns (flag, witness) where witness is a failing pair, if any."""
     sim = sim if sim is not None else perspectivity_matrix(L)
-    approx = _transitive_closure(sim)
-    members = list(members) if members is not None else list(range(L.n))
-    for a in members:
-        for b in members:
-            if b > a and L.mt(a, b) == L.bottom and approx[a, b] and not sim[a, b]:
-                return False, (a, b)
-    return True, None
+    m = np.arange(L.n) if members is None else np.fromiter(members, dtype=np.intp)
+    bad = (L.meet == L.bottom) & _transitive_closure(sim) & ~sim
+    hits = np.argwhere(bad[np.ix_(m, m)] & (m[:, None] < m))
+    if not len(hits):
+        return True, None
+    return False, tuple(m[hits[0]].tolist())
 
 
 def neutral_ideal(L, gens, sim=None):
     """Smallest lower subset containing gens, closed under join and
-    perspectivity."""
+    perspectivity: the least fixpoint of those three closures."""
     sim = sim if sim is not None else perspectivity_matrix(L)
-    ideal = set()
-    work = list(gens) + [L.bottom]
-    while work:
-        z = work.pop()
-        if z in ideal:
-            continue
-        ideal.add(z)
-        for w in range(L.n):
-            if (L.le(w, z) or sim[z, w]) and w not in ideal:
-                work.append(w)
-        for y in list(ideal):
-            j = L.jn(y, z)
-            if j not in ideal:
-                work.append(j)
-    return sorted(ideal)
+    ideal = np.isin(np.arange(L.n), [*gens, L.bottom])
+    while True:
+        grown = ideal | L.leq[:, ideal].any(axis=1) | sim[ideal].any(axis=0)
+        grown[L.join[np.ix_(ideal, ideal)]] = True
+        if np.array_equal(grown, ideal):
+            return np.flatnonzero(ideal).tolist()
+        ideal = grown
 
 
 def normal_kernel(L, sim=None):

@@ -421,6 +421,8 @@ def interval_sublattice(L, a, b):
 def _chain(n):
     if n < 1:
         raise UnknownBuiltin("chain needs n >= 1")
+    if n > SIZE_GUARD:  # before the names are built
+        raise ParamTooLarge(f"{n} elements exceeds guard {SIZE_GUARD}")
     return build_lattice([str(i) for i in range(n)],
                          [(str(i), str(i + 1)) for i in range(n - 1)],
                          name=f"chain:{n}")
@@ -429,7 +431,7 @@ def _chain(n):
 def _boolean(n):
     if n < 0:
         raise UnknownBuiltin("boolean needs n >= 0")
-    if 2 ** n > SIZE_GUARD:
+    if n >= SIZE_GUARD.bit_length():  # 2 ** n > SIZE_GUARD, without computing 2 ** n
         raise ParamTooLarge("boolean lattice too large")
     names = ["".join("1" if s >> i & 1 else "0" for i in range(n)) or "()"
              for s in range(2 ** n)]
@@ -492,7 +494,8 @@ def _subspaces(q, n):
     """All subspaces of F_q^n as sorted reduced-echelon basis rows."""
     if n < 0:
         raise UnknownBuiltin("subspace needs n >= 0")
-    if q not in (2, 3) or q ** n > 81:
+    # q ** n > 81 for every n > 6, so a huge n is refused before q ** n is computed
+    if q not in (2, 3) or n > 6 or q ** n > 81:
         raise ParamTooLarge("subspace lattice supported for q in {2,3}, q^n <= 81")
     vectors = list(itertools.product(range(q), repeat=n))
     vec_index = {v: i for i, v in enumerate(vectors)}

@@ -25,7 +25,8 @@ n-distributivity and the decomposition closure ran before they became
 passes over the tables: a breadth-first search of weakly projective
 intervals with one sum search per target, the pairwise product of DEP word
 values, Huhn's identity evaluated one tuple at a time, and the closure
-rescanned pair by pair until nothing changes.
+rescanned pair by pair until nothing changes.  Normality scans the member
+pairs one at a time, and a neutral ideal grows from a worklist.
 """
 
 import itertools
@@ -36,8 +37,8 @@ import numpy as np
 from dimw.congruence import Congruence, all_congruences, quotient_lattice
 from dimw.dimension import _bounded_sum_search, _primes_mask, delta, dimension_monoid
 from dimw.errors import NotBelow
-from dimw.geometry import sectional_complements
-from dimw.lattice import FiniteLattice, _UnionFind
+from dimw.geometry import perspectivity_matrix, sectional_complements
+from dimw.lattice import FiniteLattice, _UnionFind, _transitive_closure
 from dimw.monoid import INF, _index_set, truncate
 
 
@@ -398,3 +399,37 @@ def decomposition_closure_by_loop(L, rel):
                     out[a, b] = True
                     changed = True
     return out
+
+
+def is_normal_by_pairs(L, sim=None, members=None):
+    """Normality by scanning the member pairs a < b in the order given: the
+    first independent projective pair that is not perspective fails."""
+    sim = sim if sim is not None else perspectivity_matrix(L)
+    approx = _transitive_closure(sim)
+    members = list(members) if members is not None else list(range(L.n))
+    for a in members:
+        for b in members:
+            if b > a and L.mt(a, b) == L.bottom and approx[a, b] and not sim[a, b]:
+                return False, (a, b)
+    return True, None
+
+
+def neutral_ideal_by_worklist(L, gens, sim=None):
+    """The neutral ideal grown from a worklist: each new member adds the
+    elements below it, its perspectives and its joins with the members."""
+    sim = sim if sim is not None else perspectivity_matrix(L)
+    ideal = set()
+    work = list(gens) + [L.bottom]
+    while work:
+        z = work.pop()
+        if z in ideal:
+            continue
+        ideal.add(z)
+        for w in range(L.n):
+            if (L.le(w, z) or sim[z, w]) and w not in ideal:
+                work.append(w)
+        for y in list(ideal):
+            j = L.jn(y, z)
+            if j not in ideal:
+                work.append(j)
+    return sorted(ideal)

@@ -1,7 +1,9 @@
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import dimw
@@ -136,6 +138,16 @@ def test_geom_verb(capsys):
     assert doc["least_n_distributive"] == 2
 
 
+def test_geom_verb_partition_5(capsys):
+    # the n = 4 identity pass; the index of a partition is its rank
+    assert run(["geom", "--builtin", "partition:5", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    L = lat.builtin("partition", 5)
+    assert doc == {"index": {x: 5 - len(x.split("|")) for x in L.names},
+                   "is_normal": {"status": False, "witness": ["15|2|3|4", "134|2|5"]},
+                   "least_n_distributive": 4}
+
+
 def test_file_round_trip(tmp_path, capsys):
     L = lat.builtin("N5")
     path = tmp_path / "n5.json"
@@ -165,13 +177,14 @@ def test_json_outputs_are_deterministic(capsys):
         assert capsys.readouterr().out == first, argv
 
 
-def _proc(*argv):
-    """Run `dimw` in a fresh interpreter, with no traceback on stderr."""
+def _proc(*argv, timeout=120, **options):
+    """Run `dimw` in a fresh interpreter, with no traceback on stderr; the
+    options go to subprocess.run."""
     src = str(Path(dimw.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "dimw.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-m", "dimw.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=timeout, **options)
     assert "Traceback" not in proc.stderr
     return proc
 
@@ -306,3 +319,21 @@ def test_malformed_words_and_builtins_in_process(capsys):
         assert capsys.readouterr().out == f"{word} = <0>\n"
     assert run(["compare", "--builtin", "N5", "--word", "", "--word", "0..0"]) == 0
     assert capsys.readouterr().out == "equal\n"
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+
+def test_huge_builtin_parameters_are_refused_before_allocation():
+    # building 10^8 names or computing 2 ** 10^20 ends in MemoryError under the
+    # 1.5 GB address-space cap, so each parameter meets its guard first
+    for spec, line in (
+            ("chain:100000000", "error: 100000000 elements exceeds guard 10000"),
+            ("boolean:100000000000000000000", "error: boolean lattice too large"),
+            ("subspace:2,100000000000000000000",
+             "error: subspace lattice supported for q in {2,3}, q^n <= 81")):
+        start = time.perf_counter()
+        proc = _proc("validate", "--builtin", spec, timeout=5, preexec_fn=_cap_address_space)
+        assert time.perf_counter() - start < 5, spec
+        assert (proc.returncode, proc.stderr.splitlines()) == (1, [line]), spec

@@ -5,7 +5,7 @@ import pytest
 
 from dimw import congruence as cg
 from dimw import lattice as lat
-from dimw.cli import CATALOG_INSTANCES
+from dimw.cli import CATALOG_INSTANCES, run
 from dimw.congruence import Congruence, all_congruences, congruence_from_pairs, quotient_lattice
 from dimw.errors import ParamTooLarge
 from dimw.lattice import FiniteLattice, _set_partitions
@@ -255,3 +255,17 @@ def test_order_guard_precedes_the_order_table(monkeypatch):
     monkeypatch.setattr(cg, "CON_ORDER_GUARD", len(con) ** 2 - 1)
     with pytest.raises(ParamTooLarge, match="congruence lattice too large"):
         con.leq
+
+
+def test_con_and_check_build_no_congruence_objects(monkeypatch, capsys):
+    # both verbs read the block table; its Congruence objects are built on demand
+    def refuse(self, over, block_of):
+        raise AssertionError("Congruence built")
+
+    monkeypatch.setattr(cg.Congruence, "__init__", refuse)
+    for argv, out in (
+            (["con"], "Con(coprod_c3_c1): 272 congruences (11 meet-irreducible, "
+                      "11 join-irreducible); simple: False; congruence lattice height 11\n"),
+            (["check"], "axioms: pass\ncongruence_correspondence: pass\ndual_functor: pass\n")):
+        assert run(argv + ["--builtin", "coprod_c3_c1"]) == 0
+        assert capsys.readouterr().out == out

@@ -16,8 +16,8 @@ from dimw.geometry import (diam_congruence, diam_ideal_equivalence_check, diamon
                            sectional_complements, transitivity_cancellativity_check,
                            two_piece_decomposition, v_measure_check)
 from conftest import builtins_up_to, cross_check_lattices, random_lattices
-from oracles import (decomposition_closure_by_loop, n_distributive_by_tuples,
-                     perspective_by_axes, perspectivity_by_axes)
+from oracles import (decomposition_closure_by_loop, is_normal_by_pairs, n_distributive_by_tuples,
+                     neutral_ideal_by_worklist, perspective_by_axes, perspectivity_by_axes)
 
 SC_MODULAR_SPECS = ("subspace:2,2", "subspace:2,3", "subspace:3,2",
                     "boolean:2", "boolean:3", "boolean:4")
@@ -116,7 +116,8 @@ def test_n_distributive():
 
 @pytest.mark.parametrize("cells", [geo._IDENTITY_CELLS, 64])
 def test_n_distributive_identity_matches_tuple_oracle(monkeypatch, cells):
-    # 64 cells make blocks of a few tuples, so a failure can sit in any block
+    # 64 cells grow the states a few z at a time and test a few states per
+    # block, so a failure can sit in any block
     monkeypatch.setattr(geo, "_IDENTITY_CELLS", cells)
     verdicts = []
     for L in cross_check_lattices():
@@ -125,6 +126,39 @@ def test_n_distributive_identity_matches_tuple_oracle(monkeypatch, cells):
             assert got == n_distributive_by_tuples(L, n), (L.name, n)
             verdicts.append(got)
     assert verdicts.count(False) >= 10 and verdicts.count(True) >= 10
+
+
+@pytest.mark.parametrize("spec", ["partition:5", "subspace:2,4"])
+def test_n_distributive_identity_on_lattices_beyond_the_oracle(spec):
+    # 3.8M and 13M multisets at n = 4, out of the tuple oracle's reach
+    L = lat.builtin_spec(spec)
+    assert [geo.n_distributive_identity(L, n) for n in (1, 2, 3, 4)] == [
+        False, False, False, True]
+
+
+def test_is_normal_matches_pair_oracle():
+    rng = np.random.default_rng(8)
+    flags = []
+    for L in cross_check_lattices():
+        sim = perspectivity_matrix(L)
+        noise = rng.random((L.n, L.n)) < 0.3
+        shuffled = rng.permutation(L.n).tolist()
+        for rel in (sim, noise | noise.T):
+            for members in (None, range(L.n), shuffled, shuffled[:L.n // 2]):
+                got = is_normal(L, rel, members)
+                assert got == is_normal_by_pairs(L, rel, members), (L.name, members)
+                flags.append(got[0])
+    assert flags.count(True) >= 20 and flags.count(False) >= 20
+
+
+def test_neutral_ideal_matches_worklist_oracle():
+    rng = random.Random(9)
+    for L in cross_check_lattices():
+        sim = perspectivity_matrix(L)
+        for k in (0, 1, 1, 2, 2):
+            gens = rng.sample(range(L.n), k)
+            assert geo.neutral_ideal(L, gens, sim) == neutral_ideal_by_worklist(L, gens, sim), (
+                L.name, gens)
 
 
 def test_decomposition_closure_matches_loop_oracle():
