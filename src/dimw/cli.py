@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 check/validation failure, 2 usage error.
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -110,10 +111,9 @@ def cmd_geom(args):
     report["is_normal"] = {"status": normal,
                            "witness": None if witness is None else
                            [L.names[witness[0]], L.names[witness[1]]]}
-    report["index"] = {L.names[x]: geo.lattice_index(L, x, sim) for x in range(L.n)}
-    level = 1
-    while not geo.n_distributive(L, level, method="A") and level <= L.height():
-        level += 1
+    report["index"] = dict(zip(L.names, geo.lattice_index(L, sim)))
+    holds = itertools.islice(geo.n_distributive_verdicts(L), 1, L.height() + 1)
+    level = next((n for n, ok in enumerate(holds, 1) if ok), L.height() + 1)
     report["least_n_distributive"] = level
     _emit(args, report,
           "\n".join([f"normal: {normal}",

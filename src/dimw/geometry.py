@@ -6,11 +6,14 @@ and the two-piece decomposition of equal-dimension pairs.
 All searches iterate elements in index order and return the first witness,
 so outputs are reproducible.
 
-Huhn's identity, normality, neutral ideals, the decomposition closures and
-`lesssim` are passes over the order, meet and join tables: the identity over
-the distinct meet states of its variables, level by level, the closures as
-least fixpoints of bool matrix products.  The test suite checks them against
-the element loops they replaced (`tests/oracles.py`).
+Homogeneous sequences, Huhn's identity, normality, neutral ideals, the
+decomposition closures and `lesssim` are passes over the order, meet and
+join tables.  The sequences and the identity each grow once, level by
+level, over distinct states: (base, join, last partner) give every index,
+base set and branch B of n-distributivity, the meets of the variables one
+verdict per n.  The closures are least fixpoints of bool matrix products.
+The test suite checks them against the loops and searches they replaced
+(`tests/oracles.py`).
 """
 
 import itertools
@@ -23,9 +26,19 @@ from .errors import MismatchError
 from .lattice import _transitive_closure, is_modular, is_sectionally_complemented
 from .monoid import index as monoid_index
 
-# a block of n_distributive_identity holds about this many states while they
+# a block of n_distributive_verdicts holds about this many states while they
 # grow, or cells, one per x and state, while they are tested
 _IDENTITY_CELLS = 1 << 15
+
+
+def _distinct_rows(rows):
+    """The distinct rows of an int table in lexsort order, neighbours compared
+    one sorted column at a time; np.unique's first call costs resident memory."""
+    order = np.lexsort(rows.T)
+    fresh = np.arange(len(rows)) == 0
+    for col in rows.T:
+        fresh[1:] |= np.diff(col[order]) != 0
+    return rows[order[fresh]]
 
 
 def perspective(L, a, b):
@@ -95,98 +108,87 @@ def independent(L, seq):
 # -- homogeneous sequences and the two indices ------------------------------
 
 
-def _max_homogeneous_below(L, x, sim, base=None, need=None):
-    """Longest nontrivial homogeneous sequence below x; with `need` set,
-    returns whether one of that length exists."""
-    best = 0
-    candidates = [a for a in L.interval(L.bottom, x) if a != L.bottom]
-    bases = [base] if base is not None else candidates
-
-    def extend(seq, join, partners):
-        nonlocal best
-        best = max(best, len(seq))
-        if need is not None and best >= need:
-            return True
-        for i, b in enumerate(partners):
-            if L.mt(b, join) == L.bottom:
-                # independence is order-insensitive, so combinations suffice
-                if extend(seq + [b], L.jn(join, b), partners[i + 1:]):
-                    return True
-        return False
-
-    for a in bases:
-        if a == L.bottom or not L.le(a, x):
-            continue
-        partners = [b for b in candidates if sim[a, b] and b != a]
-        if extend([a], a, partners):
-            return best if need is None else True
-        if need is None and best >= L.height():
-            break
-    return best if need is None else best >= need
+def _homogeneous_levels(L, sim):
+    """Level k: the distinct states (base a, join j, last partner or -1) of
+    the nontrivial homogeneous sequences of length k.  A state grows by each
+    b > last with sim[a, b] and b ^ j == 0 to (a, j v b, b); outside modular
+    lattices the inductive meet test depends on the order, hence `last`."""
+    disjoint = L.meet == L.bottom
+    ids = np.arange(L.n)
+    a = ids[ids != L.bottom]
+    states = np.stack([a, a, np.full_like(a, -1)], axis=1)
+    levels = []
+    while len(states):
+        levels.append(states)
+        a, j, last = states.T
+        rows, b = np.nonzero(sim[a] & disjoint[j] & (ids > last[:, None]))
+        states = _distinct_rows(np.stack([a[rows], L.join[j[rows], b], b], axis=1))
+    return levels
 
 
-def lattice_index(L, x, sim=None):
-    """Largest length of a nontrivial homogeneous sequence below x."""
-    if x == L.bottom:
-        return 0
+def lattice_index(L, sim=None):
+    """Largest length of a nontrivial homogeneous sequence below each x, as
+    a list over the elements: the number of levels with a join <= x."""
     sim = sim if sim is not None else perspectivity_matrix(L)
-    return _max_homogeneous_below(L, x, sim)
+    return sum((L.leq[states[:, 1]].any(axis=0) for states in _homogeneous_levels(L, sim)),
+               np.zeros(L.n, dtype=int)).tolist()
 
 
 def index_equality_check(L, D=None):
     """Lattice index == monoid index of the dimension value, at every x."""
     D = D or dimension_monoid(L)
-    sim = perspectivity_matrix(L)
-    table = {}
-    for x in range(L.n):
-        li = lattice_index(L, x, sim)
+    index = lattice_index(L)
+    for x, li in enumerate(index):
         mi = monoid_index(delta(D, L.bottom, x))
         if li != mi:
             raise MismatchError("lattice and monoid index disagree",
                                 witness=(L.names[x], li, mi))
-        table[L.names[x]] = li
-    return table
+    return dict(zip(L.names, index))
 
 
 # -- n-distributivity and diamonds ------------------------------------------
 
 
-def n_distributive_identity(L, n):
-    """Method A: Huhn's identity x v (y_0 ^ ... ^ y_n) == meet over i of
-    (x v m_i), m_i the meet of the y_j with j != i, for every x and y_0 .. y_n.
+def n_distributive_verdicts(L):
+    """Method A, Huhn's identity x v (y_0 ^ ... ^ y_n) == meet over i of
+    (x v m_i), m_i the meet of the y_j with j != i, for every x and y_0 .. y_n:
+    one verdict per n = 0, 1, 2, ... from one growth of the states.
     For n >= 1 the meet of the y is the meet of the m_i, so both sides depend
     only on the state (m_0 .. m_n sorted, g = meet of the y).  One y gives
     (top, y); adding z sends each m_i to m_i ^ z, adds g as an m and g to
-    g ^ z.  Each level keeps its distinct states, grown and tested in blocks
-    of about _IDENTITY_CELLS rows or cells.
+    g ^ z.  A level is tested in blocks of about _IDENTITY_CELLS cells, then
+    grown in blocks of as many rows, each made distinct, and merged once.
     """
-    # join is symmetric, so row m of it is the column of x v m over x
-    meet, join = L.meet, L.join
-    elements = np.arange(L.n, dtype=meet.dtype)
-    states = np.stack([np.full_like(elements, L.top), elements], axis=1)
-    for _ in range(n):
-        level = np.empty((0, states.shape[1] + 1), dtype=states.dtype)
-        g = states[:, None, -1:]
-        step = max(1, _IDENTITY_CELLS // len(states))
-        for s in range(0, L.n, step):
-            zs = elements[s:s + step, None]
-            block = np.concatenate([meet[states[:, None, :-1], zs],
-                                    np.broadcast_to(g, (len(g), len(zs), 1)),
-                                    meet[g, zs]], axis=2).reshape(-1, level.shape[1])
-            block[:, :-1].sort(axis=1)
-            grown = np.concatenate([level, block])
-            grown = grown[np.lexsort(grown.T)]
-            level = grown[np.r_[True, (grown[1:] != grown[:-1]).any(axis=1)]]
-        states = level
-    step = max(1, _IDENTITY_CELLS // L.n)
-    for s in range(0, len(states), step):
-        block = states[s:s + step]
+    # the narrowest index type, as a merge holds every grown row of a level
+    meet, join = L.meet.astype(np.min_scalar_type(L.n)), L.join
+
+    def holds(block):
+        # join is symmetric, so row m of it is the column of x v m over x
         rhs = join[block[:, 0]]
         for m in block[:, 1:-1].T:
             rhs = meet[rhs, join[m]]
-        if not np.array_equal(join[block[:, -1]], rhs):
-            return False
-    return True
+        return np.array_equal(join[block[:, -1]], rhs)
+
+    def grown(states, zs):
+        g = states[:, None, -1:]
+        parts = meet[states[:, None, :-1], zs], g.repeat(len(zs), axis=1), meet[g, zs]
+        block = np.concatenate(parts, axis=2).reshape(-1, states.shape[1] + 1)
+        block[:, :-1].sort(axis=1)
+        return _distinct_rows(block)
+
+    elements = np.arange(L.n, dtype=meet.dtype)
+    states = np.stack([np.full_like(elements, L.top), elements], axis=1)
+    tested = max(1, _IDENTITY_CELLS // L.n)
+    while True:
+        yield all(holds(states[s:s + tested]) for s in range(0, len(states), tested))
+        step = max(1, _IDENTITY_CELLS // len(states))
+        states = _distinct_rows(np.concatenate(
+            [grown(states, elements[s:s + step, None]) for s in range(0, L.n, step)]))
+
+
+def n_distributive_identity(L, n):
+    """Method A at one n: the n-th verdict of n_distributive_verdicts."""
+    return next(itertools.islice(n_distributive_verdicts(L), n, None))
 
 
 def diamonds(L, m, first_only=False):
@@ -229,8 +231,7 @@ def n_distributive(L, n, method="both"):
         results["A"] = n_distributive_identity(L, n)
     if method in ("B", "both"):
         if is_sectionally_complemented(L) and is_modular(L):
-            sim = perspectivity_matrix(L)
-            results["B"] = not _max_homogeneous_below(L, L.top, sim, need=n + 1)
+            results["B"] = lattice_index(L)[L.top] <= n
         else:
             results["B"] = not diamonds(L, n + 1, first_only=True)
     if len(results) == 2 and results["A"] != results["B"]:
@@ -241,14 +242,18 @@ def n_distributive(L, n, method="both"):
 # -- normality ---------------------------------------------------------------
 
 
+def _abnormal_pairs(L, sim):
+    """bad[a, b]: a < b are independent and projective, not perspective."""
+    return np.triu((L.meet == L.bottom) & _transitive_closure(sim) & ~sim, 1)
+
+
 def is_normal(L, sim=None, members=None):
     """Independent projective elements must be perspective.
 
     Returns (flag, witness) where witness is a failing pair, if any."""
     sim = sim if sim is not None else perspectivity_matrix(L)
     m = np.arange(L.n) if members is None else np.fromiter(members, dtype=np.intp)
-    bad = (L.meet == L.bottom) & _transitive_closure(sim) & ~sim
-    hits = np.argwhere(bad[np.ix_(m, m)] & (m[:, None] < m))
+    hits = np.argwhere(_abnormal_pairs(L, sim)[np.ix_(m, m)])
     if not len(hits):
         return True, None
     return False, tuple(m[hits[0]].tolist())
@@ -275,23 +280,17 @@ def normal_kernel(L, sim=None):
     global matrices may be reused.
     """
     sim = sim if sim is not None else perspectivity_matrix(L)
-    out = []
-    for x in range(L.n):
-        members = neutral_ideal(L, [x], sim)
-        flag, _ = is_normal(L, sim, members)
-        if flag:
-            out.append(x)
-    return out
+    bad = _abnormal_pairs(L, sim)
+    ideals = (neutral_ideal(L, [x], sim) for x in range(L.n))
+    return [x for x, m in enumerate(ideals) if not bad[np.ix_(m, m)].any()]
 
 
 def homogeneous_base_set(L, m, sim=None):
     """Elements that start a homogeneous sequence of length m."""
     sim = sim if sim is not None else perspectivity_matrix(L)
-    out = [L.bottom]
-    for a in range(L.n):
-        if a != L.bottom and _max_homogeneous_below(L, L.top, sim, base=a, need=m):
-            out.append(a)
-    return out
+    # level 1 starts at every nonzero element, which serves any m <= 1
+    levels = _homogeneous_levels(L, sim)[max(m, 1) - 1:]
+    return [L.bottom, *sorted(set(levels[0][:, 0].tolist() if levels else ()))]
 
 
 def m_ideal(L, m, sim=None):

@@ -26,7 +26,11 @@ passes over the tables: a breadth-first search of weakly projective
 intervals with one sum search per target, the pairwise product of DEP word
 values, Huhn's identity evaluated one tuple at a time, and the closure
 rescanned pair by pair until nothing changes.  Normality scans the member
-pairs one at a time, and a neutral ideal grows from a worklist.
+pairs one at a time, and a neutral ideal grows from a worklist.  The
+lattice index, the homogeneous base sets and the sectionally complemented
+branch of n-distributivity come from a depth-first search of homogeneous
+sequences, rerun for every element and every base, where the library
+grows all sequences at once, level by level.
 """
 
 import itertools
@@ -433,3 +437,49 @@ def neutral_ideal_by_worklist(L, gens, sim=None):
             if j not in ideal:
                 work.append(j)
     return sorted(ideal)
+
+
+def max_homogeneous_below_by_search(L, x, sim, base=None, need=None):
+    """Longest nontrivial homogeneous sequence below x by depth-first search
+    over the partners of each base in index order; with `base` set only
+    that base is tried, and with `need` set, returns whether a sequence of
+    that length exists."""
+    best = 0
+    candidates = [a for a in L.interval(L.bottom, x) if a != L.bottom]
+    bases = [base] if base is not None else candidates
+
+    def extend(seq, join, partners):
+        nonlocal best
+        best = max(best, len(seq))
+        if need is not None and best >= need:
+            return True
+        for i, b in enumerate(partners):
+            if L.mt(b, join) == L.bottom:
+                if extend(seq + [b], L.jn(join, b), partners[i + 1:]):
+                    return True
+        return False
+
+    for a in bases:
+        if a == L.bottom or not L.le(a, x):
+            continue
+        partners = [b for b in candidates if sim[a, b] and b != a]
+        if extend([a], a, partners):
+            return best if need is None else True
+        if need is None and best >= L.height():
+            break
+    return best if need is None else best >= need
+
+
+def lattice_index_by_search(L, sim=None):
+    """The lattice index of every element, one search per element."""
+    sim = sim if sim is not None else perspectivity_matrix(L)
+    return [0 if x == L.bottom else max_homogeneous_below_by_search(L, x, sim)
+            for x in range(L.n)]
+
+
+def homogeneous_base_set_by_search(L, m, sim=None):
+    """The bottom, then every element that starts a homogeneous sequence of
+    length m, one search per base."""
+    sim = sim if sim is not None else perspectivity_matrix(L)
+    return [L.bottom] + [a for a in range(L.n) if a != L.bottom and
+                         max_homogeneous_below_by_search(L, L.top, sim, base=a, need=m)]

@@ -148,6 +148,17 @@ def test_geom_verb_partition_5(capsys):
                    "least_n_distributive": 4}
 
 
+def test_geom_verb_chain_300(capsys):
+    # a chain: perspectivity is equality, so every nonzero element has index
+    # 1 and the lattice is distributive
+    assert run(["geom", "--builtin", "chain:300", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    L = lat.builtin("chain", 300)
+    assert doc == {"index": {x: int(i != L.bottom) for i, x in enumerate(L.names)},
+                   "is_normal": {"status": True, "witness": None},
+                   "least_n_distributive": 1}
+
+
 def test_file_round_trip(tmp_path, capsys):
     L = lat.builtin("N5")
     path = tmp_path / "n5.json"
