@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .congruence import all_congruences, quotient_lattice
+from .congruence import quotient_lattice
 from .errors import MismatchError, NotDistributive, NotModular, ParamTooLarge
 from .lattice import dual as lattice_dual
 from .lattice import (_join_irreducibles, _matches, _padded, _transitive_closure, _UnionFind,
@@ -292,12 +292,10 @@ def _collapsed_down_sets(D, blocks):
     return D.qo.down_set(hit)
 
 
-def congruence_correspondence_check(L, D=None, con=None, samples=200, seed=7):
+def congruence_correspondence_check(L, D, con, samples=200, seed=7):
     """Check that lower sets of the pipeline order match Con L and that
     collapsing is the bounded-multiple domination of delta values.  The
     principal congruences of covers and samples are rows of one pass."""
-    D = D or dimension_monoid(L)
-    con = con if con is not None else all_congruences(L)
     sets = D.qo.lower_sets()
     images = _collapsed_down_sets(D, con.blocks)
     found = set(map(_index_set, images))
@@ -471,10 +469,9 @@ def _restricted(P, keep):
     return QOSystem(pts, np.argwhere(P.rel[np.ix_(keep, keep)]).tolist())
 
 
-def functor_checks(L, theta=None, B=None, D=None):
+def functor_checks(L, D, theta=None, B=None):
     """Product, dual and quotient compatibility of the pipeline."""
     report = {}
-    D = D or dimension_monoid(L)
     if B is not None:
         DB = dimension_monoid(B)
         DP = dimension_monoid(product(L, B))
@@ -559,7 +556,7 @@ def _weak_projectivity(L):
     return _transitive_closure((up | down).reshape(n * n, n * n))
 
 
-def is_v_modular(L, bound=4, D=None):
+def is_v_modular(L, D, bound=4):
     """Bounded check that weakly projective images stay in the canonical
     submonoid of the target interval.
 
@@ -575,7 +572,6 @@ def is_v_modular(L, bound=4, D=None):
     if n > V_MODULAR_GUARD:
         raise ParamTooLarge(f"V-modularity check of {n} elements needs {n ** 4} "
                             f"cells, over the guard {V_MODULAR_GUARD ** 4}")
-    D = D or dimension_monoid(L)
     reach = _weak_projectivity(L)
     # the primes inside each [c, d], and the set of their points as a key
     c, d = np.divmod(np.arange(n * n), n)
@@ -616,15 +612,13 @@ def _word_values(DM, pairs, words):
     return table[words].sum(axis=1)
 
 
-def dep_check(L, con=None, D=None, k=3, max_pool=8, seed=11):
+def dep_check(L, con, D, k=3, max_pool=8, seed=11):
     """Order preservation and reflection of the subdirect-product map on
     dimension words of length <= k; the factors are the quotients by the
-    non-coarse meet-irreducible congruences of con (default Con L).
+    non-coarse meet-irreducible congruences of con (Con L in `check`).
 
     The word values stack into one array upstairs and one per factor; the
     order upstairs must equal the AND of the factors' orders."""
-    con = con if con is not None else all_congruences(L)
-    D = D or dimension_monoid(L)
     quots = []
     for i in con.meet_irreducibles():
         Q, proj = quotient_lattice(L, con.congruences[i])

@@ -126,18 +126,16 @@ def _homogeneous_levels(L, sim):
     return levels
 
 
-def lattice_index(L, sim=None):
+def lattice_index(L, sim):
     """Largest length of a nontrivial homogeneous sequence below each x, as
     a list over the elements: the number of levels with a join <= x."""
-    sim = sim if sim is not None else perspectivity_matrix(L)
     return sum((L.leq[states[:, 1]].any(axis=0) for states in _homogeneous_levels(L, sim)),
                np.zeros(L.n, dtype=int)).tolist()
 
 
-def index_equality_check(L, D=None):
+def index_equality_check(L, D, sim):
     """Lattice index == monoid index of the dimension value, at every x."""
-    D = D or dimension_monoid(L)
-    index = lattice_index(L)
+    index = lattice_index(L, sim)
     for x, li in enumerate(index):
         mi = monoid_index(delta(D, L.bottom, x))
         if li != mi:
@@ -231,7 +229,7 @@ def n_distributive(L, n, method="both"):
         results["A"] = n_distributive_identity(L, n)
     if method in ("B", "both"):
         if is_sectionally_complemented(L) and is_modular(L):
-            results["B"] = lattice_index(L)[L.top] <= n
+            results["B"] = lattice_index(L, perspectivity_matrix(L))[L.top] <= n
         else:
             results["B"] = not diamonds(L, n + 1, first_only=True)
     if len(results) == 2 and results["A"] != results["B"]:
@@ -247,11 +245,10 @@ def _abnormal_pairs(L, sim):
     return np.triu((L.meet == L.bottom) & _transitive_closure(sim) & ~sim, 1)
 
 
-def is_normal(L, sim=None, members=None):
+def is_normal(L, sim, members=None):
     """Independent projective elements must be perspective.
 
     Returns (flag, witness) where witness is a failing pair, if any."""
-    sim = sim if sim is not None else perspectivity_matrix(L)
     m = np.arange(L.n) if members is None else np.fromiter(members, dtype=np.intp)
     hits = np.argwhere(_abnormal_pairs(L, sim)[np.ix_(m, m)])
     if not len(hits):
@@ -386,14 +383,12 @@ def _decomposition_closure(L, rel):
         out = grown
 
 
-def relations_suite(L, D=None):
+def relations_suite(L, D, sim):
     """Perspectivity and its derived closures, cross-checked against the
-    dimension pipeline where the theory identifies them."""
-    D = D or dimension_monoid(L)
-    sim = perspectivity_matrix(L)
+    dimension pipeline where the theory identifies them: projectivity by
+    decomposition is equality of dimension."""
     approx = _transitive_closure(sim)
     lesssim = sim @ L.leq
-    simeq = _decomposition_closure(L, sim)
     approxeq = _decomposition_closure(L, approx)
     if is_sectionally_complemented(L) and is_modular(L):
         values = {}
@@ -405,15 +400,12 @@ def relations_suite(L, D=None):
             raise MismatchError(
                 "projectivity by decomposition must match dimension equality",
                 witness=(L.names[a], L.names[b]))
-    return {"sim": sim, "approx": approx, "lesssim": lesssim,
-            "simeq": simeq, "approxeq": approxeq}
+    return {"sim": sim, "approx": approx, "lesssim": lesssim, "approxeq": approxeq}
 
 
-def transitivity_cancellativity_check(L, D=None):
+def transitivity_cancellativity_check(L, D, sim):
     """Perspectivity transitive <=> pipeline order is an antichain without
     self-related points (cancellativity of the monoid)."""
-    D = D or dimension_monoid(L)
-    sim = perspectivity_matrix(L)
     transitive = np.array_equal(sim, _transitive_closure(sim))
     cancellative = D.qo.is_antichain() and not D.qo.p0
     if transitive != cancellative:

@@ -100,7 +100,8 @@ def test_criterion_4_distributive_case():
 def test_criterion_5_congruence_correspondence(small_builtins):
     ok = True
     for L in small_builtins:
-        rep = dim.congruence_correspondence_check(L, samples=200)
+        rep = dim.congruence_correspondence_check(L, dimension_monoid(L), all_congruences(L),
+                                                  samples=200)
         ok = ok and rep["congruences"] == rep["lower_sets"]
         if not ok:
             break
@@ -118,7 +119,7 @@ def test_criterion_6_modularity_cancellativity(small_builtins):
     rel = [(a, b) for a in range(3) for b in range(3) if qo.rel[a][b]]
     ok = ok and len(qo.points) == 3 and not qo.p0 and len(rel) == 2
     ok = ok and rel[0][0] == rel[1][0]  # one low point under the two others
-    rep = dim.congruence_correspondence_check(N5)
+    rep = dim.congruence_correspondence_check(N5, D5, all_congruences(N5))
     ok = ok and rep["congruences"] == 5 == rep["lower_sets"]
     report(6, ok)
 
@@ -166,17 +167,18 @@ def test_criterion_8_functoriality():
     ok = True
     pool = [lat.builtin_spec(s) for s in ("chain:3", "boolean:2", "M3", "N5")]
     for A in pool:
-        rep = dim.functor_checks(A, B=lat.builtin("chain", 2))
+        DA = dimension_monoid(A)
+        rep = dim.functor_checks(A, DA, B=lat.builtin("chain", 2))
         ok = ok and rep["dual"] == "ok" and rep["product"] == "ok"
         for B in pool:
-            ok = ok and dim.functor_checks(A, B=B)["product"] == "ok"
+            ok = ok and dim.functor_checks(A, DA, B=B)["product"] == "ok"
     rng = random.Random(2024)
     done = 0
     while done < 10:
         L = pool[rng.randrange(len(pool))]
         cons = all_congruences(L).congruences
         theta = cons[rng.randrange(len(cons))]
-        ok = ok and dim.functor_checks(L, theta=theta)["quotient"] == "ok"
+        ok = ok and dim.functor_checks(L, dimension_monoid(L), theta=theta)["quotient"] == "ok"
         done += 1
     report(8, ok)
 
@@ -272,8 +274,8 @@ def test_criterion_10_perspectivity_suite():
         D = dimension_monoid(L)
         sim = geo.perspectivity_matrix(L)
         ok = ok and geo.is_normal(L, sim)[0]
-        geo.index_equality_check(L, D)  # raises on mismatch
-        rep = geo.transitivity_cancellativity_check(L, D)
+        geo.index_equality_check(L, D, sim)  # raises on mismatch
+        rep = geo.transitivity_cancellativity_check(L, D, sim)
         ok = ok and rep["transitive"] and rep["cancellative"]
         # every equal-dimension pair splits into two perspective pieces
         for a in range(L.n):
@@ -308,8 +310,9 @@ def test_criterion_10_perspectivity_suite():
 
 
 def test_criterion_11_dep():
-    ok = dim.dep_check(lat.builtin("N5"), k=3)
-    ok = ok and dim.dep_check(lat.builtin("chain", 3), k=3)
+    N5, C3 = lat.builtin("N5"), lat.builtin("chain", 3)
+    ok = dim.dep_check(N5, all_congruences(N5), dimension_monoid(N5), k=3)
+    ok = ok and dim.dep_check(C3, all_congruences(C3), dimension_monoid(C3), k=3)
     for L in random_eight_element_lattices(2):
-        ok = ok and dim.dep_check(L, k=3)
+        ok = ok and dim.dep_check(L, all_congruences(L), dimension_monoid(L), k=3)
     report(11, ok)

@@ -5,8 +5,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import dimw
+from dimw import dimension as dim
+from dimw import geometry as geo
 from dimw import lattice as lat
 from dimw.cli import CATALOG_INSTANCES, catalog_summary, export_dot, run
 from dimw.dimension import dimension_monoid
@@ -180,12 +183,44 @@ def test_json_outputs_are_deterministic(capsys):
     verbs = (["validate"], ["props"], ["con"], ["dim"], ["geom"], ["check"],
              ["check", "--all"], ["eval", "--word", "0..a + a..1"],
              ["compare", "--word", "0..a", "--word", "0..1"])
+    # subspace:2,3 is sectionally complemented and modular, so it reaches the
+    # geometry checks of `check --all`
     for argv in [v + ["--builtin", "coprod_c2_c1", "--json"] for v in verbs] + [
+            ["check", "--all", "--builtin", "subspace:2,3", "--json"],
             ["dot", "--builtin", "coprod_c2_c1", "--labels"], ["catalog", "--json"]]:
         run(argv)
         first = capsys.readouterr().out
         run(argv)
         assert capsys.readouterr().out == first, argv
+
+
+def test_check_reports_a_broken_axiom_by_element_names(monkeypatch, capsys):
+    # 0..b moved onto the point of 0..c: Delta(0, 1) along 0 < b < 1 is no
+    # longer Delta(0, a) + Delta(a, 1), so additivity fails at (a, b)
+    build = dim.dimension_monoid
+
+    def moved(L):
+        D = build(L)
+        if L.name != "N5":
+            return D
+        return dim.DimensionMonoid(L, D.qo, {**D.gen, (L.index["0"], L.index["b"]): 1})
+
+    monkeypatch.setattr(dim, "dimension_monoid", moved)
+    assert run(["check", "--builtin", "N5", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["axioms"] == {"status": "fail", "witness": "('a', 'b')"}
+
+
+def test_check_all_builds_each_geometry_object_once(monkeypatch, capsys):
+    spies = {name: mock.Mock(wraps=getattr(geo, name))
+             for name in ("perspectivity_matrix", "_decomposition_closure")}
+    for name, spy in spies.items():
+        monkeypatch.setattr(geo, name, spy)
+    assert run(["check", "--all", "--builtin", "subspace:2,3", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert all(v["status"] in ("pass", "yes") for v in doc.values())
+    assert {name: spy.call_count for name, spy in spies.items()} == {
+        "perspectivity_matrix": 1, "_decomposition_closure": 1}
 
 
 def _proc(*argv, timeout=120, **options):

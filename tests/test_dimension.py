@@ -420,7 +420,8 @@ def test_d2_as_words_everywhere():
 
 def test_congruence_correspondence_on_catalog(small_builtins):
     for L in small_builtins:
-        report = dim.congruence_correspondence_check(L, samples=200)
+        report = dim.congruence_correspondence_check(L, dimension_monoid(L), all_congruences(L),
+                                                     samples=200)
         assert report["congruences"] == report["lower_sets"], L.name
 
 
@@ -445,9 +446,13 @@ def test_d_class_order_is_the_point_order():
 
 
 def test_correspondence_counts():
-    assert dim.congruence_correspondence_check(lat.builtin("N5"))["congruences"] == 5
-    assert dim.congruence_correspondence_check(lat.builtin("M3"))["congruences"] == 2
-    assert dim.congruence_correspondence_check(lat.builtin("chain", 3))["congruences"] == 4
+    N5, M3, C3 = lat.builtin("N5"), lat.builtin("M3"), lat.builtin("chain", 3)
+    assert dim.congruence_correspondence_check(
+        N5, dimension_monoid(N5), all_congruences(N5))["congruences"] == 5
+    assert dim.congruence_correspondence_check(
+        M3, dimension_monoid(M3), all_congruences(M3))["congruences"] == 2
+    assert dim.congruence_correspondence_check(
+        C3, dimension_monoid(C3), all_congruences(C3))["congruences"] == 4
 
 
 @pytest.mark.parametrize("spec, tamper, message, witness", [
@@ -611,7 +616,7 @@ def test_intervals_projective():
 def test_functor_checks_named():
     for spec in ("chain:3", "boolean:2", "M3", "N5"):
         L = lat.builtin_spec(spec)
-        report = functor_checks(L, B=lat.builtin("chain", 2))
+        report = functor_checks(L, dimension_monoid(L), B=lat.builtin("chain", 2))
         assert report["dual"] == "ok" and report["product"] == "ok"
 
 
@@ -619,7 +624,7 @@ def test_functor_product_pairwise():
     pool = [lat.builtin_spec(s) for s in ("chain:3", "boolean:2", "M3", "N5")]
     for A in pool:
         for B in pool:
-            assert functor_checks(A, B=B)["product"] == "ok"
+            assert functor_checks(A, dimension_monoid(A), B=B)["product"] == "ok"
 
 
 def test_functor_product_chain2_chain2():
@@ -633,26 +638,29 @@ def test_functor_quotient_identity_and_random():
     from dimw.congruence import Congruence
 
     for L in pool:
-        assert functor_checks(L, theta=Congruence.identity(L))["quotient"] == "ok"
+        assert functor_checks(L, dimension_monoid(L),
+                              theta=Congruence.identity(L))["quotient"] == "ok"
     done = 0
     while done < 10:
         L = pool[rng.randrange(len(pool))]
         cons = all_congruences(L).congruences
         theta = cons[rng.randrange(len(cons))]
-        assert functor_checks(L, theta=theta)["quotient"] == "ok"
+        assert functor_checks(L, dimension_monoid(L), theta=theta)["quotient"] == "ok"
         done += 1
 
 
 def test_v_modularity():
-    ok, witness = is_v_modular(lat.builtin("N5"))
+    N5 = lat.builtin("N5")
+    ok, witness = is_v_modular(N5, dimension_monoid(N5))
     assert not ok
     src, tgt = witness
-    N5 = lat.builtin("N5")
     assert (N5.names[src[0]], N5.names[src[1]]) == ("c", "a")
     assert (N5.names[tgt[0]], N5.names[tgt[1]]) == ("0", "b")
-    assert is_v_modular(lat.builtin("M3"))[0]
+    M3 = lat.builtin("M3")
+    assert is_v_modular(M3, dimension_monoid(M3))[0]
     for spec in ("chain:4", "boolean:3"):
-        assert is_v_modular(lat.builtin_spec(spec))[0], spec
+        L = lat.builtin_spec(spec)
+        assert is_v_modular(L, dimension_monoid(L))[0], spec
 
 
 def test_v_modular_matches_search_oracle():
@@ -668,6 +676,7 @@ def test_v_modular_matches_search_oracle():
 
 def test_v_modular_refuses_a_large_lattice_at_once(monkeypatch):
     B5 = lat.builtin("boolean", 5)
+    D5 = dimension_monoid(B5)
 
     def refuse(*args):
         raise AssertionError("the guard must come first")
@@ -675,7 +684,7 @@ def test_v_modular_refuses_a_large_lattice_at_once(monkeypatch):
     monkeypatch.setattr(dim, "dimension_monoid", refuse)
     monkeypatch.setattr(dim, "_weak_projectivity", refuse)
     with pytest.raises(ParamTooLarge, match="32 elements"):
-        is_v_modular(B5)
+        is_v_modular(B5, D5)
 
 
 class _Factors:
@@ -705,12 +714,13 @@ def test_dep_check_matches_pairwise_oracle():
 
 
 def test_dep_check():
-    assert dep_check(lat.builtin("N5"), k=3)
-    assert dep_check(lat.builtin("chain", 3), k=3)
+    N5, C3 = lat.builtin("N5"), lat.builtin("chain", 3)
+    assert dep_check(N5, all_congruences(N5), dimension_monoid(N5), k=3)
+    assert dep_check(C3, all_congruences(C3), dimension_monoid(C3), k=3)
     M3 = lat.builtin("M3")  # simple: single factor, trivially fine
-    assert dep_check(M3, k=2)
+    assert dep_check(M3, all_congruences(M3), dimension_monoid(M3), k=2)
     for L in random_eight_element_lattices(2):
-        assert dep_check(L, k=3), L.name
+        assert dep_check(L, all_congruences(L), dimension_monoid(L), k=3), L.name
 
 
 def test_dep_check_explicit_factors():
@@ -719,7 +729,7 @@ def test_dep_check_explicit_factors():
     twochains = [t for t in cons.congruences if t.block_count() == 2]
     assert len(twochains) == 2
     assert [cons.congruences[i] for i in cons.meet_irreducibles()] == twochains
-    assert dep_check(C3, cons, k=3)
+    assert dep_check(C3, cons, dimension_monoid(C3), k=3)
 
 
 def test_dim_report_shape():

@@ -87,12 +87,12 @@ def test_independent():
 
 def test_lattice_index_examples():
     S23 = lat.builtin("subspace", 2, 3)
-    assert lattice_index(S23)[S23.bottom] == 0
-    assert lattice_index(S23)[S23.top] == 3
+    assert lattice_index(S23, perspectivity_matrix(S23))[S23.bottom] == 0
+    assert lattice_index(S23, perspectivity_matrix(S23))[S23.top] == 3
     M3 = lat.builtin("M3")
-    assert lattice_index(M3)[M3.top] == 2
+    assert lattice_index(M3, perspectivity_matrix(M3))[M3.top] == 2
     M4 = lat.builtin("subspace", 3, 2)
-    assert lattice_index(M4)[M4.top] == 2
+    assert lattice_index(M4, perspectivity_matrix(M4))[M4.top] == 2
 
 
 def _homogeneous_oracle_lattices():
@@ -127,7 +127,7 @@ def test_homogeneous_levels_match_search_oracle():
 def test_index_equality_on_suite():
     for spec in SC_MODULAR_SPECS:
         L = lat.builtin_spec(spec)
-        table = index_equality_check(L)
+        table = index_equality_check(L, dimension_monoid(L), perspectivity_matrix(L))
         assert table[L.names[L.bottom]] == 0
         assert all(v >= 1 for k, v in table.items() if k != L.names[L.bottom])
 
@@ -218,10 +218,10 @@ def test_diamonds():
 def test_is_normal_suite():
     for spec in SC_MODULAR_SPECS:
         L = lat.builtin_spec(spec)
-        flag, witness = is_normal(L)
+        flag, witness = is_normal(L, perspectivity_matrix(L))
         assert flag, (spec, witness)
     one = lat.builtin("chain", 1)
-    assert is_normal(one)[0]
+    assert is_normal(one, perspectivity_matrix(one))[0]
 
 
 def test_m_ideal_examples():
@@ -319,9 +319,9 @@ def test_two_piece_every_equal_delta_pair():
 def test_relations_suite_chain_of_containments():
     for spec in SC_MODULAR_SPECS:
         L = lat.builtin_spec(spec)
-        rels = relations_suite(L)
+        rels = relations_suite(L, dimension_monoid(L), perspectivity_matrix(L))
         sim, approx = rels["sim"], rels["approx"]
-        simeq, approxeq = rels["simeq"], rels["approxeq"]
+        simeq, approxeq = geo._decomposition_closure(L, sim), rels["approxeq"]
         assert (sim <= approx).all(), spec
         assert (sim <= simeq).all(), spec
         assert (simeq <= approxeq).all(), spec
@@ -332,8 +332,8 @@ def test_relations_suite_geometric_dimension():
     # in the 16-element projective-space lattice, equal dimension is exactly
     # projectivity by decomposition
     S23 = lat.builtin("subspace", 2, 3)
-    rels = relations_suite(S23)
     D = dimension_monoid(S23)
+    rels = relations_suite(S23, D, perspectivity_matrix(S23))
     for a in range(S23.n):
         for b in range(S23.n):
             same = delta(D, S23.bottom, a) == delta(D, S23.bottom, b)
@@ -342,7 +342,7 @@ def test_relations_suite_geometric_dimension():
 
 def test_lesssim_characterization():
     for L in builtins_up_to(24):
-        rels = relations_suite(L)
+        rels = relations_suite(L, dimension_monoid(L), perspectivity_matrix(L))
         sim = rels["sim"]
         for a in range(L.n):
             for b in range(L.n):
@@ -352,7 +352,8 @@ def test_lesssim_characterization():
 
 def test_transitivity_cancellativity():
     for spec in SC_MODULAR_SPECS + ("M3",):
-        rep = transitivity_cancellativity_check(lat.builtin_spec(spec))
+        L = lat.builtin_spec(spec)
+        rep = transitivity_cancellativity_check(L, dimension_monoid(L), perspectivity_matrix(L))
         assert rep["transitive"] and rep["cancellative"], spec
 
 
@@ -389,7 +390,7 @@ def test_v_measure():
 def test_eqwords_refinement():
     S23 = lat.builtin("subspace", 2, 3)
     D = dimension_monoid(S23)
-    rels = relations_suite(S23)
+    rels = relations_suite(S23, D, perspectivity_matrix(S23))
     approxeq = rels["approxeq"]
     rng = random.Random(14)
     zero = S23.bottom
