@@ -135,7 +135,8 @@ def cmd_check(args):
             results[name] = {"status": "pass"}
         except MismatchError as e:
             failures.append(name)
-            results[name] = {"status": "fail", "witness": str(e.witness)}
+            results[name] = {"status": "fail",
+                             "witness": None if e.witness is None else str(e.witness)}
 
     D = dim.dimension_monoid(L)
     C = con.all_congruences(L)

@@ -250,7 +250,6 @@ class CongruenceLattice:
             a.flags.writeable = False
         self._index = {m.tobytes(): i for i, m in enumerate(self.members)}
         self._leq = None
-        self._lat = None
 
     def __len__(self):
         return len(self.blocks)
@@ -270,13 +269,6 @@ class CongruenceLattice:
             self._leq = ~(self.members @ ~self.members.T)
             self._leq.flags.writeable = False
         return self._leq
-
-    def as_lattice(self):
-        if self._lat is None:
-            names = ["t%d" % i for i in range(len(self))]
-            self._lat = FiniteLattice(names, self.leq.copy(),
-                                      name=f"Con({self.over.name})")
-        return self._lat
 
     def height(self):
         """Length of the longest chain of Con L: the number of D-classes."""

@@ -31,6 +31,11 @@ matrix guarded to n <= 24, and searches each (source point, target point
 set) once; `dep_check` stacks the word values upstairs and in each factor
 as float arrays and compares their order matrices whole.  The test suite
 checks both against the element loops they replaced (`tests/oracles.py`).
+
+Delta is functorial: a product projection, a quotient map and order
+reversal each send a prime interval to a prime interval or collapse it.
+`functor_checks` tests the map of generator points that this induces, one
+cover at a time, for being an isomorphism of QO-systems onto the target.
 """
 
 import itertools
@@ -41,11 +46,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .congruence import quotient_lattice
-from .errors import MismatchError, NotDistributive, NotModular, ParamTooLarge
+from .errors import MismatchError, NotDistributive, ParamTooLarge
 from .lattice import dual as lattice_dual
-from .lattice import (_join_irreducibles, _matches, _padded, _transitive_closure, _UnionFind,
-                      is_distributive, is_modular, product)
-from .monoid import DimVector, QOSystem, _index_set, build_qosystem
+from .lattice import (_join_irreducibles, _matches, _padded, _transitive_closure,
+                      is_distributive, product)
+from .monoid import DimVector, _index_set, build_qosystem
 
 
 # the row blocks of the caustic-pair passes and of the absorption masks hold
@@ -325,22 +330,6 @@ def congruence_correspondence_check(L, D, con, samples=200, seed=7):
             "sampled_quadruples": samples}
 
 
-def projectivity_classes(L):
-    """Partition of the prime intervals under transposition closure."""
-    primes = list(L.covers)
-    pidx = {pq: i for i, pq in enumerate(primes)}
-    uf = _UnionFind(len(primes))
-    for (a, b) in primes:
-        for (c, d) in primes:
-            # [a, b] up-transposes to [c, d] when c^b == a and cvb == d
-            if L.mt(c, b) == a and L.jn(c, b) == d:
-                uf.union(pidx[(a, b)], pidx[(c, d)])
-    groups = {}
-    for pq in primes:
-        groups.setdefault(uf.find(pidx[pq]), []).append(pq)
-    return [sorted(g) for _, g in sorted(groups.items())]
-
-
 def distributive_dim(L):
     """Join-irreducible indicator model of the dimension map.
 
@@ -358,152 +347,67 @@ def distributive_dim(L):
     return J, f
 
 
-def schreier_refine(L, chain1, chain2):
-    """Common refinement of two chains of the same interval of a modular
-    lattice; each cell pairs a step of the first refinement with a projective
-    step of the second."""
-    if not is_modular(L):
-        raise NotModular(f"{L.name} is not modular")
-    if chain1[0] != chain2[0] or chain1[-1] != chain2[-1]:
-        raise ValueError("chains must share both endpoints")
-    cells = []
-    for i in range(len(chain1) - 1):
-        xi, xi1 = chain1[i], chain1[i + 1]
-        for j in range(len(chain2) - 1):
-            yj, yj1 = chain2[j], chain2[j + 1]
-            u0 = L.jn(xi, L.mt(xi1, yj))
-            u1 = L.jn(xi, L.mt(xi1, yj1))
-            v0 = L.jn(yj, L.mt(yj1, xi))
-            v1 = L.jn(yj, L.mt(yj1, xi1))
-            cells.append(((u0, u1), (v0, v1)))
-    for (u0, u1), (v0, v1) in cells:
-        if (u0 != u1 or v0 != v1) and not intervals_projective(L, (u0, u1), (v0, v1)):
-            raise MismatchError("refinement cells are not projective",
-                                witness=((L.names[u0], L.names[u1]),
-                                         (L.names[v0], L.names[v1])))
-    return cells
+# -- the functor checks ------------------------------------------------------
 
 
-def intervals_projective(L, iv1, iv2):
-    """Whether two intervals are connected by transpositions (BFS)."""
-    seen = {iv1}
-    frontier = [iv1]
-    while frontier:
-        fresh = []
-        for (u, v) in frontier:
-            if (u, v) == iv2:
-                return True
-            for c in range(L.n):
-                # up: [u, v] -> [c, cvv] when c^v == u
-                if L.mt(c, v) == u:
-                    t = (c, L.jn(c, v))
-                    if t not in seen:
-                        seen.add(t)
-                        fresh.append(t)
-                # down: [u, v] -> [c^u, c] when cvu == v
-                if L.jn(c, u) == v:
-                    t = (L.mt(c, u), c)
-                    if t not in seen:
-                        seen.add(t)
-                        fresh.append(t)
-        frontier = fresh
-    return iv2 in seen
-
-
-# -- QO-system isomorphism and the functor checks ---------------------------
-
-
-def qosystem_isomorphism(P, Q):
-    """An index bijection preserving the relation and self-related points,
-    or None."""
-    n, m = len(P.points), len(Q.points)
-    if n != m or len(P.p0) != len(Q.p0):
-        return None
-
-    def profiles(S):
-        # (self-related, points below, points above), the point itself counted
-        return list(zip(S.rel.diagonal().tolist(), S.rel.sum(axis=0).tolist(),
-                        S.rel.sum(axis=1).tolist()))
-
-    pprof, qprof = profiles(P), profiles(Q)
-    if sorted(pprof) != sorted(qprof):
-        return None
-    order = sorted(range(n), key=lambda i: pprof[i])
-    prel, qrel = P.rel.tolist(), Q.rel.tolist()
-    image = [None] * n
-    used = [False] * n
-
-    def extend(k):
-        if k == n:
-            return True
-        i = order[k]
-        for j in range(n):
-            if used[j] or qprof[j] != pprof[i]:
-                continue
-            ok = True
-            for k2 in range(k):
-                i2 = order[k2]
-                if prel[i][i2] != qrel[j][image[i2]] or prel[i2][i] != qrel[image[i2]][j]:
-                    ok = False
-                    break
-            if ok:
-                image[i] = j
-                used[j] = True
-                if extend(k + 1):
-                    return True
-                image[i] = None
-                used[j] = False
-        return False
-
-    return image if extend(0) else None
-
-
-def _disjoint_union(P, Q):
-    pts = ["A.%s" % p for p in P.points] + ["B.%s" % q for q in Q.points]
-    pairs = np.argwhere(P.rel).tolist() + (np.argwhere(Q.rel) + len(P.points)).tolist()
-    return QOSystem(pts, pairs)
-
-
-def _restricted(P, keep):
-    pts = [P.points[i] for i in keep]
-    return QOSystem(pts, np.argwhere(P.rel[np.ix_(keep, keep)]).tolist())
+def _natural_map(name, L, pairs, source, target):
+    """The map of generator points that a lattice map induces, given as
+    (cover of L, source point, target point) triples: it must be well defined
+    and one-to-one (each generator class goes to one class and comes from
+    one), onto the points of `target`, and carry the relation `source` to
+    `target`.  Returns the source points it is defined on."""
+    fwd, back = {}, {}
+    for (a, b), p, q in pairs:
+        if fwd.setdefault(p, q) != q or back.setdefault(q, p) != p:
+            raise MismatchError(f"{name} generator classes do not match",
+                                witness=(L.names[a], L.names[b]))
+    if len(back) != len(target):
+        raise MismatchError(f"{name} map is not onto", witness=L.name)
+    src = list(fwd)
+    dst = [fwd[p] for p in src]
+    moved = np.argwhere(source[np.ix_(src, src)] != target[np.ix_(dst, dst)])
+    if len(moved):
+        i, j = moved[0].tolist()
+        raise MismatchError(f"{name} map does not preserve the relation",
+                            witness=(src[i], src[j]))
+    return src
 
 
 def functor_checks(L, D, theta=None, B=None):
-    """Product, dual and quotient compatibility of the pipeline."""
+    """Product, dual and quotient compatibility of the pipeline.  Each lattice
+    map sends a prime interval to a prime interval or collapses it, and the
+    map of generator points it induces must be an isomorphism onto the
+    target's QO-system (`_natural_map`)."""
     report = {}
     if B is not None:
-        DB = dimension_monoid(B)
-        DP = dimension_monoid(product(L, B))
-        if qosystem_isomorphism(DP.qo, _disjoint_union(D.qo, DB.qo)) is None:
-            raise MismatchError("product system is not the disjoint union",
-                                witness=(L.name, B.name))
+        P = product(L, B)
+        DP, DB = dimension_monoid(P), dimension_monoid(B)
+        # the disjoint union of the two systems, L's points first
+        k = len(D.qo)
+        union = np.zeros((k + len(DB.qo),) * 2, dtype=bool)
+        union[:k, :k], union[k:, k:] = D.qo.rel, DB.qo.rel
+        # (a, b) is element a * B.n + b of P, and a cover moves one coordinate
+        pairs = []
+        for (x, y), p in DP.gen.items():
+            (a, b), (c, d) = divmod(x, B.n), divmod(y, B.n)
+            pairs.append(((x, y), p, D.gen[(a, c)] if b == d else k + DB.gen[(b, d)]))
+        _natural_map("product", P, pairs, DP.qo.rel, union)
         report["product"] = "ok"
-    Ld = lattice_dual(L)
-    Dd = dimension_monoid(Ld)
-    # interval reversal must induce a well-defined isomorphism of the systems
-    fwd = {}
-    for (a, b), p in D.gen.items():
-        q = Dd.gen[(b, a)]
-        if fwd.setdefault(p, q) != q:
-            raise MismatchError("dual generator classes do not match",
-                                witness=(L.names[a], L.names[b]))
-    if len(set(fwd.values())) != len(Dd.qo.points):
-        raise MismatchError("dual map is not onto", witness=L.name)
-    src = list(fwd)
-    dst = [fwd[p] for p in src]
-    moved = np.argwhere(D.qo.rel[np.ix_(src, src)] != Dd.qo.rel[np.ix_(dst, dst)])
-    if len(moved):
-        i, j = moved[0].tolist()
-        raise MismatchError("dual map does not preserve the relation",
-                            witness=(src[i], src[j]))
+    # interval reversal: the cover (a, b) of L is the cover (b, a) of its dual
+    Dd = dimension_monoid(lattice_dual(L))
+    _natural_map("dual", L, [(ab, p, Dd.gen[ab[::-1]]) for ab, p in D.gen.items()],
+                 D.qo.rel, Dd.qo.rel)
     report["dual"] = "ok"
     if theta is not None:
         Q, proj = quotient_lattice(L, theta)
         DQ = dimension_monoid(Q)
-        keep = np.flatnonzero(~_collapsed_down_sets(D, np.array([theta.block_of]))[0]).tolist()
-        if qosystem_isomorphism(DQ.qo, _restricted(D.qo, keep)) is None:
-            raise MismatchError("quotient system is not the restriction",
+        # an uncollapsed cover (a, b) goes to the cover of their blocks
+        pairs = [((a, b), p, DQ.gen[(proj[a], proj[b])])
+                 for (a, b), p in D.gen.items() if proj[a] != proj[b]]
+        kept = _natural_map("quotient", L, pairs, D.qo.rel, DQ.qo.rel)
+        collapsed = _collapsed_down_sets(D, np.array([theta.block_of]))[0]
+        if sorted(kept) != np.flatnonzero(~collapsed).tolist():
+            raise MismatchError("quotient map is not defined on the uncollapsed points",
                                 witness=theta)
         report["quotient"] = "ok"
     return report

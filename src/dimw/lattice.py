@@ -405,16 +405,6 @@ def dual(L):
     return FiniteLattice(L.names, L.leq.T.copy(), name=f"{L.name}^op", _validate=False)
 
 
-def interval_sublattice(L, a, b):
-    """The induced lattice on [a, b] plus the map back into L."""
-    members = L.interval(a, b)
-    names = [L.names[z] for z in members]
-    leq = L.leq[np.ix_(members, members)].copy()
-    K = FiniteLattice(names, leq, name=f"{L.name}[{L.names[a]},{L.names[b]}]",
-                      _validate=False)
-    return K, members
-
-
 # -- builtin catalog -------------------------------------------------------
 
 

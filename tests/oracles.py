@@ -7,7 +7,8 @@ congruences before they were read off the D-relation: close a set of merged
 pairs under (x^z, y^z) and (xvz, yvz) for every z, and list Con L by closing
 the principal congruences of the prime intervals under join.  A partition is
 compatible when every pair of one block agrees on x^z and xvz for every z,
-tested pair by pair; perspectivity searches the axes x one at a time.  Delta is
+tested pair by pair; perspectivity searches the axes x one at a time,
+and the sectional complements of x in [0, a] scan that interval.  Delta is
 summed one generator per step of the maximal chain, and distributivity is
 tested on the identity x ^ (y v z) = (x ^ y) v (x ^ z) itself.  The
 maximal chain Delta sums over is walked one cover at a time, independent of
@@ -38,10 +39,9 @@ import random
 
 import numpy as np
 
-from dimw.congruence import Congruence, all_congruences, quotient_lattice
+from dimw.congruence import Congruence, quotient_lattice
 from dimw.dimension import _bounded_sum_search, _primes_mask, delta, dimension_monoid
 from dimw.errors import NotBelow
-from dimw.geometry import perspectivity_matrix, sectional_complements
 from dimw.lattice import FiniteLattice, _UnionFind, _transitive_closure
 from dimw.monoid import INF, _index_set, truncate
 
@@ -87,6 +87,12 @@ def perspective_by_axes(L, a, b):
         if L.mt(a, x) == L.mt(b, x) and L.jn(a, x) == L.jn(b, x):
             return x
     return None
+
+
+def sectional_complements(L, x, a):
+    """All y with x ^ y == bottom and x v y == a (x <= a assumed)."""
+    return [y for y in L.interval(L.bottom, a)
+            if L.mt(x, y) == L.bottom and L.jn(x, y) == a]
 
 
 def perspectivity_by_axes(L):
@@ -284,10 +290,9 @@ def _weak_targets(L, iv):
     return out
 
 
-def is_v_modular_by_search(L, bound=4, D=None):
+def is_v_modular_by_search(L, D, bound=4):
     """V-modularity with a breadth-first search of the weakly projective
     targets of each prime and one sum search per target."""
-    D = D or dimension_monoid(L)
     for source in L.covers:
         val = delta(D, *source)
         seen = {source}
@@ -309,11 +314,9 @@ def is_v_modular_by_search(L, bound=4, D=None):
     return True, None
 
 
-def dep_check_by_pairs(L, con=None, D=None, k=3, max_pool=8, seed=11):
+def dep_check_by_pairs(L, con, D, k=3, max_pool=8, seed=11):
     """DEP comparing the order of every pair of word values upstairs with
     the order in every factor, one pair at a time."""
-    con = con if con is not None else all_congruences(L)
-    D = D or dimension_monoid(L)
     quots = []
     for i in con.meet_irreducibles():
         Q, proj = quotient_lattice(L, con.congruences[i])
@@ -405,10 +408,9 @@ def decomposition_closure_by_loop(L, rel):
     return out
 
 
-def is_normal_by_pairs(L, sim=None, members=None):
+def is_normal_by_pairs(L, sim, members=None):
     """Normality by scanning the member pairs a < b in the order given: the
     first independent projective pair that is not perspective fails."""
-    sim = sim if sim is not None else perspectivity_matrix(L)
     approx = _transitive_closure(sim)
     members = list(members) if members is not None else list(range(L.n))
     for a in members:
@@ -418,10 +420,9 @@ def is_normal_by_pairs(L, sim=None, members=None):
     return True, None
 
 
-def neutral_ideal_by_worklist(L, gens, sim=None):
+def neutral_ideal_by_worklist(L, gens, sim):
     """The neutral ideal grown from a worklist: each new member adds the
     elements below it, its perspectives and its joins with the members."""
-    sim = sim if sim is not None else perspectivity_matrix(L)
     ideal = set()
     work = list(gens) + [L.bottom]
     while work:
@@ -470,16 +471,14 @@ def max_homogeneous_below_by_search(L, x, sim, base=None, need=None):
     return best if need is None else best >= need
 
 
-def lattice_index_by_search(L, sim=None):
+def lattice_index_by_search(L, sim):
     """The lattice index of every element, one search per element."""
-    sim = sim if sim is not None else perspectivity_matrix(L)
     return [0 if x == L.bottom else max_homogeneous_below_by_search(L, x, sim)
             for x in range(L.n)]
 
 
-def homogeneous_base_set_by_search(L, m, sim=None):
+def homogeneous_base_set_by_search(L, m, sim):
     """The bottom, then every element that starts a homogeneous sequence of
     length m, one search per base."""
-    sim = sim if sim is not None else perspectivity_matrix(L)
     return [L.bottom] + [a for a in range(L.n) if a != L.bottom and
                          max_homogeneous_below_by_search(L, L.top, sim, base=a, need=m)]

@@ -211,6 +211,13 @@ def test_check_reports_a_broken_axiom_by_element_names(monkeypatch, capsys):
     assert doc["axioms"] == {"status": "fail", "witness": "('a', 'b')"}
 
 
+def test_check_reports_a_failure_without_witness_as_null(monkeypatch, capsys):
+    monkeypatch.setattr(dim, "dep_check", lambda *args, **kwargs: False)
+    assert run(["check", "--all", "--builtin", "N5", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dimension_extension"] == {"status": "fail", "witness": None}
+
+
 def test_check_all_builds_each_geometry_object_once(monkeypatch, capsys):
     spies = {name: mock.Mock(wraps=getattr(geo, name))
              for name in ("perspectivity_matrix", "_decomposition_closure")}

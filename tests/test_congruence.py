@@ -13,6 +13,7 @@ from dimw.lattice import FiniteLattice, _set_partitions
 from conftest import builtins_up_to, random_lattices
 from oracles import (closure_congruences, closure_from_pairs, closure_principal,
                      is_compatible_by_pairs, is_simple_by_primes)
+from theory import as_lattice
 
 
 def every_partition(L):
@@ -60,7 +61,7 @@ def test_all_congruences_sizes():
     assert len(all_congruences(lat.builtin("M3"))) == 2
     con3 = all_congruences(lat.builtin("chain", 3))
     assert len(con3) == 4
-    K = con3.as_lattice()
+    K = as_lattice(con3)
     assert K.n == 4 and len(K.atoms()) == 2  # Boolean square
 
 
@@ -73,7 +74,7 @@ def test_all_congruences_match_brute_force():
 
 def test_congruence_lattice_distributive():
     for L in builtins_up_to(32):
-        K = all_congruences(L).as_lattice()
+        K = as_lattice(all_congruences(L))
         assert lat.is_distributive(K), L.name
 
 

