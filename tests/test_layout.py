@@ -34,7 +34,7 @@ def _verb_runs(path):
     lattice file."""
     runs = [["catalog"], ["catalog", "--json"]]
     for source in (["--builtin", "N5"], ["--builtin", "subspace:2,3"], ["--file", str(path)]):
-        L = cli._load(cli.make_parser().parse_args(["validate", *source]))
+        L = lattice.load(source[1]) if source[0] == "--file" else lattice.builtin_spec(source[1])
         bot, top = L.names[L.bottom], L.names[L.top]
         mid = L.names[L.covers[0][1]]
         word, multiple = f"{bot}..{top}", f"{bot}..{mid} + 2*({mid}..{top})"
