@@ -174,10 +174,11 @@ def cmd_check(args):
                   f"elements, over the {dim.V_MODULAR_GUARD}-element guard", file=sys.stderr)
         if lat.is_sectionally_complemented(L) and lat.is_modular(L):
             sim = geo.perspectivity_matrix(L)
+            approx = geo._transitive_closure(sim)
             run("index_equality", lambda: geo.index_equality_check(L, D, sim))
-            run("relations_suite", lambda: geo.relations_suite(L, D, sim))
+            run("relations_suite", lambda: geo.relations_suite(L, D, sim, approx))
             run("transitivity_cancellativity",
-                lambda: geo.transitivity_cancellativity_check(L, D, sim))
+                lambda: geo.transitivity_cancellativity_check(L, D, sim, approx))
     _emit(args, results,
           "\n".join(f"{k}: {v['status']}" for k, v in sorted(results.items())))
     return 1 if failures else 0

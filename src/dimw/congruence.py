@@ -21,7 +21,8 @@ import json
 import numpy as np
 
 from .errors import ParamTooLarge
-from .lattice import FiniteLattice, _is_name, _join_irreducibles, _transitive_closure
+from .lattice import (_BLOCK_CELLS, FiniteLattice, _is_name, _join_irreducibles,
+                      _transitive_closure)
 
 # the D pass reads |J|^2 * n cells of the order table
 CON_PASS_GUARD = 10 ** 8
@@ -31,8 +32,6 @@ CON_COUNT_GUARD = 100_000
 CON_TABLE_GUARD = 1 << 21
 # the refinement order is a |Con L|^2 bool matrix
 CON_ORDER_GUARD = 1 << 24
-# the row blocks of the partition pass hold at most this many cells
-_BLOCK_CELLS = 1 << 16
 
 
 class Congruence:

@@ -175,13 +175,12 @@ def _decomposition_closure(L, rel):
         out = grown
 
 
-def relations_suite(L, D, sim):
+def relations_suite(L, D, sim, approx):
     """Perspectivity and its derived closures, cross-checked against the
     dimension pipeline where the theory identifies them: projectivity by
-    decomposition is equality of dimension.  L must be sectionally
-    complemented and modular, as `check --all` establishes before it calls
-    this."""
-    approx = _transitive_closure(sim)
+    decomposition is equality of dimension.  `approx` is projectivity, the
+    transitive closure of sim.  L must be sectionally complemented and
+    modular, as `check --all` establishes before it calls this."""
     approxeq = _decomposition_closure(L, approx)
     values = {}
     ids = np.array([values.setdefault(delta(D, L.bottom, a), len(values))
@@ -195,10 +194,11 @@ def relations_suite(L, D, sim):
     return {"sim": sim, "approx": approx, "approxeq": approxeq}
 
 
-def transitivity_cancellativity_check(L, D, sim):
+def transitivity_cancellativity_check(L, D, sim, approx):
     """Perspectivity transitive <=> pipeline order is an antichain without
-    self-related points (cancellativity of the monoid)."""
-    transitive = np.array_equal(sim, _transitive_closure(sim))
+    self-related points (cancellativity of the monoid); `approx` is the
+    transitive closure of sim."""
+    transitive = np.array_equal(sim, approx)
     cancellative = D.qo.is_antichain() and not D.qo.p0
     if transitive != cancellative:
         raise MismatchError("transitivity and cancellativity disagree",

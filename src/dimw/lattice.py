@@ -13,6 +13,9 @@ import numpy as np
 from .errors import CycleError, NotALattice, ParamTooLarge, UnknownBuiltin
 
 SIZE_GUARD = 10_000
+# cells in one block of a blocked table pass, so that the temporaries of
+# a pass stay far below one n x n table
+_BLOCK_CELLS = 1 << 16
 _NEG = -(10 ** 9)
 
 
@@ -123,39 +126,88 @@ def _join_table(leq, up, order):
     """The join table of the order leq by the cover recursion, or None if
     some pair has no join.
 
-    `order` is a linear extension of leq and `up[a]` lists the upper covers
-    of a.  Rows are filled from the top of `order` down: for b <= a,
-    a v b = a; otherwise the upper bounds of {a, b} are those of the c v b
-    over the upper covers c of a, all in rows already filled, so a v b
-    exists exactly when the candidate of least rank lies below every other
-    candidate (Freese, Jezek and Nation, Free Lattices, 1995).  O(n^2 d)
-    for d the largest number of upper covers.
+    `order` is a linear extension of leq, `up[a]` lists the upper covers of
+    a, and leq or its transpose is C-contiguous.  Rows are filled from the
+    top of `order` down, as ranks in `order`: J(a, b) = a for b <= a, and
+    otherwise the candidate J(c, b) of least rank over the upper covers c
+    of a (Freese, Jezek and Nation, Free Lattices, 1995).  A maximal a
+    other than the top returns None at once.  The ranks are then mapped
+    back to elements, and one pass tests J(a, b) <= J(c, b) for every
+    cover a < c where a has two or more upper covers, and every b.  Both
+    passes run in blocks whose temporaries hold the bytes of at most
+    _BLOCK_CELLS int32 cells.  O(n^2 d) for d the largest number of upper
+    covers.
+
+    Claim: the test passes exactly when every pair has a join, and then J
+    is the join.  Let J(c, b) = c v b for the upper covers c of a and let
+    b not lie below a.  An upper bound of {a, b} lies strictly above a, so
+    above some c and c v b: the upper bounds of {a, b} are the union of
+    the up-sets of the candidates c v b.  So a v b exists exactly when
+    some candidate lies below every other candidate, and then it is the
+    candidate of least rank, since the ranks of `order` grow along <.
+    (=>) By induction down `order`, J is the join, and the join is
+    monotone: a <= c gives a v b <= c v b.  (<=) By induction down
+    `order`: J(a, b) = a = a v b for b <= a, which covers the top, the
+    one maximal element left; otherwise, if a has one upper cover, its
+    one candidate is a v b, and if it has several, the test puts J(a, b),
+    itself a candidate, below every other candidate, so J(a, b) = a v b.
+    This is exactly the row-by-row test of the recursion, which compared
+    the least-ranked candidate with the others in each column b not below
+    a: in a column b <= a the test holds on its own, as J(a, b) = a < c <=
+    J(c, b), and a row with one upper cover has nothing to test.
     """
     n = len(order)
+    perm = np.array(order, dtype=np.int32)
     rank = np.empty(n, dtype=np.int32)
-    rank[order] = np.arange(n, dtype=np.int32)
-    cols = np.arange(n)
-    join = np.empty((n, n), dtype=np.int32)
+    rank[perm] = np.arange(n, dtype=np.int32)
+    join = np.empty((n, n), dtype=np.int32)  # ranks until the map below
     for a in reversed(order):
-        below = leq[:, a]
+        row, below = join[a], leq[:, a]
         if not up[a]:
             if not below.all():
                 return None
-            join[a] = a
+            row.fill(rank[a])
             continue
         if len(up[a]) == 1:  # one candidate: it is the join
-            join[a] = np.where(below, a, join[up[a][0]])
-            continue
-        cand = join[up[a]]
-        best = cand[rank[cand].argmin(axis=0), cols]
-        if not (leq[best, cand].all(axis=0) | below).all():
+            row[:] = join[up[a][0]]
+        else:
+            np.minimum.reduce(join.take(up[a], axis=0), out=row)
+        np.copyto(row, rank[a], where=below)
+    # take copies a block's int32 ranks to intp indices, so a block of half
+    # _BLOCK_CELLS cells keeps that copy at the bytes of a full int32 block;
+    # every rank is in range, so "wrap" changes none, and unlike "raise" it
+    # writes into `out` without a second buffer
+    cells, half = join.reshape(-1), _BLOCK_CELLS // 2
+    for s in range(0, n * n, half):
+        block = cells[s:s + half]
+        np.take(perm, block, out=block, mode="wrap")
+    # the covers a < c where a has two or more upper covers; the test reads
+    # leq[x, y] as cell x * n + y of a contiguous leq, or y * n + x of the
+    # contiguous table that leq transposes (n <= SIZE_GUARD: int32 holds it)
+    lo = np.array([a for a in range(n) if len(up[a]) > 1 for _ in up[a]], dtype=np.int32)
+    hi = np.array([c for a in range(n) if len(up[a]) > 1 for c in up[a]], dtype=np.int32)
+    x, y = (lo, hi) if leq.strides[0] >= leq.strides[1] else (hi, lo)
+    flat = leq.ravel(order="K")
+    step = max(1, _BLOCK_CELLS // (2 * n))  # two rows of join per cover
+    for s in range(0, len(lo), step):
+        at = join.take(x[s:s + step], axis=0)
+        at *= n
+        at += join.take(y[s:s + step], axis=0)
+        # an int32 index: numpy casts it in small buffers, not in one copy
+        if not flat[at].all():
             return None
-        join[a] = np.where(below, a, best)
     return join
 
 
 class FiniteLattice:
     """A finite lattice with derived order, cover, meet and join tables.
+
+    `leq` is kept C-contiguous; the meet table is the join table of the
+    dual order, read through `leq.T` without a copy.  The two int32 tables
+    take O(n^2 d) time, d the largest number of covers of one element, and
+    8 n^2 bytes.  Each is filled in place, and every other array of its
+    build is at most one block of _BLOCK_CELLS cells, the rows of one
+    element's covers, or the cover list.
 
     Instances are immutable after construction and safe to share between
     threads; every operation in this package is a pure function.  The only
@@ -176,7 +228,7 @@ class FiniteLattice:
         self.names = tuple(str(x) for x in names)
         self.n = n
         self.index = {x: i for i, x in enumerate(self.names)}
-        leq = np.asarray(leq, dtype=bool)
+        leq = np.ascontiguousarray(leq, dtype=bool)
         if _validate:
             if not leq.diagonal().all():
                 raise ValueError("order relation must be reflexive")

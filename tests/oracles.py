@@ -12,7 +12,9 @@ and the sectional complements of x in [0, a] scan that interval.  Delta is
 summed one generator per step of the maximal chain, and distributivity is
 tested on the identity x ^ (y v z) = (x ^ y) v (x ^ z) itself.  The
 maximal chain Delta sums over is walked one cover at a time, independent of
-the lattice's step columns.
+the lattice's step columns.  The join table is the cover recursion filled
+and tested one row at a time, in element indices, as it was before the
+rows held ranks and one pass tested them all.
 
 The lattice predicates are tested on their definitions, element by element
 over the meet/join tables, where the library reads them off the covers: the
@@ -167,6 +169,34 @@ def semilattice_quotient(qo):
         return _index_set(qo.down_set(np.array(x.values) != 0))
 
     return lat, sets, classify
+
+
+def join_table_by_rows(leq, up, order):
+    """The join table of the order leq by the cover recursion, one row at a
+    time in element indices, or None if some pair has no join: each row
+    with several upper covers takes the candidate of least rank and tests
+    that it lies below every other candidate before the next row."""
+    n = len(order)
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    cols = np.arange(n)
+    join = np.empty((n, n), dtype=np.int32)
+    for a in reversed(order):
+        below = leq[:, a]
+        if not up[a]:
+            if not below.all():
+                return None
+            join[a] = a
+            continue
+        if len(up[a]) == 1:  # one candidate: it is the join
+            join[a] = np.where(below, a, join[up[a][0]])
+            continue
+        cand = join[up[a]]
+        best = cand[rank[cand].argmin(axis=0), cols]
+        if not (leq[best, cand].all(axis=0) | below).all():
+            return None
+        join[a] = np.where(below, a, best)
+    return join
 
 
 def maximal_chain_by_covers(L, a, b):

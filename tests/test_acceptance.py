@@ -276,7 +276,7 @@ def test_criterion_10_perspectivity_suite():
         sim = geo.perspectivity_matrix(L)
         ok = ok and geo.is_normal(L, sim)[0]
         geo.index_equality_check(L, D, sim)  # raises on mismatch
-        rep = geo.transitivity_cancellativity_check(L, D, sim)
+        rep = geo.transitivity_cancellativity_check(L, D, sim, geo._transitive_closure(sim))
         ok = ok and rep["transitive"] and rep["cancellative"]
         # every equal-dimension pair splits into two perspective pieces
         for a in range(L.n):

@@ -220,14 +220,15 @@ def test_check_reports_a_failure_without_witness_as_null(monkeypatch, capsys):
 
 def test_check_all_builds_each_geometry_object_once(monkeypatch, capsys):
     spies = {name: mock.Mock(wraps=getattr(geo, name))
-             for name in ("perspectivity_matrix", "_decomposition_closure")}
+             for name in ("perspectivity_matrix", "_transitive_closure",
+                          "_decomposition_closure")}
     for name, spy in spies.items():
         monkeypatch.setattr(geo, name, spy)
     assert run(["check", "--all", "--builtin", "subspace:2,3", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert all(v["status"] in ("pass", "yes") for v in doc.values())
     assert {name: spy.call_count for name, spy in spies.items()} == {
-        "perspectivity_matrix": 1, "_decomposition_closure": 1}
+        "perspectivity_matrix": 1, "_transitive_closure": 1, "_decomposition_closure": 1}
 
 
 def _proc(*argv, timeout=120, **options):

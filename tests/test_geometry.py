@@ -317,8 +317,9 @@ def test_two_piece_every_equal_delta_pair():
 def test_relations_suite_chain_of_containments():
     for spec in SC_MODULAR_SPECS:
         L = lat.builtin_spec(spec)
-        rels = relations_suite(L, dimension_monoid(L), perspectivity_matrix(L))
-        sim, approx = rels["sim"], rels["approx"]
+        sim = perspectivity_matrix(L)
+        rels = relations_suite(L, dimension_monoid(L), sim, _transitive_closure(sim))
+        approx = rels["approx"]
         simeq, approxeq = geo._decomposition_closure(L, sim), rels["approxeq"]
         assert (sim <= approx).all(), spec
         assert (sim <= simeq).all(), spec
@@ -331,7 +332,8 @@ def test_relations_suite_geometric_dimension():
     # projectivity by decomposition
     S23 = lat.builtin("subspace", 2, 3)
     D = dimension_monoid(S23)
-    rels = relations_suite(S23, D, perspectivity_matrix(S23))
+    sim = perspectivity_matrix(S23)
+    rels = relations_suite(S23, D, sim, _transitive_closure(sim))
     for a in range(S23.n):
         for b in range(S23.n):
             same = delta(D, S23.bottom, a) == delta(D, S23.bottom, b)
@@ -351,7 +353,9 @@ def test_lesssim_characterization():
 def test_transitivity_cancellativity():
     for spec in SC_MODULAR_SPECS + ("M3",):
         L = lat.builtin_spec(spec)
-        rep = transitivity_cancellativity_check(L, dimension_monoid(L), perspectivity_matrix(L))
+        sim = perspectivity_matrix(L)
+        rep = transitivity_cancellativity_check(L, dimension_monoid(L), sim,
+                                                _transitive_closure(sim))
         assert rep["transitive"] and rep["cancellative"], spec
 
 
@@ -389,8 +393,8 @@ def test_v_measure():
 def test_eqwords_refinement():
     S23 = lat.builtin("subspace", 2, 3)
     D = dimension_monoid(S23)
-    rels = relations_suite(S23, D, perspectivity_matrix(S23))
-    approxeq = rels["approxeq"]
+    sim = perspectivity_matrix(S23)
+    approxeq = relations_suite(S23, D, sim, _transitive_closure(sim))["approxeq"]
     rng = random.Random(14)
     zero = S23.bottom
 

@@ -1,4 +1,5 @@
 import functools
+import random
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from conftest import builtins_up_to, random_eight_element_lattices, random_poset
 from oracles import (is_atomistic_by_atom_joins, is_distributive_by_identity,
                      is_modular_by_identity, is_relatively_complemented_by_tables,
                      is_sectionally_complemented_by_tables, is_semimodular_by_pairs,
-                     maximal_chain_by_covers)
+                     join_table_by_rows, maximal_chain_by_covers)
 from theory import interval_sublattice
 
 
@@ -323,6 +324,61 @@ def test_tables_match_definition_on_random_posets():
                 assert L.covers_of(a) == [b for x, b in L.covers if x == a]
                 assert L.cocovers_of(a) == [x for x, b in L.covers if b == a]
     assert seen["lattice"] >= 100 and seen["not"] >= 100, seen
+
+
+def _perturbed_orders(count=40, seed=20261019):
+    """Seeded perturbations of four catalog lattices: random elements other
+    than the bounds deleted, then the labels shuffled."""
+    rng = random.Random(seed)
+    out = []
+    for spec in ("boolean:6", "subspace:2,4", "partition:5", "coprod_c3_c1"):
+        L = lat.builtin_spec(spec)
+        inner = [x for x in range(L.n) if x not in (L.bottom, L.top)]
+        for _ in range(count):
+            gone = set(rng.sample(inner, rng.randint(1, len(inner) // 4)))
+            keep = [x for x in range(L.n) if x not in gone]
+            rng.shuffle(keep)
+            out.append(L.leq[np.ix_(keep, keep)])
+    return out
+
+
+def test_join_table_matches_row_recursion():
+    """The rank-space table with one monotonicity pass against the row-by-row
+    recursion, on each order and its dual."""
+    seen = {"lattice": 0, "not": 0}
+    orders = [np.array(_order_oracle(len(names), edges)) for names, edges in random_posets()]
+    for leq in orders + _perturbed_orders():
+        order = np.argsort(leq.sum(axis=0), kind="stable").tolist()
+        up, down = [[] for _ in order], [[] for _ in order]
+        for a, b in lat._covers_of_leq(leq, order):
+            up[a].append(b)
+            down[b].append(a)
+        for args in ((leq, up, order), (leq.T, down, order[::-1])):
+            want, got = join_table_by_rows(*args), lat._join_table(*args)
+            if want is None:
+                assert got is None
+                seen["not"] += 1
+            else:
+                assert np.array_equal(got, want)
+                seen["lattice"] += 1
+    assert seen["lattice"] >= 100 and seen["not"] >= 100, seen
+
+
+@pytest.mark.parametrize("spec", ["boolean:8", "subspace:2,4"])
+def test_tables_follow_a_relabelling(spec):
+    """Shuffled names and covers put the rank order far from the index
+    order; the tables are the builtin's under the relabelling."""
+    L = lat.builtin_spec(spec)
+    rng = random.Random(spec)
+    names = list(L.names)
+    covers = [(L.names[a], L.names[b]) for a, b in L.covers]
+    rng.shuffle(names)
+    rng.shuffle(covers)
+    S = lat.build_lattice(names, covers)
+    pos = np.array([S.index[x] for x in L.names])
+    assert not np.array_equal(pos, np.arange(L.n))
+    for ours, theirs in ((S.meet, L.meet), (S.join, L.join)):
+        assert np.array_equal(ours[np.ix_(pos, pos)], pos[theirs])
 
 
 def test_large_chain_and_boolean_build():
