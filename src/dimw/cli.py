@@ -263,7 +263,6 @@ def make_parser():
         p.add_argument("--builtin", help="catalog key, e.g. partition:4 or subspace:2,3")
         p.add_argument("--file", help="lattice JSON file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--bound", type=_positive_int, default=4)
         if word:
             p.add_argument("--word", required=True, help="e.g. '0..a + 2*(a..1)'")
         if words:
@@ -280,6 +279,7 @@ def make_parser():
     pc = sub.add_parser("check", help="cross-validation checks")
     common(pc)
     pc.add_argument("--all", action="store_true", help="include the geometry checks")
+    pc.add_argument("--bound", type=_positive_int, default=4)
     pd = sub.add_parser("dot", help="DOT export of the Hasse diagram")
     common(pd)
     pd.add_argument("--labels", action="store_true",

@@ -21,8 +21,8 @@ import json
 import numpy as np
 
 from .errors import ParamTooLarge
-from .lattice import (_BLOCK_CELLS, FiniteLattice, _is_name, _join_irreducibles,
-                      _transitive_closure)
+from .lattice import (_BLOCK_CELLS, FiniteLattice, _down_sets, _is_name,
+                      _join_irreducibles, _strong_components, _transitive_closure)
 
 # the D pass reads |J|^2 * n cells of the order table
 CON_PASS_GUARD = 10 ** 8
@@ -163,11 +163,8 @@ class DClasses:
             raise ParamTooLarge(f"D-relation pass of {cells} cells exceeds guard "
                                 f"{CON_PASS_GUARD}")
         every = np.arange(len(J))
-        # D is reflexive (take x = 0), so each row of `same` holds its own index
         reach = _transitive_closure(_d_block(L, J, lower, every, every))
-        same = reach & reach.T
-        first = same.argmax(axis=1) if len(J) else every
-        reps, cls = np.unique(first, return_inverse=True)
+        reps, cls = _strong_components(reach)
         self.over, self.J, self.cls = L, J, cls
         self.below = reach[np.ix_(reps, reps)]
         for a in (self.J, self.cls, self.below):
@@ -206,22 +203,6 @@ class DClasses:
             _, first, inverse = np.unique(lo, return_index=True, return_inverse=True)
             out[s:s + step] = (first % n)[inverse].reshape(len(part), n)
         return out
-
-
-def _down_sets(below, limit):
-    """The down-sets of the order below[c, d] (c <= d) as a mask per row.
-    Classes join in a linear extension, each to the sets that hold all its
-    predecessors, so the count only grows: past `limit` it stops, before
-    anything is built from the sets."""
-    k = len(below)
-    sets = [0]
-    for c in np.argsort(below.sum(axis=0), kind="stable").tolist():
-        need = sum(1 << int(d) for d in np.flatnonzero(below[:, c]) if d != c)
-        sets += [s | 1 << c for s in sets if s & need == need]
-        if len(sets) > limit:
-            raise ParamTooLarge("congruence lattice too large")
-    return np.array([[s >> c & 1 for c in range(k)] for s in sets],
-                    dtype=bool).reshape(len(sets), k)
 
 
 def congruence_from_pairs(L, pairs):
@@ -296,7 +277,7 @@ def all_congruences(L):
     """Con L: one congruence per down-set of the D-class order."""
     classes = DClasses(L)
     limit = min(CON_COUNT_GUARD, CON_TABLE_GUARD // L.n)
-    return CongruenceLattice(classes, _down_sets(classes.below, limit))
+    return CongruenceLattice(classes, _down_sets(classes.below, limit, "congruence lattice"))
 
 
 def quotient_lattice(L, theta):

@@ -85,7 +85,7 @@ def _collapses_below(leq, join, meet, up):
 
 def caustic_pairs(L):
     """All unordered incomparable pairs whose side intervals collapse."""
-    low = _collapses_below(L.leq, L.join, L.meet, _padded(L._up, L.top))
+    low = _collapses_below(L.leq, L.join, L.meet, L._up_slots)
     high = _collapses_below(L.leq.T, L.meet, L.join, _padded(L._down, L.bottom))
     # the conditions on ]a ^ b, b[ and ]b, a v b[ follow: for y in ]a ^ b, b[,
     # a v y lies in [a, a v b], and below a v b it would meet b in a ^ b (by

@@ -4,6 +4,7 @@ Elements are dense integer indices with a name table; all order data is kept
 in numpy matrices so that downstream searches get O(1) order queries.
 """
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -16,11 +17,11 @@ SIZE_GUARD = 10_000
 # cells in one block of a blocked table pass, so that the temporaries of
 # a pass stay far below one n x n table
 _BLOCK_CELLS = 1 << 16
-_NEG = -(10 ** 9)
 
 
-def _toposort(n, edges):
-    """Topological order of 0..n-1 under directed edges, or CycleError."""
+def _closure_from_edges(n, edges):
+    """Reflexive-transitive closure as a boolean matrix leq[i, j] == (i <= j),
+    filled down a topological order of the edges, or CycleError."""
     succ = [[] for _ in range(n)]
     indeg = [0] * n
     for a, b in edges:
@@ -37,12 +38,6 @@ def _toposort(n, edges):
                 stack.append(w)
     if len(order) != n:
         raise CycleError("cover pairs induce a cycle")
-    return order, succ
-
-
-def _closure_from_edges(n, edges):
-    """Reflexive-transitive closure as a boolean matrix leq[i, j] == (i <= j)."""
-    order, succ = _toposort(n, edges)
     leq = np.zeros((n, n), dtype=bool)
     for v in reversed(order):
         leq[v, v] = True
@@ -59,6 +54,34 @@ def _transitive_closure(mat):
         if out[:, k].any():
             out |= out[:, k, None] & out[k, None, :]
     return out
+
+
+def _strong_components(closed):
+    """The strong components of a transitively closed relation: the least
+    member of each, ascending, and the component of each point.  Mutual
+    pairs share a cycle, so with the diagonal set a row's first is its least."""
+    k = len(closed)
+    mutual = closed & closed.T | np.eye(k, dtype=bool)
+    return np.unique(mutual.argmax(axis=1) if k else np.zeros(0, dtype=np.intp),
+                     return_inverse=True)
+
+
+def _down_sets(below, limit, what):
+    """The down-sets of the order below[c, d] (c <= d) as a mask per row.
+    Points join in a linear extension, each to the sets that hold all its
+    predecessors, so the count only grows: past `limit` it stops with
+    ParamTooLarge("<what> too large"), before anything is built from the sets."""
+    k = len(below)
+    sets = [0]
+    for c in np.argsort(below.sum(axis=0), kind="stable").tolist():
+        need = sum(1 << int(d) for d in np.flatnonzero(below[:, c]) if d != c)
+        sets += [s | 1 << c for s in sets if s & need == need]
+        if len(sets) > limit:
+            raise ParamTooLarge(f"{what} too large")
+    # bit c of a set is column c: its little-endian bytes, unpacked
+    raw = b"".join(s.to_bytes(k // 8 + 1, "little") for s in sets)
+    bits = np.frombuffer(raw, dtype=np.uint8).reshape(len(sets), -1)
+    return np.unpackbits(bits, axis=1, count=k, bitorder="little").view(bool)
 
 
 class _UnionFind:
@@ -122,98 +145,99 @@ def _covers_of_leq(leq, order):
     return tuple(pairs)
 
 
-def _join_table(leq, up, order):
-    """The join table of the order leq by the cover recursion, or None if
-    some pair has no join.
-
-    `order` is a linear extension of leq, `up[a]` lists the upper covers of
-    a, and leq or its transpose is C-contiguous.  Rows are filled from the
-    top of `order` down, as ranks in `order`: J(a, b) = a for b <= a, and
-    otherwise the candidate J(c, b) of least rank over the upper covers c
-    of a (Freese, Jezek and Nation, Free Lattices, 1995).  A maximal a
-    other than the top returns None at once.  The ranks are then mapped
-    back to elements, and one pass tests J(a, b) <= J(c, b) for every
-    cover a < c where a has two or more upper covers, and every b.  Both
-    passes run in blocks whose temporaries hold the bytes of at most
-    _BLOCK_CELLS int32 cells.  O(n^2 d) for d the largest number of upper
-    covers.
-
-    Claim: the test passes exactly when every pair has a join, and then J
-    is the join.  Let J(c, b) = c v b for the upper covers c of a and let
-    b not lie below a.  An upper bound of {a, b} lies strictly above a, so
-    above some c and c v b: the upper bounds of {a, b} are the union of
-    the up-sets of the candidates c v b.  So a v b exists exactly when
-    some candidate lies below every other candidate, and then it is the
-    candidate of least rank, since the ranks of `order` grow along <.
-    (=>) By induction down `order`, J is the join, and the join is
-    monotone: a <= c gives a v b <= c v b.  (<=) By induction down
-    `order`: J(a, b) = a = a v b for b <= a, which covers the top, the
-    one maximal element left; otherwise, if a has one upper cover, its
-    one candidate is a v b, and if it has several, the test puts J(a, b),
-    itself a candidate, below every other candidate, so J(a, b) = a v b.
-    This is exactly the row-by-row test of the recursion, which compared
-    the least-ranked candidate with the others in each column b not below
-    a: in a column b <= a the test holds on its own, as J(a, b) = a < c <=
-    J(c, b), and a row with one upper cover has nothing to test.
-    """
+def _least_bounds(leq, up, order):
+    """bound[a, b]: the common upper bound of a and b of least rank in
+    `order`, a linear extension of leq, or n if there is none.  Rows are
+    filled down `order` as ranks by the cover recursion (Freese, Jezek and
+    Nation, Free Lattices, 1995): bound(a, b) is a for b <= a, none for the
+    other b if a is maximal, and else the least candidate bound(c, b) over
+    the upper covers c in `up[a]`, as an upper bound of {a, b} lies above
+    some c.  Ranks become elements in blocks whose temporaries hold the
+    bytes of at most _BLOCK_CELLS int32 cells.  O(n^2 d), d the most upper
+    covers of one element."""
     n = len(order)
-    perm = np.array(order, dtype=np.int32)
+    perm = np.array(list(order) + [n], dtype=np.int32)
     rank = np.empty(n, dtype=np.int32)
-    rank[perm] = np.arange(n, dtype=np.int32)
-    join = np.empty((n, n), dtype=np.int32)  # ranks until the map below
+    rank[perm[:n]] = np.arange(n, dtype=np.int32)
+    bound = np.empty((n, n), dtype=np.int32)  # ranks until the map below
     for a in reversed(order):
-        row, below = join[a], leq[:, a]
+        row = bound[a]
         if not up[a]:
-            if not below.all():
-                return None
-            row.fill(rank[a])
-            continue
-        if len(up[a]) == 1:  # one candidate: it is the join
-            row[:] = join[up[a][0]]
+            row.fill(n)
+        elif len(up[a]) == 1:  # one candidate: it is the least
+            row[:] = bound[up[a][0]]
         else:
-            np.minimum.reduce(join.take(up[a], axis=0), out=row)
-        np.copyto(row, rank[a], where=below)
+            np.minimum.reduce(bound.take(up[a], axis=0), out=row)
+        np.copyto(row, rank[a], where=leq[:, a])
     # take copies a block's int32 ranks to intp indices, so a block of half
     # _BLOCK_CELLS cells keeps that copy at the bytes of a full int32 block;
     # every rank is in range, so "wrap" changes none, and unlike "raise" it
     # writes into `out` without a second buffer
-    cells, half = join.reshape(-1), _BLOCK_CELLS // 2
+    cells, half = bound.reshape(-1), _BLOCK_CELLS // 2
     for s in range(0, n * n, half):
         block = cells[s:s + half]
         np.take(perm, block, out=block, mode="wrap")
-    # the covers a < c where a has two or more upper covers; the test reads
-    # leq[x, y] as cell x * n + y of a contiguous leq, or y * n + x of the
-    # contiguous table that leq transposes (n <= SIZE_GUARD: int32 holds it)
+    return bound
+
+
+def _is_join(leq, up, bound):
+    """Is the table of `_least_bounds` the join table?  Not if two elements
+    are maximal; else one pass tests bound(a, b) <= bound(c, b) for every b
+    and every cover a < c where a has two or more upper covers, in blocks
+    of at most _BLOCK_CELLS int32 cells.
+
+    Claim: the test passes exactly when every pair has a join, and then it
+    is bound: a v b, if it exists, is the upper bound of least rank.  (=>)
+    a <= c gives a v b <= c v b.  (<=) By induction down `order`: bound(a,
+    b) = a = a v b for b <= a, which covers the top, the one maximal
+    element; else a v b is the one candidate if a has one upper cover, and
+    if it has several, the test puts bound(a, b), a candidate, below every
+    other.  This is the row-by-row test of the recursion: in a column
+    b <= a it holds on its own, as bound(a, b) = a < c <= bound(c, b).
+    """
+    if up.count([]) > 1:
+        return False
+    n = len(up)
+    # the test reads leq[x, y] as cell x * n + y of a contiguous leq, or
+    # y * n + x of the contiguous table that leq transposes (n <= SIZE_GUARD:
+    # int32 holds it)
     lo = np.array([a for a in range(n) if len(up[a]) > 1 for _ in up[a]], dtype=np.int32)
     hi = np.array([c for a in range(n) if len(up[a]) > 1 for c in up[a]], dtype=np.int32)
     x, y = (lo, hi) if leq.strides[0] >= leq.strides[1] else (hi, lo)
     flat = leq.ravel(order="K")
-    step = max(1, _BLOCK_CELLS // (2 * n))  # two rows of join per cover
+    step = max(1, _BLOCK_CELLS // (2 * n))  # two rows of the table per cover
     for s in range(0, len(lo), step):
-        at = join.take(x[s:s + step], axis=0)
+        at = bound.take(x[s:s + step], axis=0)
         at *= n
-        at += join.take(y[s:s + step], axis=0)
+        at += bound.take(y[s:s + step], axis=0)
         # an int32 index: numpy casts it in small buffers, not in one copy
         if not flat[at].all():
-            return None
-    return join
+            return False
+    return True
+
+
+def _join_table(leq, up, order):
+    """The join table of the order leq, or None if some pair has no join."""
+    bound = _least_bounds(leq, up, order)
+    return bound if _is_join(leq, up, bound) else None
 
 
 class FiniteLattice:
     """A finite lattice with derived order, cover, meet and join tables.
 
-    `leq` is kept C-contiguous; the meet table is the join table of the
-    dual order, read through `leq.T` without a copy.  The two int32 tables
-    take O(n^2 d) time, d the largest number of covers of one element, and
+    `leq` is a C-contiguous copy of the given order, so the caller's array
+    stays the caller's; the meet table is the join table of the dual order,
+    read through `leq.T` without a copy.  The two int32 tables take
+    O(n^2 d) time, d the largest number of covers of one element, and
     8 n^2 bytes.  Each is filled in place, and every other array of its
     build is at most one block of _BLOCK_CELLS cells, the rows of one
-    element's covers, or the cover list.
+    element's covers, or the cover list; on a non-lattice, the witness.
 
     Instances are immutable after construction and safe to share between
     threads; every operation in this package is a pure function.  The only
-    state that changes is idempotent memos filled on first use (the height
-    and the step columns of `maximal_chain`): a second thread that fills
-    the same entry computes the same value.
+    state that changes is idempotent memos filled on first use (the height,
+    the padded upper covers and the step columns of `maximal_chain`): a
+    second thread that fills the same entry computes the same value.
     """
 
     def __init__(self, names, leq, name="L", _validate=True):
@@ -228,7 +252,7 @@ class FiniteLattice:
         self.names = tuple(str(x) for x in names)
         self.n = n
         self.index = {x: i for i, x in enumerate(self.names)}
-        leq = np.ascontiguousarray(leq, dtype=bool)
+        leq = np.array(leq, dtype=bool, order="C")
         if _validate:
             if not leq.diagonal().all():
                 raise ValueError("order relation must be reflexive")
@@ -241,7 +265,7 @@ class FiniteLattice:
         self.leq = leq
         # the down-set grows strictly along <, so sorting by its size gives
         # a linear extension
-        order = np.argsort(leq.sum(axis=0), kind="stable").tolist()
+        self._order = order = np.argsort(leq.sum(axis=0), kind="stable").tolist()
         self.covers = _covers_of_leq(leq, order)
         # the cover list once more as two index arrays, for masked passes
         ends = np.array(self.covers, dtype=np.intp).reshape(-1, 2)
@@ -251,38 +275,38 @@ class FiniteLattice:
         for a, b in self.covers:
             self._up[a].append(b)
             self._down[b].append(a)
-        self.meet, self.join = self._tables(order)
+        # the meet table is the join table of the dual order; both are filled
+        # before either is tested, so that a failure has both for its witness
+        self.join = _least_bounds(leq, self._up, order)
+        self.meet = _least_bounds(leq.T, self._down, order[::-1])
+        if not (_is_join(leq, self._up, self.join) and _is_join(leq.T, self._down, self.meet)):
+            self._raise_witness()
         self.bottom, self.top = order[0], order[-1]
         for a in (self.leq, self.meet, self.join, self.cover_lo, self.cover_hi):
             a.flags.writeable = False
         self._height = None
-        self._up_slots = None
         self._toward = {}
 
-    def _tables(self, order):
-        # the meet table is the join table of the dual order
-        join = _join_table(self.leq, self._up, order)
-        meet = None if join is None else _join_table(self.leq.T, self._down, order[::-1])
-        if meet is None:
-            pos = np.empty(self.n, dtype=np.int64)
-            pos[order] = np.arange(self.n)
-            self._raise_witness(pos)
-        return meet, join
-
-    def _raise_witness(self, pos):
-        # scan pairs (i, j) with i <= j in index order; report the first failure
-        n, leq, geq = self.n, self.leq, self.leq.T
-        for i in range(n):
-            lo = leq[:, i, None] & leq
-            hi = geq[:, i, None] & geq
-            for j in range(i, n):
-                for kind, col, rel in (("meet", lo[:, j], leq), ("join", hi[:, j], geq)):
-                    if not col.any():
-                        raise NotALattice(kind, (self.names[i], self.names[j]))
-                    ranked = pos if kind == "meet" else -pos
-                    cand = int(np.where(col, ranked, _NEG).argmax())
-                    if (col & ~rel[:, cand]).any():
-                        raise NotALattice(kind, (self.names[i], self.names[j]))
+    def _raise_witness(self):
+        """NotALattice for the first pair i <= j in index order, meet before
+        join, with no meet or no join, from the greatest- and least-ranked
+        common bounds (n for none).  up(join[i, j]) lies in up(i) & up(j),
+        so i v j exists iff both have the same size; dually for meets.  The
+        sizes, at most n < 2**24, are exact in a float32 product, run one
+        block of rows and the columns j >= i at a time."""
+        n, f, meet, join = self.n, self.leq.astype(np.float32), self.meet, self.join
+        # |down(x)| and |up(x)|, then -1 for "none", which no size equals
+        downs, ups = (np.append(f.sum(axis=axis), -1) for axis in (0, 1))
+        step = max(1, _BLOCK_CELLS // n)
+        for s in range(0, n, step):
+            rows = slice(s, s + step)
+            no_meet = f[:, rows].T @ f[:, s:] != downs[meet[rows, s:]]
+            no_join = f[rows] @ f[s:].T != ups[join[rows, s:]]
+            bad = np.triu(no_meet | no_join)
+            if bad.any():
+                i, j = divmod(int(bad.argmax()), bad.shape[1])
+                kind = "meet" if no_meet[i, j] else "join"
+                raise NotALattice(kind, (self.names[s + i], self.names[s + j]))
         raise AssertionError("witness scan found no failure")
 
     # -- basic queries ----------------------------------------------------
@@ -315,15 +339,21 @@ class FiniteLattice:
         return self.covers_of(self.bottom)
 
     def height(self):
-        """Length of the longest chain from bottom to top."""
+        """Length of the longest chain from bottom to top, along the covers
+        in the linear extension of the construction."""
         if self._height is None:
-            order, succ = _toposort(self.n, list(self.covers))
             h = [0] * self.n
-            for v in order:
-                for w in succ[v]:
+            for v in self._order:
+                for w in self._up[v]:
                     h[w] = max(h[w], h[v] + 1)
             self._height = h[self.top]
         return self._height
+
+    @functools.cached_property
+    def _up_slots(self):
+        """The upper covers of each element, ascending, as the rows of one
+        array padded with the top."""
+        return _padded(self._up, self.top)
 
     def maximal_chain(self, a, b):
         """The index-least maximal chain from a to b (a <= b required).
@@ -331,10 +361,10 @@ class FiniteLattice:
         Each step goes from z to the least upper cover of z that lies below
         b.  For a target b these steps form one column, toward_b[z], built
         the first time b is a target: one gather of leq[up, b] over the
-        upper covers (ascending, padded with the top, which lies below b
-        only when b is the top and then comes after every real cover) and
-        an argmax over the slots.  The column is kept on the lattice, so a
-        chain costs one list lookup per step.
+        upper cover slots (the top, the padding, lies below b only when b is
+        the top and then comes after every real cover) and an argmax over
+        the slots.  The column is kept on the lattice, so a chain costs one
+        list lookup per step.
         """
         if not self.leq[a, b]:
             raise ValueError("chain endpoints must satisfy a <= b")
@@ -343,19 +373,14 @@ class FiniteLattice:
             return chain
         toward = self._toward.get(b)
         if toward is None:
-            toward = self._toward[b] = self._toward_column(b)
+            up = self._up_slots
+            first = self.leq[up, b].argmax(axis=1)
+            toward = self._toward[b] = up[np.arange(self.n), first].tolist()
         z = a
         while z != b:
             z = toward[z]
             chain.append(z)
         return chain
-
-    def _toward_column(self, b):
-        if self._up_slots is None:
-            self._up_slots = _padded(self._up, self.top)
-        up = self._up_slots
-        first = self.leq[up, b].argmax(axis=1)
-        return up[np.arange(self.n), first].tolist()
 
     def __eq__(self, other):
         return (isinstance(other, FiniteLattice) and self.names == other.names
@@ -454,7 +479,7 @@ def product(A, B):
 
 def dual(L):
     """Order-reversed lattice on the same element names."""
-    return FiniteLattice(L.names, L.leq.T.copy(), name=f"{L.name}^op", _validate=False)
+    return FiniteLattice(L.names, L.leq.T, name=f"{L.name}^op", _validate=False)
 
 
 # -- builtin catalog -------------------------------------------------------

@@ -11,8 +11,9 @@ import operator
 
 import numpy as np
 
-from .errors import NotBelow, NotInF, ParamTooLarge
-from .lattice import _transitive_closure, _UnionFind
+from .congruence import CON_COUNT_GUARD
+from .errors import NotBelow, NotInF
+from .lattice import _down_sets, _strong_components, _transitive_closure, _UnionFind
 
 INF = float("inf")
 
@@ -95,14 +96,9 @@ class QOSystem:
         return DimVector(self, tuple(vals), validate=validate)
 
     def lower_sets(self):
-        """All lower sets of (P, <=), sorted; frozensets of indices."""
-        k = len(self.points)
-        # the pass below allocates 2^k x k
-        if k > 20:
-            raise ParamTooLarge("lower-set lattice guarded to 20 points")
-        # row `bits` holds the subset with member i iff bit i of `bits` is set
-        subsets = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(bool)
-        lower = subsets[(self.down_set(subsets) == subsets).all(axis=1)]
+        """All lower sets of (P, <=), sorted; frozensets of indices.  In
+        `check` they match Con L, so they keep its count limit."""
+        lower = _down_sets(self.below, CON_COUNT_GUARD, "lower-set lattice")
         return sorted(map(_index_set, lower), key=lambda s: (len(s), sorted(s)))
 
     def to_json_dict(self):
@@ -239,12 +235,8 @@ def build_qosystem(generators, equalities, absorptions):
     for a, b in absorptions:
         prec[cls[gidx[a]], cls[gidx[b]]] = True
     prec = _transitive_closure(prec)
-    # step 3: prec is closed, so prec & prec.T relates exactly the classes on
-    # a common cycle; each class folds into the least class of its cycle,
-    # the first one in its row once the diagonal is set
-    mutual = (prec & prec.T) | np.eye(m, dtype=bool)
-    least = mutual.argmax(axis=1) if m else np.zeros(0, dtype=int)
-    reps, point_of = np.unique(least, return_inverse=True)
+    # step 3: each class folds into the least class of its cycle
+    reps, point_of = _strong_components(prec)
     rows, cols = np.nonzero(prec)
     qo = QOSystem(["p%d" % i for i in range(len(reps))],
                   zip(point_of[rows].tolist(), point_of[cols].tolist()))

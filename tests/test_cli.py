@@ -285,6 +285,26 @@ def test_bound_below_one_is_a_usage_error():
     assert run(["check", "--builtin", "N5", "--bound", "1"]) == 0
 
 
+def test_bound_is_an_option_of_check_only(capsys):
+    for verb in ("validate", "props", "con", "dim", "geom", "dot"):
+        assert run([verb, "--builtin", "N5", "--bound", "3"]) == 2, verb
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "dimw: error: unrecognized arguments: --bound 3", verb
+
+
+def test_not_a_lattice_witness_is_found_at_scale(tmp_path):
+    """A chain of 2,400 elements under two maximal elements x and y: their
+    pair comes last in index order, so the search for the first failing pair
+    reads every pair (about two minutes for a per-pair scan)."""
+    chain = [str(i) for i in range(2400)]
+    covers = [*zip(chain, chain[1:]), (chain[-1], "x"), (chain[-1], "y")]
+    path = tmp_path / "two_tops.json"
+    path.write_text(json.dumps({"elements": chain + ["x", "y"], "covers": covers}))
+    proc = _proc("validate", "--file", str(path), timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == ["error: no join for pair ('x', 'y')"]
+
+
 def test_lattice_file_with_malformed_fields(tmp_path):
     for i, (doc, key) in enumerate((
             ({"elements": ["a"], "covers": [1]}, "covers"),

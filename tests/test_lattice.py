@@ -37,6 +37,27 @@ def test_not_a_lattice_witness():
     assert err.value.kind == "join"
 
 
+def test_construction_leaves_the_callers_array_alone():
+    a = np.array([[1, 1], [0, 1]], dtype=bool)
+    L = lat.FiniteLattice(["x", "y"], a)
+    assert a.flags.writeable and not L.leq.flags.writeable
+    a[0, 1] = False
+    assert L.leq.tolist() == [[True, True], [False, True]]
+    assert lat.dual(L).leq.tolist() == [[True, False], [True, True]]
+
+
+def test_height_is_the_longest_path_along_the_covers():
+    for L in builtins_up_to(60) + _random_poset_lattices():
+        # relax every cover until no path grows
+        h, grew = [0] * L.n, True
+        while grew:
+            grew = False
+            for a, b in L.covers:
+                if h[b] < h[a] + 1:
+                    h[b], grew = h[a] + 1, True
+        assert L.height() == h[L.top], L.name
+
+
 def test_cycle_error():
     with pytest.raises(CycleError):
         lat.build_lattice(["a", "b"], [("a", "b"), ("b", "a")])

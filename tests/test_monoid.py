@@ -646,14 +646,23 @@ def test_semilattice_quotient_shapes():
 
 
 def test_lower_sets_guard_precedes_the_subset_table(monkeypatch):
+    """Lower sets keep Con L's count limit, met while the sets are counted
+    and before any table of them is built."""
     qo = QOSystem([f"p{i}" for i in range(21)], [])
+    anti = QOSystem(["a", "b", "c"], [])
+    chain = QOSystem(["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "c")])
+    monkeypatch.setattr(mon, "CON_COUNT_GUARD", 7)
+    assert len(chain.lower_sets()) == 4
+    with pytest.raises(ParamTooLarge, match="^lower-set lattice too large$"):
+        anti.lower_sets()
+    monkeypatch.undo()
 
     def no_table(*args, **kwargs):
         raise AssertionError("subset table allocated")
 
     monkeypatch.setattr(mon.np, "arange", no_table)
     for call in (qo.lower_sets, lambda: semilattice_quotient(qo)):
-        with pytest.raises(ParamTooLarge, match="lower-set lattice guarded to 20 points"):
+        with pytest.raises(ParamTooLarge, match="^lower-set lattice too large$"):
             call()
 
 
