@@ -8,8 +8,9 @@ prime interval of [w, b] lies on some maximal chain from w to b, so the
 per-path relations and the quantified family generate each other.
 
 Both stages are array passes over the order, meet and join tables.  Caustic
-pairs test the upper covers of a ^ b (dually, the lower covers of a v b)
-for all pairs at once, one pass per cover slot over blocks of rows.
+pairs come from one candidate list per block of rows, the incomparable
+pairs a < b, that only shrinks: each upper cover slot of a ^ b drops the
+pairs it fails, and then each lower cover slot of a v b, on the survivors.
 Emission finds the first and last steps of all oriented pairs at once in
 the sorted cover arrays (`cover_lo`, `cover_hi`), tests "[p, q] lies in
 [lo, hi]" as one mask over the covers per query, and sorts and deduplicates
@@ -58,40 +59,53 @@ from .monoid import DimVector, _index_set, build_qosystem
 _BLOCK_CELLS = 1 << 14
 
 
-def _collapses_below(leq, join, meet, up):
-    """ok[a, b], for incomparable a and b: x v b == a v b for every x in
-    ]a ^ b, a[.  `up[x]` lists the upper covers of x, padded with the top,
-    which lies below no such a.  On the dual order (leq.T, the tables
-    swapped, lower covers padded with the bottom) the same pass tests
-    x ^ b == a ^ b for every x in ]a, a v b[.
-
-    Each such x lies above an upper cover w <= a of a ^ b, and x v b grows
-    with x, so testing every such w suffices: one pass per slot of `up`
-    over the rows of the elements that have something incomparable.
-    """
-    out = ~(leq | leq.T)
-    cols = np.arange(len(leq))
-    rows = np.flatnonzero(out.any(axis=1))
-    step = max(1, _BLOCK_CELLS // len(leq))
-    for at in range(0, len(rows), step):
-        a = rows[at:at + step]
-        ok, low, high = out[a], meet[a], join[a]
-        for slot in up.T:
-            w = slot[low]
-            ok &= ~leq[w, a[:, None]] | (join[w, cols] == high)
-        out[a] = ok
-    return out
-
-
 def caustic_pairs(L):
-    """All unordered incomparable pairs whose side intervals collapse."""
-    low = _collapses_below(L.leq, L.join, L.meet, L._up_slots)
-    high = _collapses_below(L.leq.T, L.meet, L.join, _padded(L._down, L.bottom))
-    # the conditions on ]a ^ b, b[ and ]b, a v b[ follow: for y in ]a ^ b, b[,
-    # a v y lies in [a, a v b], and below a v b it would meet b in a ^ b (by
-    # `high`, or as a itself) although y <= (a v y) ^ b; dually with `low`
-    found = np.triu(low & high, 1)
-    return [tuple(ab) for ab in np.argwhere(found).tolist()]
+    """All unordered incomparable pairs whose side intervals collapse, as
+    (a, b) with a < b, in row-major order.
+
+    The pair is caustic when x v b == a v b for every x in ]a ^ b, a[
+    (`low`) and x ^ b == a ^ b for every x in ]a, a v b[ (`high`).  Each x
+    of ]a ^ b, a[ lies above an upper cover w <= a of a ^ b, and x v b grows
+    with x, so `low` holds iff every upper cover w of a ^ b has w </= a or
+    w v b == a v b; dually, `high` holds iff every lower cover v of a v b has
+    a </= v or v ^ b == a ^ b.  The cover slots are padded with the top
+    (below no such a) and the bottom (above no such a), which pass.
+
+    The conditions on ]a ^ b, b[ and ]b, a v b[ follow: for y in ]a ^ b, b[,
+    a v y lies in [a, a v b], and below a v b it would meet b in a ^ b (by
+    `high`, or as a itself) although y <= (a v y) ^ b; dually with `low`.
+
+    So the answer is the upper triangle of `low & high` over the ordered
+    pairs, triu(low & high, 1) in table form, and this pass tests just the
+    cells it reads.  Each block of rows lists its incomparable pairs a < b
+    as index arrays, which keep row-major order.  Every cover slot is one
+    conjunct of `low` or `high`, and a pair leaves the list at its first
+    failing slot; `high` runs on the survivors of `low` alone.  A pair stays
+    iff every conjunct holds, that is iff its cell of triu(low & high, 1) is
+    set, and dropping pairs keeps the order of the rest.
+    """
+    n = L.n
+    leq, meet, join = (t.ravel() for t in (L.leq, L.meet, L.join))
+    # each upper cover w as its row offset w * n into the flat tables
+    up, down = L._up_slots.T * n, _padded(L._down, L.bottom).T
+    step = max(1, _BLOCK_CELLS // n)
+    found = []
+    for s in range(0, n, step):
+        a, b = np.nonzero(np.triu(~(L.leq[s:s + step] | L.leq[:, s:s + step].T), s + 1))
+        if not len(a):
+            continue
+        a += s
+        m, j = meet[a * n + b], join[a * n + b]
+        for slot in up:
+            w = slot[m]
+            keep = ~leq[w + a] | (join[w + b] == j)
+            a, b, m, j = a[keep], b[keep], m[keep], j[keep]
+        for slot in down:
+            v = slot[j]
+            keep = ~leq[a * n + v] | (meet[v * n + b] == m)
+            a, b, m, j = a[keep], b[keep], m[keep], j[keep]
+        found.extend(zip(a.tolist(), b.tolist()))
+    return found
 
 
 def _primes_mask(L, lo, hi):

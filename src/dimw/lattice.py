@@ -293,11 +293,12 @@ class FiniteLattice:
         common bounds (n for none).  up(join[i, j]) lies in up(i) & up(j),
         so i v j exists iff both have the same size; dually for meets.  The
         sizes, at most n < 2**24, are exact in a float32 product, run one
-        block of rows and the columns j >= i at a time."""
+        block of rows and the columns j >= i at a time.  A block holds at
+        least 256 rows, as BLAS pays a fixed cost per product call."""
         n, f, meet, join = self.n, self.leq.astype(np.float32), self.meet, self.join
         # |down(x)| and |up(x)|, then -1 for "none", which no size equals
         downs, ups = (np.append(f.sum(axis=axis), -1) for axis in (0, 1))
-        step = max(1, _BLOCK_CELLS // n)
+        step = max(256, _BLOCK_CELLS // n)
         for s in range(0, n, step):
             rows = slice(s, s + step)
             no_meet = f[:, rows].T @ f[:, s:] != downs[meet[rows, s:]]

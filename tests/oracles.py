@@ -12,9 +12,12 @@ and the sectional complements of x in [0, a] scan that interval.  Delta is
 summed one generator per step of the maximal chain, and distributivity is
 tested on the identity x ^ (y v z) = (x ^ y) v (x ^ z) itself.  The
 maximal chain Delta sums over is walked one cover at a time, independent of
-the lattice's step columns.  The join table is the cover recursion filled
-and tested one row at a time, in element indices, as it was before the
-rows held ranks and one pass tested them all.
+the lattice's step columns.  The caustic pairs are the upper triangle of
+both collapse conditions filled as dense tables over every ordered pair, as
+they were before one shrinking list of the pairs a < b tested them.  The
+join table is the cover recursion filled and tested one row at a time, in
+element indices, as it was before the rows held ranks and one pass tested
+them all.
 
 The lattice predicates are tested on their definitions, element by element
 over the meet/join tables, where the library reads them off the covers: the
@@ -44,7 +47,7 @@ import numpy as np
 from dimw.congruence import Congruence, quotient_lattice
 from dimw.dimension import _bounded_sum_search, _primes_mask, delta, dimension_monoid
 from dimw.errors import NotBelow
-from dimw.lattice import FiniteLattice, _UnionFind, _transitive_closure
+from dimw.lattice import FiniteLattice, _UnionFind, _padded, _transitive_closure
 from dimw.monoid import INF, _index_set, truncate
 
 
@@ -208,6 +211,28 @@ def maximal_chain_by_covers(L, a, b):
         z = min(w for w in L.covers_of(z) if L.le(w, b))
         chain.append(z)
     return chain
+
+
+def _collapses_below(leq, join, meet, up):
+    """ok[a, b], for incomparable a and b: x v b == a v b for every x in
+    ]a ^ b, a[, tested on the upper covers w <= a of a ^ b (`up` pads them
+    with the top).  On the dual order (leq.T, the tables swapped, lower
+    covers padded with the bottom) the same pass tests x ^ b == a ^ b for
+    every x in ]a, a v b[."""
+    out = ~(leq | leq.T)
+    cols = np.arange(len(leq))
+    for slot in up.T:
+        w = slot[meet]
+        out &= ~leq[w, cols[:, None]] | (join[w, cols] == join)
+    return out
+
+
+def caustic_pairs_by_tables(L):
+    """The caustic pairs (a, b), a < b, in row-major order, from both
+    collapse conditions computed as dense tables over every ordered pair."""
+    low = _collapses_below(L.leq, L.join, L.meet, _padded(L._up, L.top))
+    high = _collapses_below(L.leq.T, L.meet, L.join, _padded(L._down, L.bottom))
+    return [tuple(ab) for ab in np.argwhere(np.triu(low & high, 1)).tolist()]
 
 
 def delta_by_steps(D, a, b):

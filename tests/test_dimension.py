@@ -14,8 +14,9 @@ from dimw.dimension import (DimensionWord, caustic_pairs, caustic_relations, del
 from dimw.errors import MismatchError, NotALattice, NotDistributive, NotModular, ParamTooLarge
 from dimw.monoid import QOSystem
 from conftest import (builtins_up_to, cross_check_lattices, random_eight_element_lattices,
-                      random_posets)
-from oracles import delta_by_steps, dep_check_by_pairs, is_v_modular_by_search
+                      random_lattices, random_posets)
+from oracles import (caustic_pairs_by_tables, delta_by_steps, dep_check_by_pairs,
+                     is_v_modular_by_search)
 from theory import intervals_projective, projectivity_classes, schreier_refine
 
 
@@ -123,6 +124,21 @@ def test_caustic_stages_match_loops_on_random_lattices():
     assert lattices >= 100
     for L in random_eight_element_lattices(20):
         assert_same_as_loop(L)
+
+
+def test_caustic_pairs_match_dense_oracle(monkeypatch):
+    lattices = cross_check_lattices()
+    lattices += [lat.dual(L) for L in lattices] + random_lattices()
+    lattices += [lat.builtin_spec(spec) for spec in
+                 ("boolean:6", "boolean:8", "partition:5", "subspace:2,4", "subspace:2,5")]
+    want = [caustic_pairs_by_tables(L) for L in lattices]
+    assert {bool(pairs) for pairs in want} == {False, True}
+    for cells in (dim._BLOCK_CELLS, 1):  # 1: one row per block
+        monkeypatch.setattr(dim, "_BLOCK_CELLS", cells)
+        for L, pairs in zip(lattices, want):
+            found = caustic_pairs(L)
+            assert found == pairs, L.name
+            assert all(type(v) is int for ab in found for v in ab), L.name
 
 
 def test_caustic_relations_boolean_square():
