@@ -15,7 +15,7 @@ from . import congruence as con
 from . import dimension as dim
 from . import geometry as geo
 from . import lattice as lat
-from .errors import DimwError, MismatchError
+from .errors import DimwError, MismatchError, ParamTooLarge
 
 
 def _load(args):
@@ -85,9 +85,8 @@ def cmd_dim(args):
 
 def cmd_eval(args):
     L = _load(args)
-    D = dim.dimension_monoid(L)
     word = dim.DimensionWord.parse(args.word, L)
-    value = D.delta_word(word)
+    value = dim.dimension_monoid(L).delta_word(word)
     _emit(args, value.to_json_dict(), f"{args.word} = {value!r}")
     return 0
 
@@ -97,10 +96,9 @@ def cmd_compare(args):
     if len(args.word) != 2:
         print("error: compare needs exactly two --word expressions", file=sys.stderr)
         return 2
-    D = dim.dimension_monoid(L)
     w1 = dim.DimensionWord.parse(args.word[0], L)
     w2 = dim.DimensionWord.parse(args.word[1], L)
-    verdict = dim.word_compare(D, w1, w2)
+    verdict = dim.word_compare(dim.dimension_monoid(L), w1, w2)
     _emit(args, {"verdict": verdict}, verdict)
     return 0
 
@@ -126,6 +124,11 @@ def cmd_geom(args):
 
 def cmd_check(args):
     L = _load(args)
+    # the SCM branch of --all runs the decomposition closure, n^3 cells per tensor
+    scm = args.all and lat.is_sectionally_complemented(L) and lat.is_modular(L)
+    if scm and L.n ** 3 > geo.DECOMPOSITION_GUARD:
+        raise ParamTooLarge(f"decomposition closure of {L.n} elements needs {L.n ** 3} "
+                            f"cells, over the guard {geo.DECOMPOSITION_GUARD}")
     failures = []
     results = {}
 
@@ -138,7 +141,8 @@ def cmd_check(args):
             results[name] = {"status": "fail",
                              "witness": None if e.witness is None else str(e.witness)}
 
-    D = dim.dimension_monoid(L)
+    # the cross-validation verb derives D by the presentation on every lattice
+    D = dim._presented_monoid(L)
     C = con.all_congruences(L)
     run("congruence_correspondence",
         lambda: dim.congruence_correspondence_check(L, D, C))
@@ -172,7 +176,7 @@ def cmd_check(args):
         else:
             print(f"note: skipped v_modular and dimension_extension: {L.name} has {L.n} "
                   f"elements, over the {dim.V_MODULAR_GUARD}-element guard", file=sys.stderr)
-        if lat.is_sectionally_complemented(L) and lat.is_modular(L):
+        if scm:
             sim = geo.perspectivity_matrix(L)
             approx = geo._transitive_closure(sim)
             run("index_equality", lambda: geo.index_equality_check(L, D, sim))

@@ -1,5 +1,23 @@
 """The dimension pipeline: caustic pairs, relation emission, the primitive
-monoid presentation, interval evaluation, and the cross-validation checks.
+monoid presentation, the covering-square classes of a modular lattice,
+interval evaluation, and the cross-validation checks.
+
+D L has two derivations here, and the input picks one.  `dimension_monoid`,
+behind `dim`, `eval`, `compare`, `dot --labels` and `catalog`, reads a
+modular lattice off its covering squares and any other lattice off the
+caustic presentation (`_presented_monoid`).  `check` is the cross-validation
+verb, so it builds its own D by the presentation on every lattice and
+compares it with the monoids of the dual, the product factors and the
+quotients, which take the square classes where those are modular.  The
+two agree on a modular lattice: each pair of distinct upper covers a, c of
+one element m transposes the prime interval [m, a] up to [c, c v a]; these
+transpositions generate projectivity of prime intervals, because a
+transposition [u, v] -> [x, x v v] walks a maximal chain from u to x one
+covering square per step; and by Jordan-Holder-Dedekind any two maximal
+chains of an interval have prime intervals projective in pairs.  So D L is
+free on the projectivity classes, an antichain of points numbered by least
+cover, as the presentation numbers them.  The test suite compares the two
+on every modular lattice it reaches.
 
 Generators are the prime intervals (cover pairs).  For every caustic pair
 {a, b} and both orientations, the emitted relation set is the path-free
@@ -49,9 +67,9 @@ import numpy as np
 from .congruence import quotient_lattice
 from .errors import MismatchError, NotDistributive, ParamTooLarge
 from .lattice import dual as lattice_dual
-from .lattice import (_join_irreducibles, _matches, _padded, _transitive_closure,
-                      is_distributive, product)
-from .monoid import DimVector, _index_set, build_qosystem
+from .lattice import (_components, _covering_squares, _join_irreducibles, _matches, _padded,
+                      _transitive_closure, is_distributive, is_modular, product)
+from .monoid import DimVector, QOSystem, _index_set, build_qosystem
 
 
 # the row blocks of the caustic-pair passes and of the absorption masks hold
@@ -87,7 +105,7 @@ def caustic_pairs(L):
     n = L.n
     leq, meet, join = (t.ravel() for t in (L.leq, L.meet, L.join))
     # each upper cover w as its row offset w * n into the flat tables
-    up, down = L._up_slots.T * n, _padded(L._down, L.bottom).T
+    up, down = L._up_slots.T * n, L._down_slots.T
     step = max(1, _BLOCK_CELLS // n)
     found = []
     for s in range(0, n, step):
@@ -206,11 +224,33 @@ class DimensionMonoid:
         }
 
 
-def dimension_monoid(L):
+def _presented_monoid(L):
+    """D L from its presentation: the prime intervals modulo the caustic
+    equalities and absorptions, on any finite lattice."""
     X, Y = caustic_relations(L)
-    gens = list(L.covers)
-    qo, gen_map = build_qosystem(gens, X, Y)
+    qo, gen_map = build_qosystem(list(L.covers), X, Y)
     return DimensionMonoid(L, qo, gen_map)
+
+
+def _square_classes(L):
+    """The generator point of each prime interval of a modular L, in
+    L.covers order: the components of the covering-square graph, numbered
+    by least cover.  The graph joins the cover (m, a) to (c, c v a) for each
+    pair of distinct upper covers a, c of m; the module docstring says why
+    its components are the points of D L."""
+    # (c, c v a) is a cover by semimodularity, so every square has its top
+    return _components(len(L.covers), *_covering_squares(L.cover_lo, L.cover_hi, L.join))
+
+
+def dimension_monoid(L):
+    """D L.  A modular L takes the covering-square classes, an antichain of
+    points; any other lattice takes the caustic presentation."""
+    if not is_modular(L):
+        return _presented_monoid(L)
+    points = _square_classes(L)
+    k = int(points.max(initial=-1)) + 1
+    return DimensionMonoid(L, QOSystem.closed(np.zeros((k, k), dtype=bool)),
+                           dict(zip(L.covers, points.tolist())))
 
 
 def delta(D, a, b):

@@ -145,6 +145,11 @@ def is_normal(L, sim, members=None):
 # -- the decomposition closure and the SCM suites ---------------------------
 
 
+# the decomposition closure holds several n x n x n bool tensors at once; past
+# this many cells per tensor, `check --all` refuses before it builds anything
+DECOMPOSITION_GUARD = 1 << 29
+
+
 def _decomposition_closure(L, rel):
     """Pairs (a, b) with matching independent decompositions whose parts are
     rel-related (the "by decomposition" closure of rel): the least fixpoint

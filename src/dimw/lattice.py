@@ -56,14 +56,21 @@ def _transitive_closure(mat):
     return out
 
 
+def _numbered(least):
+    """Classes given as the least member of each point's class: the least
+    members ascending, and the class of each point, numbered 0, 1, ... in
+    that order.  Exactly the least members are their own least member."""
+    roots = least == np.arange(len(least))
+    return np.flatnonzero(roots), (np.cumsum(roots) - 1)[least]
+
+
 def _strong_components(closed):
     """The strong components of a transitively closed relation: the least
     member of each, ascending, and the component of each point.  Mutual
     pairs share a cycle, so with the diagonal set a row's first is its least."""
     k = len(closed)
     mutual = closed & closed.T | np.eye(k, dtype=bool)
-    return np.unique(mutual.argmax(axis=1) if k else np.zeros(0, dtype=np.intp),
-                     return_inverse=True)
+    return _numbered(mutual.argmax(axis=1) if k else np.zeros(0, dtype=np.intp))
 
 
 def _down_sets(below, limit, what):
@@ -84,26 +91,32 @@ def _down_sets(below, limit, what):
     return np.unpackbits(bits, axis=1, count=k, bitorder="little").view(bool)
 
 
-class _UnionFind:
-    """Disjoint sets over 0..n-1; the least index of a set is its root."""
+def _components(n, first, second):
+    """The connected components of the graph on 0..n-1 with the edges
+    (first[i], second[i]): the component of each vertex, numbered 0, 1, ...
+    in the order of their least members.
 
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if ry < rx:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        return True
+    Min-label propagation with pointer jumping: each label is a member of
+    its vertex's component and no larger than the vertex, so the labels
+    form a forest of pointers down to roots (label[r] == r).  A round hooks
+    the root of each edge end to the lesser root of the two, then jumps
+    every label to its root.  Labels only fall, so the rounds stop, and they
+    stop when every edge joins one root: then a component has one label,
+    and its least member, whose label can fall no further, is that label.
+    """
+    label = np.arange(n)
+    while True:
+        lf, ls = label[first], label[second]
+        if (lf == ls).all():
+            return _numbered(label)[1]
+        low = np.minimum(lf, ls)
+        np.minimum.at(label, lf, low)
+        np.minimum.at(label, ls, low)
+        while True:
+            jumped = label[label]
+            if (jumped == label).all():
+                break
+            label = jumped
 
 
 def _padded(lists, pad):
@@ -117,10 +130,11 @@ def _padded(lists, pad):
 def _matches(keys, values):
     """The pairs (i, k) with keys[k] == values[i], keys sorted, ordered by i
     and then k, as two index arrays."""
-    first = np.searchsorted(keys, values)
-    count = np.searchsorted(keys, values, side="right") - first
-    rows = np.repeat(np.arange(len(values)), count)
-    return rows, np.arange(len(rows)) - np.repeat(np.cumsum(count) - count - first, count)
+    # array methods, not their np.* wrappers: tiny lattices pay per call
+    first = keys.searchsorted(values)
+    count = keys.searchsorted(values, side="right") - first
+    rows = np.arange(len(values)).repeat(count)
+    return rows, np.arange(len(rows)) - (count.cumsum() - count - first).repeat(count)
 
 
 def _covers_of_leq(leq, order):
@@ -236,8 +250,9 @@ class FiniteLattice:
     Instances are immutable after construction and safe to share between
     threads; every operation in this package is a pure function.  The only
     state that changes is idempotent memos filled on first use (the height,
-    the padded upper covers and the step columns of `maximal_chain`): a
-    second thread that fills the same entry computes the same value.
+    the padded upper and lower covers and the step columns of
+    `maximal_chain`): a second thread that fills the same entry computes the
+    same value.
     """
 
     def __init__(self, names, leq, name="L", _validate=True):
@@ -355,6 +370,12 @@ class FiniteLattice:
         """The upper covers of each element, ascending, as the rows of one
         array padded with the top."""
         return _padded(self._up, self.top)
+
+    @functools.cached_property
+    def _down_slots(self):
+        """The lower covers of each element, ascending, as the rows of one
+        array padded with the bottom."""
+        return _padded(self._down, self.bottom)
 
     def maximal_chain(self, a, b):
         """The index-least maximal chain from a to b (a <= b required).
@@ -697,16 +718,28 @@ def _join_irreducibles(L):
     return J, np.array([L._down[j][0] for j in J], dtype=np.intp)
 
 
-def _semimodular(lo, hi, join):
-    """Birkhoff's condition on the covers lo[i] < hi[i], sorted by (lo, hi):
-    whenever a != b both cover c, a v b covers a and b.  On a lattice of
-    finite length this is upper semimodularity (Birkhoff, Lattice Theory,
-    ch. II).  The covers are found in the sorted distinct keys lo * n + hi."""
+def _covering_squares(lo, hi, join):
+    """The covering squares over the covers lo[i] < hi[i], sorted by (lo, hi):
+    for each ordered pair of distinct covers i = (m, a) and k = (m, c), the
+    pair (i, t) with t the index of the cover (c, c v a), or len(lo) where
+    c v a does not cover c.  The covers are found in the sorted distinct
+    keys lo * n + hi."""
     n = len(join)
     i, k = _matches(lo, lo)
-    a, b = hi[i[i < k]], hi[k[i < k]]
-    wanted = np.concatenate([a, b]) * n + np.tile(join[a, b], 2)
-    return len(_matches(lo * n + hi, wanted)[0]) == len(wanted)
+    other = i != k
+    i, c = i[other], hi[k[other]]
+    keys, wanted = lo * n + hi, c * n + join[c, hi[i]]
+    t = keys.searchsorted(wanted)
+    t[keys[np.minimum(t, len(keys) - 1)] != wanted] = len(keys)
+    return i, t
+
+
+def _semimodular(lo, hi, join):
+    """Birkhoff's condition on the covers lo[i] < hi[i], sorted by (lo, hi):
+    whenever a != c both cover m, a v c covers a and c.  On a lattice of
+    finite length this is upper semimodularity (Birkhoff, Lattice Theory,
+    ch. II)."""
+    return bool((_covering_squares(lo, hi, join)[1] < len(lo)).all())
 
 
 def is_semimodular(L):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .congruence import CON_COUNT_GUARD
 from .errors import NotBelow, NotInF
-from .lattice import _down_sets, _strong_components, _transitive_closure, _UnionFind
+from .lattice import _components, _down_sets, _strong_components, _transitive_closure
 
 INF = float("inf")
 
@@ -34,15 +34,28 @@ class QOSystem:
         rel = np.zeros((k, k), dtype=bool)
         for p, q in rel_pairs:
             rel[self._as_index(p), self._as_index(q)] = True
-        eye = np.eye(k, dtype=bool)
-        if (rel & rel.T & ~eye).any():
+        if (rel & rel.T & ~np.eye(k, dtype=bool)).any():
             raise ValueError("relation is not antisymmetric")
         if (_transitive_closure(rel) != rel).any():
             raise ValueError("relation is not transitive")
+        self._derive(rel)
+
+    @classmethod
+    def closed(cls, rel):
+        """The system on the points p0, p1, ... of a bool matrix that is
+        antisymmetric and transitive already, as `build_qosystem` and the
+        covering-square classes make it; the matrix is taken unchecked."""
+        qo = cls.__new__(cls)
+        qo.points = tuple("p%d" % i for i in range(len(rel)))
+        qo.index = {p: i for i, p in enumerate(qo.points)}
+        qo._derive(rel)
+        return qo
+
+    def _derive(self, rel):
         rel.flags.writeable = False
         self.rel = rel
         # below[a, b]: a <= b in the associated partial order
-        self.below = rel | eye
+        self.below = rel | np.eye(len(rel), dtype=bool)
         self.below.flags.writeable = False
         self.p0 = frozenset(np.flatnonzero(rel.diagonal()).tolist())
         # no pair at all: the monoid is free and no value is ever oo
@@ -222,27 +235,24 @@ def build_qosystem(generators, equalities, absorptions):
     """
     gens = list(generators)
     gidx = {g: i for i, g in enumerate(gens)}
-    # step 1: equivalence closure of the equality pairs
-    uf = _UnionFind(len(gens))
-    for a, b in equalities:
-        uf.union(gidx[a], gidx[b])
-    roots = [uf.find(i) for i in range(len(gens))]
-    cpos = {c: i for i, c in enumerate(sorted(set(roots)))}
-    cls = [cpos[r] for r in roots]
-    m = len(cpos)
+
+    def ends(pairs):
+        return np.array([(gidx[a], gidx[b]) for a, b in pairs], dtype=np.intp).reshape(-1, 2).T
+
+    # step 1: equivalence closure of the equality pairs, numbered by least member
+    cls = _components(len(gens), *ends(equalities))
+    m = int(cls.max(initial=-1)) + 1
     # step 2: transitive closure of the induced absorption relation
     prec = np.zeros((m, m), dtype=bool)
-    for a, b in absorptions:
-        prec[cls[gidx[a]], cls[gidx[b]]] = True
+    lo, hi = ends(absorptions)
+    prec[cls[lo], cls[hi]] = True
     prec = _transitive_closure(prec)
     # step 3: each class folds into the least class of its cycle
     reps, point_of = _strong_components(prec)
     rows, cols = np.nonzero(prec)
-    qo = QOSystem(["p%d" % i for i in range(len(reps))],
-                  zip(point_of[rows].tolist(), point_of[cols].tolist()))
-    point_of = point_of.tolist()
-    gen_map = {g: point_of[cls[gidx[g]]] for g in gens}
-    return qo, gen_map
+    rel = np.zeros((len(reps),) * 2, dtype=bool)
+    rel[point_of[rows], point_of[cols]] = True
+    return QOSystem.closed(rel), dict(zip(gens, point_of[cls].tolist()))
 
 
 def truncate(qo, mapping, n):

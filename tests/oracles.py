@@ -2,7 +2,10 @@
 for Delta, for distributivity and for the cross-checks of dimension and
 geometry.
 
-The congruence oracle is the union-find fixed point that generated
+The union-find here is the one the library used for its equality classes
+before they became array components; the congruence oracle, the
+projectivity classes of `tests/theory.py` and the join of congruences run
+on it.  The congruence oracle is the union-find fixed point that generated
 congruences before they were read off the D-relation: close a set of merged
 pairs under (x^z, y^z) and (xvz, yvz) for every z, and list Con L by closing
 the principal congruences of the prime intervals under join.  A partition is
@@ -47,13 +50,35 @@ import numpy as np
 from dimw.congruence import Congruence, quotient_lattice
 from dimw.dimension import _bounded_sum_search, _primes_mask, delta, dimension_monoid
 from dimw.errors import NotBelow
-from dimw.lattice import FiniteLattice, _UnionFind, _padded, _transitive_closure
+from dimw.lattice import FiniteLattice, _padded, _transitive_closure
 from dimw.monoid import INF, _index_set, truncate
+
+
+class UnionFind:
+    """Disjoint sets over 0..n-1; the least index of a set is its root."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        if ry < rx:
+            rx, ry = ry, rx
+        self.parent[ry] = rx
+        return True
 
 
 def closure_from_pairs(L, pairs):
     """Smallest congruence of L merging every given pair, by closure."""
-    uf = _UnionFind(L.n)
+    uf = UnionFind(L.n)
     work = []
     for a, b in pairs:
         if uf.union(a, b):
@@ -123,7 +148,7 @@ def refines(c, d):
 
 
 def join(c, d):
-    uf = _UnionFind(c.over.n)
+    uf = UnionFind(c.over.n)
     for part in (c, d):
         for block in part.blocks():
             for x in block[1:]:

@@ -196,8 +196,9 @@ def test_json_outputs_are_deterministic(capsys):
 
 def test_check_reports_a_broken_axiom_by_element_names(monkeypatch, capsys):
     # 0..b moved onto the point of 0..c: Delta(0, 1) along 0 < b < 1 is no
-    # longer Delta(0, a) + Delta(a, 1), so additivity fails at (a, b)
-    build = dim.dimension_monoid
+    # longer Delta(0, a) + Delta(a, 1), so additivity fails at (a, b); check
+    # builds its D by the presentation
+    build = dim._presented_monoid
 
     def moved(L):
         D = build(L)
@@ -205,7 +206,7 @@ def test_check_reports_a_broken_axiom_by_element_names(monkeypatch, capsys):
             return D
         return dim.DimensionMonoid(L, D.qo, {**D.gen, (L.index["0"], L.index["b"]): 1})
 
-    monkeypatch.setattr(dim, "dimension_monoid", moved)
+    monkeypatch.setattr(dim, "_presented_monoid", moved)
     assert run(["check", "--builtin", "N5", "--json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["axioms"] == {"status": "fail", "witness": "('a', 'b')"}
@@ -411,3 +412,60 @@ def test_huge_builtin_parameters_are_refused_before_allocation():
         proc = _proc("validate", "--builtin", spec, timeout=5, preexec_fn=_cap_address_space)
         assert time.perf_counter() - start < 5, spec
         assert (proc.returncode, proc.stderr.splitlines()) == (1, [line]), spec
+
+
+def test_words_are_parsed_before_the_pipeline(monkeypatch, capsys):
+    def refuse(L):
+        raise AssertionError("a bad word must fail before the monoid is built")
+
+    monkeypatch.setattr(dim, "dimension_monoid", refuse)
+    for argv, name, word in (
+            (["eval", "--word", "0..zz"], "zz", "0..zz"),
+            (["compare", "--word", "0..a", "--word", "q..1"], "q", "q..1"),
+            (["compare", "--word", "0..a + x..1", "--word", "0..b"], "x", "0..a + x..1")):
+        assert run(argv + ["--builtin", "N5"]) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            f"error: unknown element {name!r} in word {word!r}"], argv
+
+
+def test_check_builds_its_monoid_by_the_presentation(monkeypatch, capsys):
+    # boolean:3 is modular, so only check's own D comes from the presentation;
+    # the dual's monoid in the functor check comes from the square classes
+    spies = {name: mock.Mock(wraps=getattr(dim, name))
+             for name in ("_presented_monoid", "_square_classes")}
+    for name, spy in spies.items():
+        monkeypatch.setattr(dim, name, spy)
+    assert run(["check", "--builtin", "boolean:3"]) == 0
+    capsys.readouterr()
+    assert [call.args[0].name for call in spies["_presented_monoid"].call_args_list] == [
+        "boolean:3"]
+    assert spies["_square_classes"].call_count == 1
+
+
+def test_check_all_refuses_the_decomposition_closure_before_the_monoid(monkeypatch, capsys):
+    def refuse(L):
+        raise AssertionError("the guard must come before the monoid")
+
+    monkeypatch.setattr(dim, "_presented_monoid", refuse)
+    monkeypatch.setattr(geo, "DECOMPOSITION_GUARD", 6 ** 3)
+    # subspace:2,3 has 16 elements and is sectionally complemented and modular
+    assert run(["check", "--all", "--builtin", "subspace:2,3"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: decomposition closure of 16 elements needs 4096 cells, over the guard 216"]
+
+
+def _cap_address_space_2g():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_check_all_on_boolean_10_is_refused_before_allocation():
+    # its decomposition closure would hold 1024^3-cell tensors, past the
+    # 2 GB cap; unguarded, it ran for seconds into a MemoryError traceback
+    start = time.perf_counter()
+    proc = _proc("check", "--all", "--builtin", "boolean:10", timeout=10,
+                 preexec_fn=_cap_address_space_2g)
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stderr.splitlines()) == (1, [
+        "error: decomposition closure of 1024 elements needs 1073741824 cells, "
+        "over the guard 536870912"])

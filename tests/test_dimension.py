@@ -510,20 +510,53 @@ def test_projectivity_classes():
     assert len(projectivity_classes(C4)) == 3
 
 
+def modular_lattices():
+    """The modular lattices the square-class tests run on: the catalog, its
+    duals, products of its entries of at most six elements, the seeded
+    random lattices and larger builtins."""
+    catalog = [lat.builtin_spec(s) for s in CATALOG_INSTANCES]
+    small = [L for L in catalog if L.n <= 6]
+    found = catalog + [lat.dual(L) for L in catalog] + random_lattices()
+    found += [lat.product(A, B) for A, B in itertools.combinations(small, 2)]
+    found += [lat.builtin_spec(s) for s in ("boolean:6", "boolean:7", "boolean:8",
+                                            "subspace:2,4", "subspace:3,3", "chain:500")]
+    return [L for L in found if lat.is_modular(L)]
+
+
+def test_square_classes_match_the_presentation(monkeypatch):
+    """On a modular lattice D L comes from the covering-square classes; it
+    must be the monoid the caustic presentation gives, down to the order of
+    the generator map and every value of Delta on lattices of at most 64
+    elements."""
+    def refuse(L):
+        raise AssertionError("a modular lattice must not reach the presentation")
+
+    lattices = modular_lattices()
+    assert len(lattices) > 60
+    for L in lattices:
+        with monkeypatch.context() as m:
+            m.setattr(dim, "_presented_monoid", refuse)
+            D = dimension_monoid(L)
+        P = dim._presented_monoid(L)
+        assert list(D.gen.items()) == list(P.gen.items()), L.name
+        assert D.qo.points == P.qo.points and np.array_equal(D.qo.rel, P.qo.rel), L.name
+        assert D.report_dict() == P.report_dict(), L.name
+        if L.n <= 64:
+            for a, b in itertools.product(range(L.n), repeat=2):
+                assert delta(D, a, b).values == delta(P, a, b).values, (L.name, a, b)
+
+
 def test_projectivity_classes_match_pipeline_on_modular():
-    for L in builtins_up_to(60):
-        if not lat.is_modular(L):
+    for L in modular_lattices():
+        if L.n > 64:
             continue
-        D = dimension_monoid(L)
-        assert D.qo.is_antichain() and not D.qo.p0, L.name
         classes = {frozenset(c) for c in projectivity_classes(L)}
-        pipeline_classes = {frozenset(grp) for grp in D.classes()}
-        assert classes == pipeline_classes, L.name
+        assert classes == {frozenset(grp) for grp in dimension_monoid(L).classes()}, L.name
 
 
 def test_modularity_iff_cancellative_shape():
     for L in builtins_up_to(60):
-        D = dimension_monoid(L)
+        D = dim._presented_monoid(L)
         assert lat.is_modular(L) == (D.qo.is_antichain() and not D.qo.p0), L.name
 
 

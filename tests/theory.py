@@ -17,10 +17,9 @@ from dimw.dimension import delta
 from dimw.errors import MismatchError, NotModular
 from dimw.geometry import (_abnormal_pairs, _homogeneous_levels, lattice_index,
                            n_distributive_verdicts, perspectivity_matrix)
-from dimw.lattice import (FiniteLattice, _UnionFind, is_modular,
-                          is_sectionally_complemented)
+from dimw.lattice import FiniteLattice, is_modular, is_sectionally_complemented
 
-from oracles import perspective_by_axes, sectional_complements
+from oracles import UnionFind, perspective_by_axes, sectional_complements
 
 # -- perspectivity ------------------------------------------------------------
 
@@ -278,7 +277,7 @@ def _matched_decomposition(L, x, y, rel, depth):
 def projectivity_classes(L):
     """Partition of the prime intervals under transposition closure."""
     primes = list(enumerate(L.covers))
-    uf = _UnionFind(len(primes))
+    uf = UnionFind(len(primes))
     for (i, (a, b)), (k, (c, d)) in itertools.product(primes, repeat=2):
         # [a, b] up-transposes to [c, d] when c^b == a and cvb == d
         if L.mt(c, b) == a and L.jn(c, b) == d:
