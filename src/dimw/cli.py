@@ -193,12 +193,9 @@ def export_dot(L, D=None):
     lines = [f'digraph "{L.name}" {{', "  rankdir=BT;"]
     for i in range(L.n):
         lines.append(f'  n{i} [label="{L.names[i]}"];')
-    for a, b in L.covers:
-        if D is not None:
-            cls = D.qo.points[D.gen[(a, b)]]
-            lines.append(f'  n{a} -> n{b} [label="{cls}"];')
-        else:
-            lines.append(f"  n{a} -> n{b};")
+    for i, (a, b) in enumerate(L.covers):
+        label = "" if D is None else f' [label="{D.qo.points[D.point_of_cover[i]]}"]'
+        lines.append(f"  n{a} -> n{b}{label};")
     lines.append("}")
     return "\n".join(lines)
 

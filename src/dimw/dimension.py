@@ -19,11 +19,16 @@ free on the projectivity classes, an antichain of points numbered by least
 cover, as the presentation numbers them.  The test suite compares the two
 on every modular lattice it reaches.
 
-Generators are the prime intervals (cover pairs).  For every caustic pair
-{a, b} and both orientations, the emitted relation set is the path-free
-closure of the first-step/last-step relations: in a finite lattice every
-prime interval of [w, b] lies on some maximal chain from w to b, so the
-per-path relations and the quantified family generate each other.
+Generators are the prime intervals, as their indices in L.covers from
+emission to the monoid: the relations are rows of cover indices, and the
+monoid holds `point_of_cover`, the point of each prime interval as one int
+array over L.covers.  `DimensionMonoid.gen`, the same map keyed by cover
+pairs, is a read-only view kept for readers outside the package; no module
+here reads it.  For every caustic pair {a, b} and both orientations, the
+emitted relation set is the path-free closure of the first-step/last-step
+relations: in a finite lattice every prime interval of [w, b] lies on some
+maximal chain from w to b, so the per-path relations and the quantified
+family generate each other.
 
 Both stages are array passes over the order, meet and join tables.  Caustic
 pairs come from one candidate list per block of rows, the incomparable
@@ -32,17 +37,18 @@ pairs it fails, and then each lower cover slot of a v b, on the survivors.
 Emission finds the first and last steps of all oriented pairs at once in
 the sorted cover arrays (`cover_lo`, `cover_hi`), tests "[p, q] lies in
 [lo, hi]" as one mask over the covers per query, and sorts and deduplicates
-the relations as pairs of cover indices.
+the relations as rows of cover indices.
 
 Delta is additive along chains, so Delta(a, b) is summed over one maximal
 chain of [a ^ b, a v b], the index-least one.  The lattice walks it along a
-step column per upper end, memoised on the lattice, so a chain costs one
-list lookup per step; the generator points of its prime intervals are
-counted with one bincount and summed in one `QOSystem.combination`, which
-does Python work only at the positions that become infinite and skips the
-product when the QO-system has no relation at all.  Each monoid caches its
-values by pair.  `DimensionWord.parse` tries its compiled
-`k*(...)` pattern only on terms that contain `*`.
+step column per upper end, memoised on the lattice, that holds the cover
+index of each step, so a chain costs two list lookups per step; the
+generator points of its prime intervals are one gather from
+`point_of_cover`, counted with one bincount and summed in one
+`QOSystem.combination`, which does Python work only at the positions that
+become infinite and skips the product when the QO-system has no relation
+at all.  Each monoid caches its values by pair.  `DimensionWord.parse`
+tries its compiled `k*(...)` pattern only on terms that contain `*`.
 
 V-modularity and DEP are table passes too.  `is_v_modular` closes the
 one-step weak-projectivity relation on element pairs, an n^2 x n^2 bool
@@ -53,21 +59,24 @@ checks both against the element loops they replaced (`tests/oracles.py`).
 
 Delta is functorial: a product projection, a quotient map and order
 reversal each send a prime interval to a prime interval or collapse it.
-`functor_checks` tests the map of generator points that this induces, one
-cover at a time, for being an isomorphism of QO-systems onto the target.
+`functor_checks` finds the image covers as index arrays, by `searchsorted`
+in the target's sorted cover keys, and tests the map of generator points
+that they induce for being an isomorphism of QO-systems onto the target.
 """
 
+import functools
 import itertools
 import random
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from .congruence import quotient_lattice
 from .errors import MismatchError, NotDistributive, ParamTooLarge
 from .lattice import dual as lattice_dual
-from .lattice import (_components, _covering_squares, _join_irreducibles, _matches, _padded,
+from .lattice import (_components, _cover_index, _join_irreducibles, _matches, _padded,
                       _transitive_closure, is_distributive, is_modular, product)
 from .monoid import DimVector, QOSystem, _index_set, build_qosystem
 
@@ -79,7 +88,7 @@ _BLOCK_CELLS = 1 << 14
 
 def caustic_pairs(L):
     """All unordered incomparable pairs whose side intervals collapse, as
-    (a, b) with a < b, in row-major order.
+    the rows (a, b), a < b, of a (k, 2) int array in row-major order.
 
     The pair is caustic when x v b == a v b for every x in ]a ^ b, a[
     (`low`) and x ^ b == a ^ b for every x in ]a, a v b[ (`high`).  Each x
@@ -107,7 +116,7 @@ def caustic_pairs(L):
     # each upper cover w as its row offset w * n into the flat tables
     up, down = L._up_slots.T * n, L._down_slots.T
     step = max(1, _BLOCK_CELLS // n)
-    found = []
+    found = [np.empty((0, 2), dtype=np.intp)]
     for s in range(0, n, step):
         a, b = np.nonzero(np.triu(~(L.leq[s:s + step] | L.leq[:, s:s + step].T), s + 1))
         if not len(a):
@@ -122,8 +131,8 @@ def caustic_pairs(L):
             v = slot[j]
             keep = ~leq[a * n + v] | (meet[v * n + b] == m)
             a, b, m, j = a[keep], b[keep], m[keep], j[keep]
-        found.extend(zip(a.tolist(), b.tolist()))
-    return found
+        found.append(np.stack([a, b], axis=1))
+    return np.concatenate(found)
 
 
 def _primes_mask(L, lo, hi):
@@ -132,32 +141,29 @@ def _primes_mask(L, lo, hi):
     return L.leq[lo, L.cover_lo] & L.leq[L.cover_hi, hi]
 
 
-def _relation_list(L, first, second):
-    """Sorted distinct ((p, q), (p', q')) over the pairs of cover indices
-    (first[i], second[i]).  The cover list is sorted, so index order is the
-    order of the pairs."""
-    if not len(first):
-        return []
+def _sorted_rows(L, first, second):
+    """The distinct rows (first[i], second[i]) of cover indices, sorted, as
+    an (m, 2) int array.  The cover list is sorted, so index order is the
+    order of the cover pairs."""
     base = len(L.covers) + 1
     # a stable sort, not np.unique: numpy 2's unique costs over 1 MB of
     # resident memory on its first call in a process
     keys = np.sort(first.astype(np.int64) * base + second, kind="stable")
     fresh = np.ones(len(keys), dtype=bool)
     fresh[1:] = keys[1:] != keys[:-1]
-    first, second = np.divmod(keys[fresh], base)
-    covers = L.covers
-    return [(covers[f], covers[g]) for f, g in zip(first.tolist(), second.tolist())]
+    return np.stack(np.divmod(keys[fresh], base), axis=1).astype(np.intp, copy=False)
 
 
 def caustic_relations(L):
-    """Equality and absorption pairs over the prime intervals of L.
+    """Equality and absorption pairs over the prime intervals of L, as two
+    (m, 2) int arrays of cover indices, each sorted and distinct.
 
     For each caustic pair in both orientations (s, t), with m = s ^ t and
     j = s v t: every first step (m, w), w <= t, equals every last step
     (v, j), s <= v; every prime interval of [w, t] is absorbed by (m, w),
     and every prime interval of [t, v], t <= v, by (v, j).
     """
-    pairs = np.array(caustic_pairs(L), dtype=np.intp).reshape(-1, 2)
+    pairs = caustic_pairs(L)
     s, t = np.concatenate([pairs, pairs[:, ::-1]]).T
     lo, hi, leq = L.cover_lo, L.cover_hi, L.leq
     # steps as (pair, cover) rows ordered by pair; the cover list is sorted
@@ -170,7 +176,7 @@ def caustic_relations(L):
     last = by_hi[last]
     keep = leq[s[k], lo[last]]
     r, q = _matches(k[keep], i)
-    X = _relation_list(L, first[r], last[keep][q])
+    X = _sorted_rows(L, first[r], last[keep][q])
     # absorption queries (lo, hi, absorbing cover); an empty interval absorbs nothing
     keep = leq[t[k], lo[last]]
     k, last = k[keep], last[keep]
@@ -183,22 +189,30 @@ def caustic_relations(L):
         part = queries[at:at + step]
         row, prime = np.nonzero(_primes_mask(L, part[:, :1], part[:, 1:2]))
         absorbed.append(np.stack([prime, part[row, 2]], axis=1))
-    absorbed = np.concatenate(absorbed)
-    return X, _relation_list(L, absorbed[:, 0], absorbed[:, 1])
+    return X, _sorted_rows(L, *np.concatenate(absorbed).T)
 
 
-@dataclass
+@dataclass(eq=False)
 class DimensionMonoid:
     lattice: object
     qo: object
-    gen: dict                      # prime interval -> point index
+    point_of_cover: np.ndarray     # the point of each prime interval, in L.covers order
     _delta_cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        self.point_of_cover.flags.writeable = False
+
+    @functools.cached_property
+    def gen(self):
+        """Prime interval -> point index, a read-only view of
+        `point_of_cover` kept for readers outside the package."""
+        return MappingProxyType(dict(zip(self.lattice.covers, self.point_of_cover.tolist())))
 
     def classes(self):
         """Prime intervals grouped by generator point, in point order."""
         groups = [[] for _ in range(len(self.qo.points))]
-        for pq in sorted(self.gen):
-            groups[self.gen[pq]].append(pq)
+        for pq, p in zip(self.lattice.covers, self.point_of_cover.tolist()):
+            groups[p].append(pq)
         return groups
 
     def delta_word(self, word):
@@ -216,7 +230,7 @@ class DimensionMonoid:
         return {
             "qosystem": self.qo.to_json_dict(),
             "generators": {"%s..%s" % (L.names[a], L.names[b]): self.qo.points[p]
-                           for (a, b), p in self.gen.items()},
+                           for (a, b), p in zip(L.covers, self.point_of_cover.tolist())},
             "p0": sorted(self.qo.points[p] for p in self.qo.p0),
             "classes": {self.qo.points[i]: ["%s..%s" % (L.names[a], L.names[b])
                                             for a, b in grp]
@@ -227,9 +241,7 @@ class DimensionMonoid:
 def _presented_monoid(L):
     """D L from its presentation: the prime intervals modulo the caustic
     equalities and absorptions, on any finite lattice."""
-    X, Y = caustic_relations(L)
-    qo, gen_map = build_qosystem(list(L.covers), X, Y)
-    return DimensionMonoid(L, qo, gen_map)
+    return DimensionMonoid(L, *build_qosystem(len(L.covers), *caustic_relations(L)))
 
 
 def _square_classes(L):
@@ -239,7 +251,7 @@ def _square_classes(L):
     pair of distinct upper covers a, c of m; the module docstring says why
     its components are the points of D L."""
     # (c, c v a) is a cover by semimodularity, so every square has its top
-    return _components(len(L.covers), *_covering_squares(L.cover_lo, L.cover_hi, L.join))
+    return _components(len(L.covers), *L._squares)
 
 
 def dimension_monoid(L):
@@ -249,8 +261,7 @@ def dimension_monoid(L):
         return _presented_monoid(L)
     points = _square_classes(L)
     k = int(points.max(initial=-1)) + 1
-    return DimensionMonoid(L, QOSystem.closed(np.zeros((k, k), dtype=bool)),
-                           dict(zip(L.covers, points.tolist())))
+    return DimensionMonoid(L, QOSystem.closed(np.zeros((k, k), dtype=bool)), points)
 
 
 def delta(D, a, b):
@@ -259,10 +270,8 @@ def delta(D, a, b):
     if key in D._delta_cache:
         return D._delta_cache[key]
     L = D.lattice
-    chain = L.maximal_chain(L.mt(a, b), L.jn(a, b))
-    points = np.array([D.gen[step] for step in itertools.pairwise(chain)], dtype=np.intp)
-    out = D.qo.combination(np.bincount(points, minlength=len(D.qo)))
-    D._delta_cache[key] = out
+    points = D.point_of_cover[L._chain_covers(L.mt(a, b), L.jn(a, b))]
+    out = D._delta_cache[key] = D.qo.combination(np.bincount(points, minlength=len(D.qo)))
     return out
 
 
@@ -336,18 +345,13 @@ def propto(x, y):
     return x <= y * n
 
 
-def _cover_points(D):
-    """The generator point of each prime interval, in L.covers order."""
-    return np.array([D.gen[pq] for pq in D.lattice.covers], dtype=np.intp)
-
-
 def _collapsed_down_sets(D, blocks):
     """For each block_of row, the membership vector of the points below a
     point with a prime interval that the row collapses."""
     L = D.lattice
     hit = np.zeros((len(blocks), len(D.qo)), dtype=bool)
     rows, primes = np.nonzero(blocks[:, L.cover_lo] == blocks[:, L.cover_hi])
-    hit[rows, _cover_points(D)[primes]] = True
+    hit[rows, D.point_of_cover[primes]] = True
     return D.qo.down_set(hit)
 
 
@@ -369,7 +373,7 @@ def congruence_correspondence_check(L, D, con, samples=200, seed=7):
     rng = random.Random(seed)
     quads = [[rng.randrange(L.n) for _ in range(4)] for _ in range(samples)]
     rows = con.index_of(con.classes.collapsed_by(list(L.covers) + [q[2:] for q in quads]))
-    want = D.qo.down_set(_cover_points(D)[:, None] == np.arange(len(D.qo)))
+    want = D.qo.down_set(D.point_of_cover[:, None] == np.arange(len(D.qo)))
     bad = np.flatnonzero((images[rows[:len(L.covers)]] != want).any(axis=1))
     if len(bad):
         a, b = L.covers[bad[0]]
@@ -404,22 +408,22 @@ def distributive_dim(L):
 # -- the functor checks ------------------------------------------------------
 
 
-def _natural_map(name, L, pairs, source, target):
-    """The map of generator points that a lattice map induces, given as
-    (cover of L, source point, target point) triples: it must be well defined
-    and one-to-one (each generator class goes to one class and comes from
-    one), onto the points of `target`, and carry the relation `source` to
-    `target`.  Returns the source points it is defined on."""
-    fwd, back = {}, {}
-    for (a, b), p, q in pairs:
-        if fwd.setdefault(p, q) != q or back.setdefault(q, p) != p:
+def _natural_map(name, D, image, target):
+    """The map of generator points that a lattice map induces on D, given as
+    the target point image[i] of each cover i of D's lattice, -1 where the
+    map collapses it: it must be well defined and one-to-one (each generator
+    class goes to one class and comes from one), onto the points of
+    `target`, and carry D's relation to `target`.  Returns the points of D
+    it is defined on."""
+    L, fwd, back = D.lattice, {}, {}
+    for (a, b), p, q in zip(L.covers, D.point_of_cover.tolist(), image.tolist()):
+        if q >= 0 and (fwd.setdefault(p, q) != q or back.setdefault(q, p) != p):
             raise MismatchError(f"{name} generator classes do not match",
                                 witness=(L.names[a], L.names[b]))
     if len(back) != len(target):
         raise MismatchError(f"{name} map is not onto", witness=L.name)
-    src = list(fwd)
-    dst = [fwd[p] for p in src]
-    moved = np.argwhere(source[np.ix_(src, src)] != target[np.ix_(dst, dst)])
+    src, dst = list(fwd), list(fwd.values())
+    moved = np.argwhere(D.qo.rel[np.ix_(src, src)] != target[np.ix_(dst, dst)])
     if len(moved):
         i, j = moved[0].tolist()
         raise MismatchError(f"{name} map does not preserve the relation",
@@ -427,11 +431,18 @@ def _natural_map(name, L, pairs, source, target):
     return src
 
 
+def _image_points(D, a, b):
+    """The point of D of each cover a[i] < b[i] of D's lattice."""
+    M = D.lattice
+    return D.point_of_cover[_cover_index(M.cover_lo, M.cover_hi, M.n, a, b)]
+
+
 def functor_checks(L, D, theta=None, B=None):
     """Product, dual and quotient compatibility of the pipeline.  Each lattice
     map sends a prime interval to a prime interval or collapses it, and the
     map of generator points it induces must be an isomorphism onto the
-    target's QO-system (`_natural_map`)."""
+    target's QO-system (`_natural_map`).  Each map is an index array over
+    the covers, and each image cover is found by `_cover_index`."""
     report = {}
     if B is not None:
         P = product(L, B)
@@ -441,26 +452,27 @@ def functor_checks(L, D, theta=None, B=None):
         union = np.zeros((k + len(DB.qo),) * 2, dtype=bool)
         union[:k, :k], union[k:, k:] = D.qo.rel, DB.qo.rel
         # (a, b) is element a * B.n + b of P, and a cover moves one coordinate
-        pairs = []
-        for (x, y), p in DP.gen.items():
-            (a, b), (c, d) = divmod(x, B.n), divmod(y, B.n)
-            pairs.append(((x, y), p, D.gen[(a, c)] if b == d else k + DB.gen[(b, d)]))
-        _natural_map("product", P, pairs, DP.qo.rel, union)
+        (a, b), (c, d) = np.divmod(P.cover_lo, B.n), np.divmod(P.cover_hi, B.n)
+        in_L = b == d
+        image = np.empty(len(P.covers), dtype=np.intp)
+        image[in_L] = _image_points(D, a[in_L], c[in_L])
+        image[~in_L] = k + _image_points(DB, b[~in_L], d[~in_L])
+        _natural_map("product", DP, image, union)
         report["product"] = "ok"
     # interval reversal: the cover (a, b) of L is the cover (b, a) of its dual
     Dd = dimension_monoid(lattice_dual(L))
-    _natural_map("dual", L, [(ab, p, Dd.gen[ab[::-1]]) for ab, p in D.gen.items()],
-                 D.qo.rel, Dd.qo.rel)
+    _natural_map("dual", D, _image_points(Dd, L.cover_hi, L.cover_lo), Dd.qo.rel)
     report["dual"] = "ok"
     if theta is not None:
         Q, proj = quotient_lattice(L, theta)
         DQ = dimension_monoid(Q)
         # an uncollapsed cover (a, b) goes to the cover of their blocks
-        pairs = [((a, b), p, DQ.gen[(proj[a], proj[b])])
-                 for (a, b), p in D.gen.items() if proj[a] != proj[b]]
-        kept = _natural_map("quotient", L, pairs, D.qo.rel, DQ.qo.rel)
+        lo, hi = np.array(proj)[L.cover_lo], np.array(proj)[L.cover_hi]
+        image, kept = np.full(len(L.covers), -1), lo != hi
+        image[kept] = _image_points(DQ, lo[kept], hi[kept])
+        src = _natural_map("quotient", D, image, DQ.qo.rel)
         collapsed = _collapsed_down_sets(D, np.array([theta.block_of]))[0]
-        if sorted(kept) != np.flatnonzero(~collapsed).tolist():
+        if sorted(src) != np.flatnonzero(~collapsed).tolist():
             raise MismatchError("quotient map is not defined on the uncollapsed points",
                                 witness=theta)
         report["quotient"] = "ok"
@@ -536,11 +548,10 @@ def is_v_modular(L, D, bound=4):
     within = _primes_mask(L, c[:, None], d[:, None])
     inside = np.zeros((n * n, len(D.qo)), dtype=bool)
     rows, primes = np.nonzero(within)
-    inside[rows, _cover_points(D)[primes]] = True
+    inside[rows, D.point_of_cover[primes]] = True
     kind = [row.tobytes() for row in inside]
     verdicts = {}
-    for source in L.covers:
-        p = D.gen[source]
+    for source, p in zip(L.covers, D.point_of_cover.tolist()):
         val = delta(D, *source)
         # [u, v] goes up into itself (c = u, d = v), so its row holds it
         for t in np.flatnonzero(reach[source[0] * n + source[1]]).tolist():

@@ -250,9 +250,9 @@ class FiniteLattice:
     Instances are immutable after construction and safe to share between
     threads; every operation in this package is a pure function.  The only
     state that changes is idempotent memos filled on first use (the height,
-    the padded upper and lower covers and the step columns of
-    `maximal_chain`): a second thread that fills the same entry computes the
-    same value.
+    the padded upper and lower covers, the covering squares and the step
+    columns of the maximal chains): a second thread that fills the same
+    entry computes the same value.
     """
 
     def __init__(self, names, leq, name="L", _validate=True):
@@ -377,32 +377,43 @@ class FiniteLattice:
         array padded with the bottom."""
         return _padded(self._down, self.bottom)
 
-    def maximal_chain(self, a, b):
-        """The index-least maximal chain from a to b (a <= b required).
+    @functools.cached_property
+    def _squares(self):
+        """The covering squares of L (`_covering_squares`), for the
+        semimodularity test and the square classes of a modular L."""
+        return _covering_squares(self.cover_lo, self.cover_hi, self.join)
+
+    def _chain_covers(self, a, b):
+        """The cover indices of the steps of the index-least maximal chain
+        from a to b, for a <= b.
 
         Each step goes from z to the least upper cover of z that lies below
         b.  For a target b these steps form one column, toward_b[z], built
         the first time b is a target: one gather of leq[up, b] over the
         upper cover slots (the top, the padding, lies below b only when b is
         the top and then comes after every real cover) and an argmax over
-        the slots.  The column is kept on the lattice, so a chain costs one
-        list lookup per step.
+        the slots.  The covers are sorted by (lo, hi), so the step's cover
+        index is z's first cover index plus its slot.  The column is kept on
+        the lattice, so a chain costs two list lookups per step.
         """
-        if not self.leq[a, b]:
-            raise ValueError("chain endpoints must satisfy a <= b")
-        chain = [a]
         if a == b:
-            return chain
+            return []
         toward = self._toward.get(b)
         if toward is None:
-            up = self._up_slots
-            first = self.leq[up, b].argmax(axis=1)
-            toward = self._toward[b] = up[np.arange(self.n), first].tolist()
-        z = a
+            first = self.cover_lo.searchsorted(np.arange(self.n))
+            toward = self._toward[b] = (first + self.leq[self._up_slots, b].argmax(axis=1)).tolist()
+        covers, steps, z = self.covers, [], a
         while z != b:
-            z = toward[z]
-            chain.append(z)
-        return chain
+            i = toward[z]
+            steps.append(i)
+            z = covers[i][1]
+        return steps
+
+    def maximal_chain(self, a, b):
+        """The index-least maximal chain from a to b (a <= b required)."""
+        if not self.leq[a, b]:
+            raise ValueError("chain endpoints must satisfy a <= b")
+        return [a] + [self.covers[i][1] for i in self._chain_covers(a, b)]
 
     def __eq__(self, other):
         return (isinstance(other, FiniteLattice) and self.names == other.names
@@ -718,20 +729,25 @@ def _join_irreducibles(L):
     return J, np.array([L._down[j][0] for j in J], dtype=np.intp)
 
 
+def _cover_index(lo, hi, n, a, b):
+    """The index of each cover a[i] < b[i] among the covers lo < hi of an
+    n-element lattice, sorted by (lo, hi), or len(lo) where it is missing.
+    The covers are found in the sorted distinct keys lo * n + hi."""
+    keys, wanted = lo * n + hi, a * n + b
+    t = keys.searchsorted(wanted)
+    t[keys[np.minimum(t, len(keys) - 1)] != wanted] = len(keys)
+    return t
+
+
 def _covering_squares(lo, hi, join):
     """The covering squares over the covers lo[i] < hi[i], sorted by (lo, hi):
     for each ordered pair of distinct covers i = (m, a) and k = (m, c), the
     pair (i, t) with t the index of the cover (c, c v a), or len(lo) where
-    c v a does not cover c.  The covers are found in the sorted distinct
-    keys lo * n + hi."""
-    n = len(join)
+    c v a does not cover c."""
     i, k = _matches(lo, lo)
     other = i != k
     i, c = i[other], hi[k[other]]
-    keys, wanted = lo * n + hi, c * n + join[c, hi[i]]
-    t = keys.searchsorted(wanted)
-    t[keys[np.minimum(t, len(keys) - 1)] != wanted] = len(keys)
-    return i, t
+    return i, _cover_index(lo, hi, len(join), c, join[c, hi[i]])
 
 
 def _semimodular(lo, hi, join):
@@ -743,7 +759,7 @@ def _semimodular(lo, hi, join):
 
 
 def is_semimodular(L):
-    return _semimodular(L.cover_lo, L.cover_hi, L.join)
+    return bool((L._squares[1] < len(L.covers)).all())
 
 
 def is_modular(L):

@@ -226,33 +226,29 @@ def in_canonical_form(qo, values):
     return violates_canonical_form(qo, values) is None
 
 
-def build_qosystem(generators, equalities, absorptions):
-    """Quotient a generator set by equalities, close the absorptions, and fold
-    the induced preorder's cycles into self-related points.
+def build_qosystem(k, equalities, absorptions):
+    """Quotient the generators 0..k-1 by equalities, close the absorptions, and
+    fold the induced preorder's cycles into self-related points.  Each
+    relation set is an (m, 2) array of generator indices, or anything that
+    reshapes to one, [] included.
 
-    Returns (QOSystem, mapping generator -> point index).  Point names are
-    "p0", "p1", ... ordered by least generator.
+    Returns (QOSystem, point_of), point_of[g] the point index of generator g.
+    Point names are "p0", "p1", ... ordered by least generator.
     """
-    gens = list(generators)
-    gidx = {g: i for i, g in enumerate(gens)}
-
-    def ends(pairs):
-        return np.array([(gidx[a], gidx[b]) for a, b in pairs], dtype=np.intp).reshape(-1, 2).T
-
+    eq, ab = (np.asarray(r, dtype=np.intp).reshape(-1, 2).T for r in (equalities, absorptions))
     # step 1: equivalence closure of the equality pairs, numbered by least member
-    cls = _components(len(gens), *ends(equalities))
+    cls = _components(k, *eq)
     m = int(cls.max(initial=-1)) + 1
     # step 2: transitive closure of the induced absorption relation
     prec = np.zeros((m, m), dtype=bool)
-    lo, hi = ends(absorptions)
-    prec[cls[lo], cls[hi]] = True
+    prec[cls[ab[0]], cls[ab[1]]] = True
     prec = _transitive_closure(prec)
     # step 3: each class folds into the least class of its cycle
     reps, point_of = _strong_components(prec)
     rows, cols = np.nonzero(prec)
     rel = np.zeros((len(reps),) * 2, dtype=bool)
     rel[point_of[rows], point_of[cols]] = True
-    return QOSystem.closed(rel), dict(zip(gens, point_of[cls].tolist()))
+    return QOSystem.closed(rel), point_of[cls]
 
 
 def truncate(qo, mapping, n):

@@ -204,7 +204,9 @@ def test_check_reports_a_broken_axiom_by_element_names(monkeypatch, capsys):
         D = build(L)
         if L.name != "N5":
             return D
-        return dim.DimensionMonoid(L, D.qo, {**D.gen, (L.index["0"], L.index["b"]): 1})
+        moved = D.point_of_cover.copy()
+        moved[L.covers.index((L.index["0"], L.index["b"]))] = 1
+        return dim.DimensionMonoid(L, D.qo, moved)
 
     monkeypatch.setattr(dim, "_presented_monoid", moved)
     assert run(["check", "--builtin", "N5", "--json"]) == 1

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +25,22 @@ def by_names(L, pairs):
     return sorted((L.names[a], L.names[b]) for a, b in pairs)
 
 
+def pair_rows(L, pairs):
+    """The caustic pairs as (a, b) tuples, after checking that they come as
+    the rows of a (k, 2) intp array."""
+    assert pairs.dtype == np.intp and pairs.shape[1:] == (2,), L.name
+    return list(map(tuple, pairs.tolist()))
+
+
+def cover_rows(L, rows):
+    """Relation rows of cover indices as ((p, q), (p', q')) cover pairs,
+    after checking that they are intp, sorted and distinct."""
+    assert rows.dtype == np.intp and rows.shape[1:] == (2,), L.name
+    keys = rows[:, 0] * len(L.covers) + rows[:, 1]
+    assert (keys[1:] > keys[:-1]).all(), L.name
+    return [(L.covers[f], L.covers[g]) for f, g in rows.tolist()]
+
+
 def test_caustic_pairs_n5():
     N5 = lat.builtin("N5")
     assert by_names(N5, caustic_pairs(N5)) == [("a", "b"), ("b", "c")]
@@ -32,12 +49,12 @@ def test_caustic_pairs_n5():
 def test_caustic_pairs_m3_and_chain():
     M3 = lat.builtin("M3")
     assert by_names(M3, caustic_pairs(M3)) == [("a", "b"), ("a", "c"), ("b", "c")]
-    assert caustic_pairs(lat.builtin("chain", 6)) == []
+    assert caustic_pairs(lat.builtin("chain", 6)).shape == (0, 2)
 
 
 def test_caustic_relations_n5_exact():
     N5 = lat.builtin("N5")
-    X, Y = caustic_relations(N5)
+    X, Y = (cover_rows(N5, R) for R in caustic_relations(N5))
     i = N5.index
 
     def pr(u, v):
@@ -96,11 +113,8 @@ def loop_caustic_relations(L):
 
 def assert_same_as_loop(L):
     pairs, (X, Y) = caustic_pairs(L), caustic_relations(L)
-    assert pairs == loop_caustic_pairs(L), L.name
-    assert (X, Y) == loop_caustic_relations(L), L.name
-    coords = [v for ab in pairs for v in ab]
-    coords += [v for rel in X + Y for pq in rel for v in pq]
-    assert all(type(v) is int for v in coords), L.name
+    assert pair_rows(L, pairs) == loop_caustic_pairs(L), L.name
+    assert (cover_rows(L, X), cover_rows(L, Y)) == loop_caustic_relations(L), L.name
 
 
 def test_caustic_stages_match_loops_on_catalog(monkeypatch):
@@ -136,16 +150,14 @@ def test_caustic_pairs_match_dense_oracle(monkeypatch):
     for cells in (dim._BLOCK_CELLS, 1):  # 1: one row per block
         monkeypatch.setattr(dim, "_BLOCK_CELLS", cells)
         for L, pairs in zip(lattices, want):
-            found = caustic_pairs(L)
-            assert found == pairs, L.name
-            assert all(type(v) is int for ab in found for v in ab), L.name
+            assert pair_rows(L, caustic_pairs(L)) == pairs, L.name
 
 
 def test_caustic_relations_boolean_square():
     B2 = lat.builtin("boolean", 2)
     X, Y = caustic_relations(B2)
-    assert Y == []
-    assert len(X) == 2
+    assert Y.shape == (0, 2)
+    assert len(cover_rows(B2, X)) == 2
 
 
 # (generator classes, idempotent classes) of D L, pinned per builtin
@@ -491,10 +503,12 @@ def test_correspondence_check_failures(spec, tamper, message, witness):
         for a in range(L.n):
             D._delta_cache[(a, L.top)] = D.qo.zero()
     elif tamper == "antichain":
-        D = dim.DimensionMonoid(L, QOSystem(D.qo.points, []), D.gen)
+        D = dim.DimensionMonoid(L, QOSystem(D.qo.points, []), D.point_of_cover)
     else:
         # 0..b moved onto another generator point
-        D = dim.DimensionMonoid(L, D.qo, {**D.gen, (L.index["0"], L.index["b"]): 2})
+        moved = D.point_of_cover.copy()
+        moved[L.covers.index((L.index["0"], L.index["b"]))] = 2
+        D = dim.DimensionMonoid(L, D.qo, moved)
     with pytest.raises(MismatchError, match=message) as err:
         dim.congruence_correspondence_check(L, D, C)
     assert err.value.witness == witness
@@ -538,12 +552,34 @@ def test_square_classes_match_the_presentation(monkeypatch):
             m.setattr(dim, "_presented_monoid", refuse)
             D = dimension_monoid(L)
         P = dim._presented_monoid(L)
-        assert list(D.gen.items()) == list(P.gen.items()), L.name
+        assert np.array_equal(D.point_of_cover, P.point_of_cover), L.name
+        assert D.point_of_cover.dtype == np.intp and not D.point_of_cover.flags.writeable
+        assert D.gen == dict(zip(L.covers, P.point_of_cover.tolist())), L.name
+        with pytest.raises(TypeError):
+            D.gen[(0, 0)] = 0
         assert D.qo.points == P.qo.points and np.array_equal(D.qo.rel, P.qo.rel), L.name
         assert D.report_dict() == P.report_dict(), L.name
         if L.n <= 64:
             for a, b in itertools.product(range(L.n), repeat=2):
                 assert delta(D, a, b).values == delta(P, a, b).values, (L.name, a, b)
+
+
+def test_modular_monoid_finds_the_covering_squares_once():
+    # L's own squares serve the semimodularity test and the square classes;
+    # the dual's pass of the modularity test finds its own.  A profile hook
+    # counts the calls under any name the function is imported by.
+    code, calls = lat._covering_squares.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        dimension_monoid(lat.builtin("boolean", 4))
+    finally:
+        sys.setprofile(None)
+    assert len(calls) == 2
 
 
 def test_projectivity_classes_match_pipeline_on_modular():
@@ -715,9 +751,11 @@ def test_functor_check_failures(tamper, message, witness):
     i = L.index
     D, kwargs = dimension_monoid(L), {}
     if tamper == "moved":
-        D = dim.DimensionMonoid(L, D.qo, {**D.gen, (i["0"], i["b"]): D.gen[(i["0"], i["c"])]})
+        moved = D.point_of_cover.copy()
+        moved[L.covers.index((i["0"], i["b"]))] = moved[L.covers.index((i["0"], i["c"]))]
+        D = dim.DimensionMonoid(L, D.qo, moved)
     elif tamper == "flat":
-        D = dim.DimensionMonoid(L, QOSystem(D.qo.points, []), D.gen)
+        D = dim.DimensionMonoid(L, QOSystem(D.qo.points, []), D.point_of_cover)
     else:
         blocks = tamper.split("|")
         kwargs["theta"] = Congruence(L, [i[next(b for b in blocks if x in b)[0]] for x in L.names])
@@ -835,7 +873,7 @@ def caustic_path_relations(L):
     step of the second leg equals the last step of the first leg's ascent,
     interior steps are absorbed by their leg's boundary step."""
     X, Y = set(), set()
-    for pair in caustic_pairs(L):
+    for pair in caustic_pairs(L).tolist():
         for s, t in (pair, pair[::-1]):
             m, j = L.mt(s, t), L.jn(s, t)
             first_legs = _all_paths(L, m, t)
@@ -862,6 +900,6 @@ def test_path_free_relations_equal_per_path_relations():
                  "subspace:2,2")]
     lattices += random_eight_element_lattices(3, seed=77)
     for L in lattices:
-        fast = caustic_relations(L)
+        fast = tuple(cover_rows(L, R) for R in caustic_relations(L))
         slow = caustic_path_relations(L)
         assert fast == slow, L.name

@@ -17,9 +17,10 @@ from oracles import residual_by_levels, semilattice_quotient
 
 
 def n5_system():
-    """The relation set produced by the pentagon: q2 below q1 and q3."""
-    qo, gmap = build_qosystem([1, 2, 3, 4, 5], [(1, 4), (3, 5)], [(2, 1), (2, 5)])
-    return qo, gmap
+    """The relation set produced by the pentagon: q2 below q1 and q3.  The
+    generators 1..5 are the indices 0..4, and the map is by generator."""
+    qo, point_of = build_qosystem(5, [(0, 3), (2, 4)], [(1, 0), (1, 4)])
+    return qo, dict(zip([1, 2, 3, 4, 5], point_of.tolist()))
 
 
 def test_build_qosystem_n5_relations():
@@ -35,16 +36,17 @@ def test_build_qosystem_n5_relations():
 
 
 def test_build_qosystem_trivial_cases():
-    qo, gmap = build_qosystem(["x", "y", "z"], [], [])
+    qo, point_of = build_qosystem(3, [], [])
     assert len(qo.points) == 3 and qo.is_antichain() and not qo.p0
-    qo1, gmap1 = build_qosystem([1], [], [(1, 1)])
+    assert point_of.tolist() == [0, 1, 2]
+    qo1, _ = build_qosystem(1, [], [(0, 0)])
     assert len(qo1.points) == 1 and qo1.p0 == {0}
     v = qo1.generator(0)
     assert v + v == v  # e + e == e
 
 
 def test_build_qosystem_cycle_becomes_idempotent():
-    qo, gmap = build_qosystem([1, 2], [], [(1, 2), (2, 1)])
+    qo, point_of = build_qosystem(2, [], [(0, 1), (1, 0)])
     assert len(qo.points) == 1 and qo.p0 == {0}
 
 
@@ -220,11 +222,15 @@ def assert_same_qosystem(qo, ref, rng, reasons):
 
 
 def assert_same_build(gens, equalities, absorptions, rng, reasons):
-    qo, gen_map = build_qosystem(gens, equalities, absorptions)
+    """build_qosystem on the generators' indices against the named-generator
+    reference."""
+    gidx = {g: i for i, g in enumerate(gens)}
+    qo, point_of = build_qosystem(len(gens), *([[gidx[a], gidx[b]] for a, b in pairs]
+                                               for pairs in (equalities, absorptions)))
     ref, ref_map = reference_build_qosystem(gens, equalities, absorptions)
     assert_same_qosystem(qo, ref, rng, reasons)
-    assert gen_map == ref_map
-    assert all(type(p) is int for p in gen_map.values())
+    assert point_of.dtype == np.intp
+    assert dict(zip(gens, point_of.tolist())) == ref_map
 
 
 def test_build_qosystem_matches_loop_reference_on_random_inputs():
@@ -248,7 +254,8 @@ def test_build_qosystem_matches_loop_reference_on_catalog(small_builtins):
 
     rng = random.Random(33)
     for L in small_builtins:
-        X, Y = caustic_relations(L)
+        X, Y = ([(L.covers[f], L.covers[g]) for f, g in R.tolist()]
+                for R in caustic_relations(L))
         assert_same_build(list(L.covers), X, Y, rng, set())
 
 
