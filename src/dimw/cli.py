@@ -168,7 +168,7 @@ def cmd_check(args):
                 raise MismatchError("subdirect map does not reflect order")
 
         if L.n <= dim.V_MODULAR_GUARD:
-            ok, witness = dim.is_v_modular(L, D, bound=args.bound)
+            ok, witness = dim.is_v_modular(L, D)
             results["v_modular"] = {"status": "yes" if ok else "no",
                                     "witness": None if witness is None else
                                     [[L.names[u], L.names[v]] for u, v in witness]}
@@ -188,11 +188,16 @@ def cmd_check(args):
     return 1 if failures else 0
 
 
+def _dot_id(text):
+    """text as a quoted DOT ID: backslashes, then quotes, escaped."""
+    return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def export_dot(L, D=None):
     """DOT digraph of the Hasse diagram; optional generator-class labels."""
-    lines = [f'digraph "{L.name}" {{', "  rankdir=BT;"]
+    lines = [f"digraph {_dot_id(L.name)} {{", "  rankdir=BT;"]
     for i in range(L.n):
-        lines.append(f'  n{i} [label="{L.names[i]}"];')
+        lines.append(f"  n{i} [label={_dot_id(L.names[i])}];")
     for i, (a, b) in enumerate(L.covers):
         label = "" if D is None else f' [label="{D.qo.points[D.point_of_cover[i]]}"]'
         lines.append(f"  n{a} -> n{b}{label};")

@@ -280,10 +280,11 @@ def all_congruences(L):
     return CongruenceLattice(classes, _down_sets(classes.below, limit, "congruence lattice"))
 
 
-def quotient_lattice(L, theta):
-    """L / theta together with the block index of every element of L."""
+def quotient_lattice(L, block_of):
+    """L / theta, for the block_of row of a congruence theta, together with
+    the block index of every element of L."""
     # blocks in the order of their least members, as in theta.blocks()
-    reps, proj = np.unique(theta.block_of, return_inverse=True)
+    reps, proj = np.unique(block_of, return_inverse=True)
     onehot = proj[:, None] == np.arange(len(reps))
     # [x] <= [y] iff some member of [x] lies below some member of [y]
     leq = onehot.T @ L.leq @ onehot

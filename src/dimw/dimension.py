@@ -52,10 +52,13 @@ tries its compiled `k*(...)` pattern only on terms that contain `*`.
 
 V-modularity and DEP are table passes too.  `is_v_modular` closes the
 one-step weak-projectivity relation on element pairs, an n^2 x n^2 bool
-matrix guarded to n <= 24, and searches each (source point, target point
-set) once; `dep_check` stacks the word values upstairs and in each factor
-as float arrays and compares their order matrices whole.  The test suite
-checks both against the element loops they replaced (`tests/oracles.py`).
+matrix guarded to n <= 24; Delta of a prime is its generator vector, which
+a target holds iff the prime's point is the point of one of the target's
+primes, so the verdict is one mask over the closure and needs no sum
+search and no bound.  `dep_check` stacks the word values upstairs and in
+each factor as float arrays and compares their order matrices whole.  The
+test suite checks both against the element loops they replaced
+(`tests/oracles.py`).
 
 Delta is functorial: a product projection, a quotient map and order
 reversal each send a prime interval to a prime interval or collapse it.
@@ -78,7 +81,7 @@ from .errors import MismatchError, NotDistributive, ParamTooLarge
 from .lattice import dual as lattice_dual
 from .lattice import (_components, _cover_index, _join_irreducibles, _matches, _padded,
                       _transitive_closure, is_distributive, is_modular, product)
-from .monoid import DimVector, QOSystem, _index_set, build_qosystem
+from .monoid import QOSystem, _index_set, build_qosystem
 
 
 # the row blocks of the caustic-pair passes and of the absorption masks hold
@@ -464,7 +467,7 @@ def functor_checks(L, D, theta=None, B=None):
     _natural_map("dual", D, _image_points(Dd, L.cover_hi, L.cover_lo), Dd.qo.rel)
     report["dual"] = "ok"
     if theta is not None:
-        Q, proj = quotient_lattice(L, theta)
+        Q, proj = quotient_lattice(L, theta.block_of)
         DQ = dimension_monoid(Q)
         # an uncollapsed cover (a, b) goes to the cover of their blocks
         lo, hi = np.array(proj)[L.cover_lo], np.array(proj)[L.cover_hi]
@@ -480,31 +483,6 @@ def functor_checks(L, D, theta=None, B=None):
 
 
 # -- V-modularity and DEP ---------------------------------------------------
-
-
-def _bounded_sum_search(target, parts, bound):
-    """Is target a sum of at most `bound` vectors from parts (with repeats)?
-
-    Breadth-first over partial sums; every prefix of a valid sum stays
-    componentwise below the target, so domination is a complete filter.
-    """
-    sums = {tuple(target.qo.zero().values)}
-    if target.is_zero():
-        return True
-    for _ in range(bound):
-        fresh = set()
-        for s in sums:
-            sv = DimVector(target.qo, s, validate=False)
-            for p in parts:
-                t = sv + p
-                if t == target:
-                    return True
-                if t <= target and t.values not in sums:
-                    fresh.add(t.values)
-        if not fresh:
-            return False
-        sums |= fresh
-    return False
 
 
 # is_v_modular holds one bool cell per pair of element pairs: n^4 for n at
@@ -526,43 +504,45 @@ def _weak_projectivity(L):
     return _transitive_closure((up | down).reshape(n * n, n * n))
 
 
-def is_v_modular(L, D, bound=4):
-    """Bounded check that weakly projective images stay in the canonical
-    submonoid of the target interval.
+def is_v_modular(L, D):
+    """Check that weakly projective images stay in the canonical submonoid
+    of the target interval: (True, None), or (False, (source, target)) for
+    the first failing prime source in cover order and its least target.
 
     Sources range over prime intervals: a general source decomposes into a
     chain of primes, each weakly projective into the same target, so any
     failure already shows up on a prime.  The targets of every source are
     its row of one transitive closure of the one-step relation on element
-    pairs, n^2 x n^2 cells, walked in (c, d) order.  The sum search depends
-    only on the source's point and the points of the target's primes, so
-    each such pair is searched once.
+    pairs, n^2 x n^2 cells, in (c, d) order.
+
+    A target holds Delta of a prime with point p iff p is among S, the
+    points of the target's primes, at any bound on the number of parts.  In
+    canonical form Delta of that prime is the generator vector f_p, every
+    part is some f_q with q in S, and a sum of parts is
+    `QOSystem.combination(c)` for counts c on S.  Suppose c_p = 0.  If p
+    lies strictly below no counted point, the sum reads 0 at p, where f_p
+    reads 1 or oo.  If p lies strictly below a counted q, the sum is
+    nonzero at q, but f_p reads 0 at q: the relation is antisymmetric, so q
+    is not strictly below p.  So p in S is necessary, and one part f_p is
+    enough.  The verdict is then one table pass over the sources' rows.
     """
     n = L.n
     if n > V_MODULAR_GUARD:
         raise ParamTooLarge(f"V-modularity check of {n} elements needs {n ** 4} "
                             f"cells, over the guard {V_MODULAR_GUARD ** 4}")
     reach = _weak_projectivity(L)
-    # the primes inside each [c, d], and the set of their points as a key
+    # inside[c*n + d, p]: some prime of [c, d] has point p
     c, d = np.divmod(np.arange(n * n), n)
-    within = _primes_mask(L, c[:, None], d[:, None])
+    rows, primes = np.nonzero(_primes_mask(L, c[:, None], d[:, None]))
     inside = np.zeros((n * n, len(D.qo)), dtype=bool)
-    rows, primes = np.nonzero(within)
     inside[rows, D.point_of_cover[primes]] = True
-    kind = [row.tobytes() for row in inside]
-    verdicts = {}
-    for source, p in zip(L.covers, D.point_of_cover.tolist()):
-        val = delta(D, *source)
-        # [u, v] goes up into itself (c = u, d = v), so its row holds it
-        for t in np.flatnonzero(reach[source[0] * n + source[1]]).tolist():
-            key = (p, kind[t])
-            if key not in verdicts:
-                parts = sorted({delta(D, *L.covers[i]) for i in np.flatnonzero(within[t])},
-                               key=lambda v: v.values)
-                verdicts[key] = _bounded_sum_search(val, parts, bound)
-            if not verdicts[key]:
-                return False, (source, divmod(t, n))
-    return True, None
+    # [u, v] goes up into itself (c = u, d = v), so its row holds it
+    fails = reach[L.cover_lo * n + L.cover_hi] & ~inside[:, D.point_of_cover].T
+    hit = np.argwhere(fails)
+    if not len(hit):
+        return True, None
+    s, t = hit[0].tolist()
+    return False, (L.covers[s], divmod(t, n))
 
 
 def _order_matrix(V):
@@ -590,7 +570,7 @@ def dep_check(L, con, D, k=3, max_pool=8, seed=11):
     order upstairs must equal the AND of the factors' orders."""
     quots = []
     for i in con.meet_irreducibles():
-        Q, proj = quotient_lattice(L, con.congruences[i])
+        Q, proj = quotient_lattice(L, con.blocks[i])
         quots.append((dimension_monoid(Q), proj))
     rng = random.Random(seed)
     pool = list(L.covers)

@@ -30,16 +30,17 @@ a join of atoms.  The residual x -> y searches the even truncation levels
 of y - x for the first exact one, where the library computes that level.
 
 The cross-check oracles are the element loops that V-modularity, DEP,
-n-distributivity and the decomposition closure ran before they became
-passes over the tables: a breadth-first search of weakly projective
-intervals with one sum search per target, the pairwise product of DEP word
-values, Huhn's identity evaluated one tuple at a time, and the closure
-rescanned pair by pair until nothing changes.  Normality scans the member
-pairs one at a time, and a neutral ideal grows from a worklist.  The
-lattice index, the homogeneous base sets and the sectionally complemented
-branch of n-distributivity come from a depth-first search of homogeneous
-sequences, rerun for every element and every base, where the library
-grows all sequences at once, level by level.
+n-distributivity and the decomposition closure ran before they became passes
+over the tables: a breadth-first search of weakly projective intervals with
+one bounded breadth-first search over partial sums per target, where the
+library tests point membership, the pairwise product of DEP word values,
+Huhn's identity evaluated one tuple at a time, and the closure rescanned
+pair by pair until nothing changes.  Normality scans the member pairs one at
+a time, and a neutral ideal grows from a worklist.  The lattice index, the
+homogeneous base sets and the sectionally complemented branch of
+n-distributivity come from a depth-first search of homogeneous sequences,
+rerun for every element and every base, where the library grows all
+sequences at once, level by level.
 """
 
 import itertools
@@ -48,10 +49,10 @@ import random
 import numpy as np
 
 from dimw.congruence import Congruence, quotient_lattice
-from dimw.dimension import _bounded_sum_search, _primes_mask, delta, dimension_monoid
+from dimw.dimension import _primes_mask, delta, dimension_monoid
 from dimw.errors import NotBelow
 from dimw.lattice import FiniteLattice, _padded, _transitive_closure
-from dimw.monoid import INF, _index_set, truncate
+from dimw.monoid import INF, DimVector, _index_set, truncate
 
 
 class UnionFind:
@@ -370,6 +371,31 @@ def _weak_targets(L, iv):
     return out
 
 
+def _bounded_sum_search(target, parts, bound):
+    """Is target a sum of at most `bound` vectors from parts (with repeats)?
+
+    Breadth-first over partial sums; every prefix of a valid sum stays
+    componentwise below the target, so domination is a complete filter.
+    """
+    sums = {tuple(target.qo.zero().values)}
+    if target.is_zero():
+        return True
+    for _ in range(bound):
+        fresh = set()
+        for s in sums:
+            sv = DimVector(target.qo, s, validate=False)
+            for p in parts:
+                t = sv + p
+                if t == target:
+                    return True
+                if t <= target and t.values not in sums:
+                    fresh.add(t.values)
+        if not fresh:
+            return False
+        sums |= fresh
+    return False
+
+
 def is_v_modular_by_search(L, D, bound=4):
     """V-modularity with a breadth-first search of the weakly projective
     targets of each prime and one sum search per target."""
@@ -399,7 +425,7 @@ def dep_check_by_pairs(L, con, D, k=3, max_pool=8, seed=11):
     the order in every factor, one pair at a time."""
     quots = []
     for i in con.meet_irreducibles():
-        Q, proj = quotient_lattice(L, con.congruences[i])
+        Q, proj = quotient_lattice(L, con.congruences[i].block_of)
         quots.append((dimension_monoid(Q), proj))
     rng = random.Random(seed)
     pool = list(L.covers)

@@ -14,6 +14,7 @@ from dimw import lattice as lat
 from dimw.cli import CATALOG_INSTANCES, catalog_summary, export_dot, run
 from dimw.dimension import dimension_monoid
 
+from conftest import random_lattices
 from oracles import (is_atomistic_by_atom_joins, is_distributive_by_identity,
                      is_modular_by_identity, is_relatively_complemented_by_tables,
                      is_sectionally_complemented_by_tables, is_semimodular_by_pairs)
@@ -116,6 +117,16 @@ def test_dot_deterministic():
     N5 = lat.builtin("N5")
     D = dimension_monoid(N5)
     assert export_dot(N5, D) == export_dot(N5, dimension_monoid(lat.builtin("N5")))
+
+
+def test_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    # the one output change of DOT escaping: names without " or \ print as before
+    path = tmp_path / "quoted.json"
+    lat.save(lat.build_lattice(['a"b', "c\\d"], [('a"b', "c\\d")], name='q"\\'), path)
+    assert run(["dot", "--file", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        'digraph "q\\"\\\\" {\n  rankdir=BT;\n  n0 [label="a\\"b"];\n'
+        '  n1 [label="c\\\\d"];\n  n0 -> n1;\n}\n')
 
 
 def test_catalog(capsys):
@@ -293,6 +304,18 @@ def test_bound_is_an_option_of_check_only(capsys):
         assert run([verb, "--builtin", "N5", "--bound", "3"]) == 2, verb
         err = capsys.readouterr().err.splitlines()
         assert err[-1] == "dimw: error: unrecognized arguments: --bound 3", verb
+
+
+def test_v_modular_does_not_depend_on_the_bound(tmp_path):
+    # rand10's first failing target holds two points strictly below the
+    # source's point, where a sum search over the parts grew until the bound
+    path = tmp_path / "rand10.json"
+    lat.save(random_lattices()[10], path)
+    runs = [_proc("check", "--all", "--file", str(path), "--bound", bound, timeout=30)
+            for bound in ("4", "100000000000000000000")]
+    assert [proc.returncode for proc in runs] == [0, 0]
+    assert "v_modular: no" in runs[0].stdout
+    assert runs[1].stdout == runs[0].stdout
 
 
 def test_not_a_lattice_witness_is_found_at_scale(tmp_path):

@@ -91,16 +91,16 @@ def test_congruence_invariants():
 
 def test_quotient_identity_and_coarse():
     L = lat.builtin("N5")
-    Q, proj = quotient_lattice(L, Congruence.identity(L))
+    Q, proj = quotient_lattice(L, Congruence.identity(L).block_of)
     assert Q.n == L.n
-    Q1, _ = quotient_lattice(L, Congruence.coarse(L))
+    Q1, _ = quotient_lattice(L, Congruence.coarse(L).block_of)
     assert Q1.n == 1
 
 
 def test_quotient_kernel_is_theta():
     for L in builtins_up_to(16):
         for theta in all_congruences(L).congruences:
-            Q, proj = quotient_lattice(L, theta)
+            Q, proj = quotient_lattice(L, theta.block_of)
             for x in range(L.n):
                 for y in range(L.n):
                     assert (proj[x] == proj[y]) == theta.same(x, y)
@@ -109,7 +109,7 @@ def test_quotient_kernel_is_theta():
 def test_quotient_n5_by_theta_c_a():
     N5 = lat.builtin("N5")
     i = N5.index
-    Q, _ = quotient_lattice(N5, congruence_from_pairs(N5, [(i["c"], i["a"])]))
+    Q, _ = quotient_lattice(N5, congruence_from_pairs(N5, [(i["c"], i["a"])]).block_of)
     assert Q.n == 4
     assert lat.is_distributive(Q) and len(Q.atoms()) == 2  # Boolean square
 
@@ -259,7 +259,8 @@ def test_order_guard_precedes_the_order_table(monkeypatch):
 
 
 def test_con_and_check_build_no_congruence_objects(monkeypatch, capsys):
-    # both verbs read the block table; its Congruence objects are built on demand
+    # both verbs, check --all's DEP quotients too, read the block table; its
+    # Congruence objects are built on demand
     def refuse(self, over, block_of):
         raise AssertionError("Congruence built")
 
@@ -267,6 +268,8 @@ def test_con_and_check_build_no_congruence_objects(monkeypatch, capsys):
     for argv, out in (
             (["con"], "Con(coprod_c3_c1): 272 congruences (11 meet-irreducible, "
                       "11 join-irreducible); simple: False; congruence lattice height 11\n"),
-            (["check"], "axioms: pass\ncongruence_correspondence: pass\ndual_functor: pass\n")):
+            (["check"], "axioms: pass\ncongruence_correspondence: pass\ndual_functor: pass\n"),
+            (["check", "--all"], "axioms: pass\ncongruence_correspondence: pass\n"
+                                 "dimension_extension: pass\ndual_functor: pass\nv_modular: no\n")):
         assert run(argv + ["--builtin", "coprod_c3_c1"]) == 0
         assert capsys.readouterr().out == out

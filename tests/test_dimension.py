@@ -13,7 +13,7 @@ from dimw.dimension import (DimensionWord, caustic_pairs, caustic_relations, del
                             dep_check, dimension_monoid, distributive_dim,
                             functor_checks, is_v_modular, word_compare)
 from dimw.errors import MismatchError, NotALattice, NotDistributive, NotModular, ParamTooLarge
-from dimw.monoid import QOSystem
+from dimw.monoid import DimVector, QOSystem
 from conftest import (builtins_up_to, cross_check_lattices, random_eight_element_lattices,
                       random_lattices, random_posets)
 from oracles import (caustic_pairs_by_tables, delta_by_steps, dep_check_by_pairs,
@@ -780,15 +780,34 @@ def test_v_modularity():
         assert is_v_modular(L, dimension_monoid(L))[0], spec
 
 
+def _v_modular_lattices():
+    return cross_check_lattices() + [L for L in random_lattices() if L.n <= dim.V_MODULAR_GUARD]
+
+
 def test_v_modular_matches_search_oracle():
+    """The point-membership verdict is the sum search's at every bound, on
+    both derivations of D."""
     verdicts = set()
-    for L in cross_check_lattices():
-        D = dimension_monoid(L)
-        for bound in (1, 4):
-            got = is_v_modular(L, bound=bound, D=D)
-            assert got == is_v_modular_by_search(L, bound=bound, D=D), (L.name, bound)
+    for L in _v_modular_lattices():
+        for derive in (dimension_monoid, dim._presented_monoid):
+            D = derive(L)
+            got = is_v_modular(L, D)
+            for bound in range(1, 5):
+                assert got == is_v_modular_by_search(L, D, bound), (L.name, derive, bound)
             verdicts.add(got[0])
     assert verdicts == {True, False}
+
+
+def test_v_modular_evaluates_no_delta(monkeypatch):
+    monoids = [(L, dimension_monoid(L)) for L in _v_modular_lattices()]
+    expected = [is_v_modular_by_search(L, D, 1) for L, D in monoids]
+
+    def refuse(*args):
+        raise AssertionError("Delta evaluated or a vector built")
+
+    monkeypatch.setattr(dim, "delta", refuse)
+    monkeypatch.setattr(DimVector, "__init__", refuse)
+    assert [is_v_modular(L, D) for L, D in monoids] == expected
 
 
 def test_v_modular_refuses_a_large_lattice_at_once(monkeypatch):
@@ -809,7 +828,7 @@ class _Factors:
     that DEP runs on too few factors."""
 
     def __init__(self, con, keep):
-        self.congruences, self._keep = con.congruences, keep
+        self.congruences, self.blocks, self._keep = con.congruences, con.blocks, keep
 
     def meet_irreducibles(self):
         return self._keep

@@ -164,7 +164,7 @@ def normal_kernel_theorems_check(L):
         raise MismatchError("4L is not inside the normal kernel",
                             witness=sorted(L.names[x] for x in four - kernel))
     theta = congruence_from_pairs(L, [(L.bottom, u) for u in kernel])
-    Q, _ = quotient_lattice(L, theta)
+    Q, _ = quotient_lattice(L, theta.block_of)
     if not n_distributive(Q, 3):
         raise MismatchError("quotient by the normal kernel is not 3-distributive",
                             witness=L.name)
