@@ -265,10 +265,11 @@ def make_parser():
         prog="dimw", description="finite-lattice dimension monoid workbench")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def common(p, word=False, words=False):
+    def common(p, word=False, words=False, json_out=True):
         p.add_argument("--builtin", help="catalog key, e.g. partition:4 or subspace:2,3")
         p.add_argument("--file", help="lattice JSON file")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+        if json_out:
+            p.add_argument("--json", action="store_true", help="machine-readable output")
         if word:
             p.add_argument("--word", required=True, help="e.g. '0..a + 2*(a..1)'")
         if words:
@@ -287,7 +288,7 @@ def make_parser():
     pc.add_argument("--all", action="store_true", help="include the geometry checks")
     pc.add_argument("--bound", type=_positive_int, default=4)
     pd = sub.add_parser("dot", help="DOT export of the Hasse diagram")
-    common(pd)
+    common(pd, json_out=False)
     pd.add_argument("--labels", action="store_true",
                     help="annotate covers with generator class ids")
     pcat = sub.add_parser("catalog", help="builtin table with headline results")

@@ -13,9 +13,12 @@ block table: row i of `CongruenceLattice.blocks` is the block_of array of
 congruence i, each block named by its least member.  `DClasses.collapsed_by`
 gives the class masks the pairs generate in one stacked pass, and
 `CongruenceLattice.index_of` turns those masks into rows of the table.
+
+A congruence is such a block_of row throughout the package.  `to_json` and
+`from_json` write and read it as a JSON sidecar that lists the blocks by
+element names, beside `lattice.to_json` and `lattice.from_json`.
 """
 
-import functools
 import json
 
 import numpy as np
@@ -32,90 +35,6 @@ CON_COUNT_GUARD = 100_000
 CON_TABLE_GUARD = 1 << 21
 # the refinement order is a |Con L|^2 bool matrix
 CON_ORDER_GUARD = 1 << 24
-
-
-class Congruence:
-    """A lattice-compatible partition of the element indices of `over`."""
-
-    def __init__(self, over, block_of):
-        self.over = over
-        # normalize block ids to the least member of each block: indices are
-        # visited in ascending order, so the first one seen is the least
-        rep = {}
-        self.block_of = tuple(rep.setdefault(b, i) for i, b in enumerate(block_of))
-
-    @classmethod
-    def identity(cls, L):
-        return cls(L, tuple(range(L.n)))
-
-    @classmethod
-    def coarse(cls, L):
-        return cls(L, (0,) * L.n)
-
-    def blocks(self):
-        # each block first appears at its least member, which names it
-        by_rep = {}
-        for i, b in enumerate(self.block_of):
-            by_rep.setdefault(b, []).append(i)
-        return tuple(map(tuple, by_rep.values()))
-
-    def block_count(self):
-        return len(set(self.block_of))
-
-    def same(self, x, y):
-        return self.block_of[x] == self.block_of[y]
-
-    def is_compatible(self):
-        """x ^ z and x v z share a block with r ^ z and r v z for all x, z,
-        r the least member of x's block; so do any two members of a block."""
-        L = self.over
-        b = np.array(self.block_of, dtype=np.intp)
-        return all((b[t] == b[t[b]]).all() for t in (L.meet, L.join))
-
-    def to_json(self):
-        L = self.over
-        return json.dumps({"congruence": [[L.names[i] for i in b] for b in self.blocks()]},
-                          sort_keys=True)
-
-    @classmethod
-    def from_json(cls, L, text):
-        """Parse the sidecar format: {"congruence": [[names...], ...]}."""
-        doc = json.loads(text) if isinstance(text, str) else text
-        if not isinstance(doc, dict):
-            raise ValueError("congruence sidecar must hold a JSON object")
-        if "congruence" not in doc:
-            raise ValueError("congruence sidecar has no 'congruence' key")
-        blocks = doc["congruence"]
-        if not isinstance(blocks, list) or not all(
-                isinstance(block, list) and all(map(_is_name, block)) for block in blocks):
-            raise ValueError("'congruence' must be a list of lists of names")
-        block_of = [None] * L.n
-        for block in blocks:
-            if not block:
-                raise ValueError("empty block in congruence")
-            # names match by str(), as in build_lattice; Congruence renames blocks
-            for x in map(str, block):
-                if x not in L.index:
-                    raise ValueError(f"unknown element {x!r} in congruence")
-                if block_of[L.index[x]] is not None:
-                    raise ValueError(f"element {x!r} appears in two blocks")
-                block_of[L.index[x]] = L.index[str(block[0])]
-        if None in block_of:
-            raise ValueError("blocks do not cover every element")
-        theta = cls(L, tuple(block_of))
-        if not theta.is_compatible():
-            raise ValueError("blocks are not compatible with meet and join")
-        return theta
-
-    def __eq__(self, other):
-        return self.over is other.over and self.block_of == other.block_of
-
-    def __hash__(self):
-        return hash(self.block_of)
-
-    def __repr__(self):
-        return "Congruence(%s)" % " | ".join(
-            ",".join(self.over.names[i] for i in b) for b in self.blocks())
 
 
 def _d_block(L, J, lower, rows, cols):
@@ -206,9 +125,10 @@ class DClasses:
 
 
 def congruence_from_pairs(L, pairs):
-    """Smallest congruence of L merging every given pair."""
+    """The block_of row of the smallest congruence of L merging every given
+    pair."""
     D = DClasses(L)
-    return Congruence(L, D.partitions(D.collapsed_by(pairs).any(axis=0)[None, :])[0].tolist())
+    return D.partitions(D.collapsed_by(pairs).any(axis=0)[None, :])[0]
 
 
 class CongruenceLattice:
@@ -233,11 +153,6 @@ class CongruenceLattice:
 
     def __len__(self):
         return len(self.blocks)
-
-    @functools.cached_property
-    def congruences(self):
-        """One Congruence per row of the table, built on first read."""
-        return [Congruence(self.over, r) for r in self.blocks.tolist()]
 
     @property
     def leq(self):
@@ -268,10 +183,6 @@ class CongruenceLattice:
         excluded): the complements of the principal up-sets."""
         return np.sort(self.index_of(~self.classes.below)).tolist()
 
-    def principal(self, a, b):
-        """Theta(a, b), read from the table."""
-        return self.congruences[self.index_of(self.classes.collapsed_by([(a, b)]))[0]]
-
 
 def all_congruences(L):
     """Con L: one congruence per down-set of the D-class order."""
@@ -282,12 +193,69 @@ def all_congruences(L):
 
 def quotient_lattice(L, block_of):
     """L / theta, for the block_of row of a congruence theta, together with
-    the block index of every element of L."""
-    # blocks in the order of their least members, as in theta.blocks()
+    the block index of every element of L as an int array."""
+    # blocks in the order of their least members
     reps, proj = np.unique(block_of, return_inverse=True)
     onehot = proj[:, None] == np.arange(len(reps))
     # [x] <= [y] iff some member of [x] lies below some member of [y]
     leq = onehot.T @ L.leq @ onehot
     names = ["[%s]" % L.names[r] for r in reps.tolist()]
     Q = FiniteLattice(names, leq, name=f"{L.name}/~", _validate=False)
-    return Q, proj.tolist()
+    return Q, proj
+
+
+# -- the JSON sidecar ----------------------------------------------------------
+
+
+def _block_names(L, block_of):
+    """The blocks of a block_of row as lists of element names, each in index
+    order, the blocks in the order of their least members."""
+    blocks = {}
+    for x, b in enumerate(np.asarray(block_of).tolist()):
+        blocks.setdefault(b, []).append(L.names[x])
+    return list(blocks.values())
+
+
+def is_compatible(L, block_of):
+    """Is the partition of a block_of row, each block named by a member of
+    it, a congruence?  x ^ z and x v z share a block with r ^ z and r v z for
+    all x, z, r the member naming x's block; so do any two members of a block."""
+    b = np.asarray(block_of, dtype=np.intp)
+    return all((b[t] == b[t[b]]).all() for t in (L.meet, L.join))
+
+
+def to_json(L, block_of):
+    """The sidecar document of a congruence: {"congruence": [[names...], ...]}."""
+    return json.dumps({"congruence": _block_names(L, block_of)}, sort_keys=True)
+
+
+def from_json(L, text):
+    """Parse the sidecar format, a JSON text or its parsed document, into the
+    block_of row of a congruence of L, each block named by its least member."""
+    doc = json.loads(text) if isinstance(text, str) else text
+    if not isinstance(doc, dict):
+        raise ValueError("congruence sidecar must hold a JSON object")
+    if "congruence" not in doc:
+        raise ValueError("congruence sidecar has no 'congruence' key")
+    blocks = doc["congruence"]
+    if not isinstance(blocks, list) or not all(
+            isinstance(block, list) and all(map(_is_name, block)) for block in blocks):
+        raise ValueError("'congruence' must be a list of lists of names")
+    block_of = np.full(L.n, -1, dtype=np.int32)
+    for block in blocks:
+        if not block:
+            raise ValueError("empty block in congruence")
+        # names match by str(), as in build_lattice
+        members = []
+        for x in map(str, block):
+            if x not in L.index:
+                raise ValueError(f"unknown element {x!r} in congruence")
+            if block_of[L.index[x]] >= 0 or L.index[x] in members:
+                raise ValueError(f"element {x!r} appears in two blocks")
+            members.append(L.index[x])
+        block_of[members] = min(members)
+    if (block_of < 0).any():
+        raise ValueError("blocks do not cover every element")
+    if not is_compatible(L, block_of):
+        raise ValueError("blocks are not compatible with meet and join")
+    return block_of

@@ -76,12 +76,12 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .congruence import quotient_lattice
+from .congruence import _block_names, quotient_lattice
 from .errors import MismatchError, NotDistributive, ParamTooLarge
 from .lattice import dual as lattice_dual
-from .lattice import (_components, _cover_index, _join_irreducibles, _matches, _padded,
-                      _transitive_closure, is_distributive, is_modular, product)
-from .monoid import QOSystem, _index_set, build_qosystem
+from .lattice import (_components, _cover_index, _distinct_rows, _join_irreducibles, _matches,
+                      _padded, _transitive_closure, is_distributive, is_modular, product)
+from .monoid import QOSystem, build_qosystem
 
 
 # the row blocks of the caustic-pair passes and of the absorption masks hold
@@ -144,19 +144,6 @@ def _primes_mask(L, lo, hi):
     return L.leq[lo, L.cover_lo] & L.leq[L.cover_hi, hi]
 
 
-def _sorted_rows(L, first, second):
-    """The distinct rows (first[i], second[i]) of cover indices, sorted, as
-    an (m, 2) int array.  The cover list is sorted, so index order is the
-    order of the cover pairs."""
-    base = len(L.covers) + 1
-    # a stable sort, not np.unique: numpy 2's unique costs over 1 MB of
-    # resident memory on its first call in a process
-    keys = np.sort(first.astype(np.int64) * base + second, kind="stable")
-    fresh = np.ones(len(keys), dtype=bool)
-    fresh[1:] = keys[1:] != keys[:-1]
-    return np.stack(np.divmod(keys[fresh], base), axis=1).astype(np.intp, copy=False)
-
-
 def caustic_relations(L):
     """Equality and absorption pairs over the prime intervals of L, as two
     (m, 2) int arrays of cover indices, each sorted and distinct.
@@ -179,7 +166,7 @@ def caustic_relations(L):
     last = by_hi[last]
     keep = leq[s[k], lo[last]]
     r, q = _matches(k[keep], i)
-    X = _sorted_rows(L, first[r], last[keep][q])
+    X = _distinct_rows(np.stack([first[r], last[keep][q]], axis=1))
     # absorption queries (lo, hi, absorbing cover); an empty interval absorbs nothing
     keep = leq[t[k], lo[last]]
     k, last = k[keep], last[keep]
@@ -192,7 +179,7 @@ def caustic_relations(L):
         part = queries[at:at + step]
         row, prime = np.nonzero(_primes_mask(L, part[:, :1], part[:, 1:2]))
         absorbed.append(np.stack([prime, part[row, 2]], axis=1))
-    return X, _sorted_rows(L, *np.concatenate(absorbed).T)
+    return X, _distinct_rows(np.concatenate(absorbed))
 
 
 @dataclass(eq=False)
@@ -364,8 +351,8 @@ def congruence_correspondence_check(L, D, con, samples=200, seed=7):
     principal congruences of covers and samples are rows of one pass."""
     sets = D.qo.lower_sets()
     images = _collapsed_down_sets(D, con.blocks)
-    found = set(map(_index_set, images))
-    if len(found) != len(con) or found != set(sets):
+    found = {m.tobytes() for m in images}
+    if len(found) != len(con) or found != {m.tobytes() for m in sets}:
         raise MismatchError("congruence lattice does not match the lower sets",
                             witness=(len(con), len(sets)))
     # images[i] <= images[j] unless some point of images[i] is missing from images[j]
@@ -445,7 +432,8 @@ def functor_checks(L, D, theta=None, B=None):
     map sends a prime interval to a prime interval or collapses it, and the
     map of generator points it induces must be an isomorphism onto the
     target's QO-system (`_natural_map`).  Each map is an index array over
-    the covers, and each image cover is found by `_cover_index`."""
+    the covers, and each image cover is found by `_cover_index`.  The
+    quotient is by `theta`, the block_of row of a congruence of L."""
     report = {}
     if B is not None:
         P = product(L, B)
@@ -467,17 +455,17 @@ def functor_checks(L, D, theta=None, B=None):
     _natural_map("dual", D, _image_points(Dd, L.cover_hi, L.cover_lo), Dd.qo.rel)
     report["dual"] = "ok"
     if theta is not None:
-        Q, proj = quotient_lattice(L, theta.block_of)
+        Q, proj = quotient_lattice(L, theta)
         DQ = dimension_monoid(Q)
         # an uncollapsed cover (a, b) goes to the cover of their blocks
-        lo, hi = np.array(proj)[L.cover_lo], np.array(proj)[L.cover_hi]
+        lo, hi = proj[L.cover_lo], proj[L.cover_hi]
         image, kept = np.full(len(L.covers), -1), lo != hi
         image[kept] = _image_points(DQ, lo[kept], hi[kept])
         src = _natural_map("quotient", D, image, DQ.qo.rel)
-        collapsed = _collapsed_down_sets(D, np.array([theta.block_of]))[0]
+        collapsed = _collapsed_down_sets(D, np.array([theta]))[0]
         if sorted(src) != np.flatnonzero(~collapsed).tolist():
             raise MismatchError("quotient map is not defined on the uncollapsed points",
-                                witness=theta)
+                                witness=" | ".join(map(",".join, _block_names(L, theta))))
         report["quotient"] = "ok"
     return report
 

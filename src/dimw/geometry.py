@@ -18,22 +18,12 @@ import numpy as np
 
 from .dimension import delta
 from .errors import MismatchError
-from .lattice import _transitive_closure
+from .lattice import _distinct_rows, _transitive_closure
 from .monoid import index as monoid_index
 
 # a block of n_distributive_verdicts holds about this many states while they
 # grow, or cells, one per x and state, while they are tested
 _IDENTITY_CELLS = 1 << 15
-
-
-def _distinct_rows(rows):
-    """The distinct rows of an int table in lexsort order, neighbours compared
-    one sorted column at a time; np.unique's first call costs resident memory."""
-    order = np.lexsort(rows.T)
-    fresh = np.arange(len(rows)) == 0
-    for col in rows.T:
-        fresh[1:] |= np.diff(col[order]) != 0
-    return rows[order[fresh]]
 
 
 def perspectivity_matrix(L):

@@ -137,6 +137,17 @@ def _matches(keys, values):
     return rows, np.arange(len(rows)) - (count.cumsum() - count - first).repeat(count)
 
 
+def _distinct_rows(rows):
+    """The distinct rows of an int table in row-major order, neighbours
+    compared one sorted column at a time; not np.unique, whose first call
+    in a process costs over 1 MB of resident memory."""
+    order = np.lexsort(rows.T[::-1])
+    fresh = np.arange(len(rows)) == 0
+    for col in rows.T:
+        fresh[1:] |= np.diff(col[order]) != 0
+    return rows[order[fresh]]
+
+
 def _covers_of_leq(leq, order):
     """The covering pairs of the order leq, ascending, given a linear
     extension `order` of it.  The first element of a set in a linear
@@ -228,12 +239,6 @@ def _is_join(leq, up, bound):
         if not flat[at].all():
             return False
     return True
-
-
-def _join_table(leq, up, order):
-    """The join table of the order leq, or None if some pair has no join."""
-    bound = _least_bounds(leq, up, order)
-    return bound if _is_join(leq, up, bound) else None
 
 
 class FiniteLattice:

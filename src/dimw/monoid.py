@@ -109,10 +109,9 @@ class QOSystem:
         return DimVector(self, tuple(vals), validate=validate)
 
     def lower_sets(self):
-        """All lower sets of (P, <=), sorted; frozensets of indices.  In
-        `check` they match Con L, so they keep its count limit."""
-        lower = _down_sets(self.below, CON_COUNT_GUARD, "lower-set lattice")
-        return sorted(map(_index_set, lower), key=lambda s: (len(s), sorted(s)))
+        """All lower sets of (P, <=), one bool membership row over the points
+        each.  In `check` they match Con L, so they keep its count limit."""
+        return _down_sets(self.below, CON_COUNT_GUARD, "lower-set lattice")
 
     def to_json_dict(self):
         return {"points": list(self.points),
@@ -121,11 +120,6 @@ class QOSystem:
 
     def __repr__(self):
         return f"QOSystem({len(self.points)} points, {int(self.rel.sum())} relations)"
-
-
-def _index_set(members):
-    """The indices of a bool membership vector, as a frozenset."""
-    return frozenset(np.flatnonzero(members).tolist())
 
 
 class DimVector:
@@ -140,9 +134,6 @@ class DimVector:
             reason = violates_canonical_form(qo, self.values)
             if reason:
                 raise NotInF(reason)
-
-    def value(self, p):
-        return self.values[self.qo._as_index(p)]
 
     def support(self):
         return [i for i, v in enumerate(self.values) if v != 0]

@@ -8,7 +8,9 @@ projectivity classes of `tests/theory.py` and the join of congruences run
 on it.  The congruence oracle is the union-find fixed point that generated
 congruences before they were read off the D-relation: close a set of merged
 pairs under (x^z, y^z) and (xvz, yvz) for every z, and list Con L by closing
-the principal congruences of the prime intervals under join.  A partition is
+the principal congruences of the prime intervals under join.  A congruence
+here is a block_of tuple with each block named by its least member, the
+root of its union-find set, as in the rows of Con L's table.  A partition is
 compatible when every pair of one block agrees on x^z and xvz for every z,
 tested pair by pair; perspectivity searches the axes x one at a time,
 and the sectional complements of x in [0, a] scan that interval.  Delta is
@@ -48,11 +50,11 @@ import random
 
 import numpy as np
 
-from dimw.congruence import Congruence, quotient_lattice
+from dimw.congruence import quotient_lattice
 from dimw.dimension import _primes_mask, delta, dimension_monoid
 from dimw.errors import NotBelow
 from dimw.lattice import FiniteLattice, _padded, _transitive_closure
-from dimw.monoid import INF, DimVector, _index_set, truncate
+from dimw.monoid import INF, DimVector, truncate
 
 
 class UnionFind:
@@ -77,8 +79,14 @@ class UnionFind:
         return True
 
 
+def _index_set(members):
+    """The indices of a bool membership vector, as a frozenset."""
+    return frozenset(np.flatnonzero(members).tolist())
+
+
 def closure_from_pairs(L, pairs):
-    """Smallest congruence of L merging every given pair, by closure."""
+    """Smallest congruence of L merging every given pair, by closure, as a
+    block_of tuple: the root of each union-find set is its least member."""
     uf = UnionFind(L.n)
     work = []
     for a, b in pairs:
@@ -90,24 +98,24 @@ def closure_from_pairs(L, pairs):
             for u, v in ((L.mt(x, z), L.mt(y, z)), (L.jn(x, z), L.jn(y, z))):
                 if uf.union(u, v):
                     work.append((u, v))
-    return Congruence(L, tuple(uf.find(i) for i in range(L.n)))
+    return tuple(uf.find(i) for i in range(L.n))
 
 
 def closure_principal(L, a, b):
     return closure_from_pairs(L, [(a, b)])
 
 
-def is_compatible_by_pairs(theta):
-    """Every x ~ y of one block has x^z ~ y^z and xvz ~ yvz for every z."""
-    L = theta.over
+def is_compatible_by_pairs(L, theta):
+    """Every x ~ y of one block of the block_of row theta has x^z ~ y^z and
+    xvz ~ yvz for every z."""
     for x in range(L.n):
         for y in range(x + 1, L.n):
-            if not theta.same(x, y):
+            if theta[x] != theta[y]:
                 continue
             for z in range(L.n):
-                if not theta.same(L.mt(x, z), L.mt(y, z)):
+                if theta[L.mt(x, z)] != theta[L.mt(y, z)]:
                     return False
-                if not theta.same(L.jn(x, z), L.jn(y, z)):
+                if theta[L.jn(x, z)] != theta[L.jn(y, z)]:
                     return False
     return True
 
@@ -142,26 +150,26 @@ def perspectivity_by_axes(L):
 def refines(c, d):
     """c <= d in Con L: every block of c lies in a block of d."""
     seen = {}
-    for b, other in zip(c.block_of, d.block_of):
+    for b, other in zip(c, d):
         if seen.setdefault(b, other) != other:
             return False
     return True
 
 
 def join(c, d):
-    uf = UnionFind(c.over.n)
+    """The join of two block_of tuples, each block named by a member of it."""
+    uf = UnionFind(len(c))
     for part in (c, d):
-        for block in part.blocks():
-            for x in block[1:]:
-                uf.union(block[0], x)
-    return Congruence(c.over, tuple(uf.find(i) for i in range(c.over.n)))
+        for x, b in enumerate(part):
+            uf.union(b, x)
+    return tuple(uf.find(i) for i in range(len(c)))
 
 
 def closure_congruences(L):
     """Con L by join closure, in the order all_congruences lists it, with
     its refinement matrix."""
     gens = list(dict.fromkeys(closure_principal(L, a, b) for a, b in L.covers))
-    found = {Congruence.identity(L)}
+    found = {tuple(range(L.n))}
     frontier = list(found)
     while frontier:
         fresh = []
@@ -172,21 +180,21 @@ def closure_congruences(L):
                     found.add(u)
                     fresh.append(u)
         frontier = fresh
-    ordered = sorted(found, key=lambda c: (c.block_count(), c.block_of), reverse=True)
+    ordered = sorted(found, key=lambda c: (len(set(c)), c), reverse=True)
     leq = np.array([[refines(c, d) for d in ordered] for c in ordered], dtype=bool)
     return ordered, leq
 
 
 def is_simple_by_primes(L):
     """L is simple iff every prime interval generates the coarse congruence."""
-    return L.n > 1 and all(closure_principal(L, a, b).block_count() == 1
+    return L.n > 1 and all(len(set(closure_principal(L, a, b))) == 1
                            for a, b in L.covers)
 
 
 def semilattice_quotient(qo):
     """The distributive lattice of lower sets of (P, <=) together with the
     map sending a vector to the lower set generated by its support."""
-    sets = qo.lower_sets()
+    sets = sorted(map(_index_set, qo.lower_sets()), key=lambda s: (len(s), sorted(s)))
     names = ["{" + ",".join(sorted(qo.points[i] for i in s)) + "}" for s in sets]
     member = np.zeros((len(sets), len(qo.points)), dtype=bool)
     for i, s in enumerate(sets):
@@ -425,7 +433,7 @@ def dep_check_by_pairs(L, con, D, k=3, max_pool=8, seed=11):
     the order in every factor, one pair at a time."""
     quots = []
     for i in con.meet_irreducibles():
-        Q, proj = quotient_lattice(L, con.congruences[i].block_of)
+        Q, proj = quotient_lattice(L, con.blocks[i])
         quots.append((dimension_monoid(Q), proj))
     rng = random.Random(seed)
     pool = list(L.covers)

@@ -178,7 +178,7 @@ def test_criterion_8_functoriality():
     done = 0
     while done < 10:
         L = pool[rng.randrange(len(pool))]
-        cons = all_congruences(L).congruences
+        cons = all_congruences(L).blocks
         theta = cons[rng.randrange(len(cons))]
         ok = ok and dim.functor_checks(L, dimension_monoid(L), theta=theta)["quotient"] == "ok"
         done += 1

@@ -306,6 +306,14 @@ def test_bound_is_an_option_of_check_only(capsys):
         assert err[-1] == "dimw: error: unrecognized arguments: --bound 3", verb
 
 
+def test_json_is_not_an_option_of_dot(capsys):
+    # dot prints DOT text only, so --json is refused rather than ignored
+    assert run(["dot", "--builtin", "chain:2", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "dimw: error: unrecognized arguments: --json"
+
+
 def test_v_modular_does_not_depend_on_the_bound(tmp_path):
     # rand10's first failing target holds two points strictly below the
     # source's point, where a sum search over the parts grew until the bound

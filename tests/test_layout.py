@@ -1,5 +1,6 @@
 """`src/dimw` holds what the verbs run: every public module-level function
-of the package is reached by some verb, or is on a stated keep-list.  And
+of the package, and every public method, classmethod and property of a class
+defined in it, is reached by some verb, or is on a stated keep-list.  And
 generators are cover indices through the package: no module reads the
 tuple-keyed `gen` view."""
 
@@ -16,22 +17,50 @@ KEEP = {
     "monoid.from_reduced", "monoid.in_canonical_form", "monoid.violates_canonical_form",
     # save beside load; the product beside the dual
     "lattice.save", "lattice.to_json", "lattice.product",
-    # Con L's own operation
-    "congruence.congruence_from_pairs",
+    # Con L's own operation, and the JSON sidecar of a congruence beside the
+    # lattice file's, with the compatibility test it runs
+    "congruence.congruence_from_pairs", "congruence.to_json", "congruence.from_json",
+    "congruence.is_compatible",
     # the indicator model the benchmark's word checker is built from
     "dimension.distributive_dim",
+    # query helpers for the tests
+    "lattice.FiniteLattice.le", "lattice.FiniteLattice.covers_of",
+    "lattice.FiniteLattice.cocovers_of", "lattice.FiniteLattice.interval",
+    "lattice.FiniteLattice.atoms", "lattice.FiniteLattice.maximal_chain",
+    # the monoid algebra
+    "monoid.DimVector.support", "monoid.DimVector.maximal_support", "monoid.DimVector.meet",
+    "monoid.ReducedRep.items",
+    # read by the benchmark's word checker
+    "monoid.QOSystem.generator", "dimension.DimensionMonoid.gen",
+    # the inverse of QOSystem.to_json_dict
+    "monoid.QOSystem.vector",
 }
 
 
 MODULES = (cli, congruence, dimension, errors, geometry, lattice, monoid)
 
 
+def _code(value):
+    """The code object of a function, method, classmethod, staticmethod or
+    property, or None for any other class attribute."""
+    for attr in ("__func__", "fget", "func"):  # classmethods, properties, cached ones
+        value = getattr(value, attr, value)
+    return value.__code__ if inspect.isfunction(value) else None
+
+
 def _public_functions():
     for module in MODULES:
+        prefix = module.__name__.removeprefix("dimw.")
         for name, value in vars(module).items():
-            if (inspect.isfunction(value) and value.__module__ == module.__name__
-                    and not name.startswith("_")):
-                yield f"{module.__name__.removeprefix('dimw.')}.{name}", value.__code__
+            if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(value):
+                yield f"{prefix}.{name}", value.__code__
+            elif inspect.isclass(value):
+                for attr, member in vars(value).items():
+                    code = None if attr.startswith("_") else _code(member)
+                    if code is not None:
+                        yield f"{prefix}.{name}.{attr}", code
 
 
 def _verb_runs(path):
@@ -48,7 +77,8 @@ def _verb_runs(path):
                      ["check", "--all"], ["dot"], ["dot", "--labels"],
                      ["eval", "--word", multiple],
                      ["compare", "--word", word, "--word", multiple]):
-            runs += [verb + source, verb + source + ["--json"]]
+            # dot prints DOT text only and takes no --json
+            runs += [verb + source] + ([] if verb[0] == "dot" else [verb + source + ["--json"]])
     return runs
 
 

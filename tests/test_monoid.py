@@ -13,7 +13,7 @@ from dimw.monoid import (INF, DimVector, QOSystem, ReducedRep, build_qosystem,
                          residual, to_reduced, truncate, violates_canonical_form)
 
 from conftest import enumerate_qosystems, grid_vectors, qosystem_reps, random_qosystem, random_vector
-from oracles import residual_by_levels, semilattice_quotient
+from oracles import _index_set, residual_by_levels, semilattice_quotient
 
 
 def n5_system():
@@ -206,7 +206,9 @@ def assert_same_qosystem(qo, ref, rng, reasons):
     for row, down, members in zip(stack, qo.down_set(stack), subsets):
         assert np.array_equal(qo.down_set(row), down)
         assert frozenset(np.flatnonzero(down).tolist()) == ref.down_set(members)
-    assert qo.lower_sets() == ref.lower_sets()
+    lower = qo.lower_sets()
+    assert lower.dtype == bool and lower.shape == (len(ref.lower_sets()), k)
+    assert set(map(_index_set, lower)) == set(ref.lower_sets())
     candidates = [tuple(rng.choice((0, 1, 2, INF)) for _ in range(k)) for _ in range(4)]
     for p in range(k):
         values = qo.generator(p).values

@@ -148,7 +148,7 @@ def diam_ideal_equivalence_check(L, m):
     ideal = set(m_ideal(L, m, perspectivity_matrix(L)))
     theta = diam_congruence(L, m)
     for x in range(L.n):
-        if (x in ideal) != theta.same(x, L.bottom):
+        if (x in ideal) != (theta[x] == theta[L.bottom]):
             raise MismatchError("m-ideal and diamond congruence disagree",
                                 witness=(L.names[x], m))
     return True
@@ -164,7 +164,7 @@ def normal_kernel_theorems_check(L):
         raise MismatchError("4L is not inside the normal kernel",
                             witness=sorted(L.names[x] for x in four - kernel))
     theta = congruence_from_pairs(L, [(L.bottom, u) for u in kernel])
-    Q, _ = quotient_lattice(L, theta.block_of)
+    Q, _ = quotient_lattice(L, theta)
     if not n_distributive(Q, 3):
         raise MismatchError("quotient by the normal kernel is not 3-distributive",
                             witness=L.name)
