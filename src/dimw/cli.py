@@ -49,7 +49,7 @@ def cmd_validate(args):
 
 def cmd_props(args):
     L = _load(args)
-    rep = lat.properties_report(L).as_dict()
+    rep = lat.properties_report(L)
     _emit(args, rep, "\n".join(f"{k}: {v}" for k, v in sorted(rep.items())))
     return 0
 

@@ -30,7 +30,7 @@ from .lattice import (_BLOCK_CELLS, FiniteLattice, _down_sets, _is_name,
 # the D pass reads |J|^2 * n cells of the order table
 CON_PASS_GUARD = 10 ** 8
 # Con L is listed only if it has at most CON_COUNT_GUARD congruences whose
-# partitions (|Con L| * n tuple slots) fit in CON_TABLE_GUARD cells
+# block_of rows (|Con L| * n int32 cells) fit in CON_TABLE_GUARD cells
 CON_COUNT_GUARD = 100_000
 CON_TABLE_GUARD = 1 << 21
 # the refinement order is a |Con L|^2 bool matrix

@@ -116,20 +116,15 @@ def n_distributive_verdicts(L):
 # -- normality ---------------------------------------------------------------
 
 
-def _abnormal_pairs(L, sim):
-    """bad[a, b]: a < b are independent and projective, not perspective."""
-    return np.triu((L.meet == L.bottom) & _transitive_closure(sim) & ~sim, 1)
-
-
-def is_normal(L, sim, members=None):
+def is_normal(L, sim):
     """Independent projective elements must be perspective.
 
-    Returns (flag, witness) where witness is a failing pair, if any."""
-    m = np.arange(L.n) if members is None else np.fromiter(members, dtype=np.intp)
-    hits = np.argwhere(_abnormal_pairs(L, sim)[np.ix_(m, m)])
+    Returns (flag, witness) where witness is the first failing pair a < b
+    in row-major order, if any."""
+    hits = np.argwhere(np.triu((L.meet == L.bottom) & _transitive_closure(sim) & ~sim, 1))
     if not len(hits):
         return True, None
-    return False, tuple(m[hits[0]].tolist())
+    return False, tuple(hits[0].tolist())
 
 
 # -- the decomposition closure and the SCM suites ---------------------------

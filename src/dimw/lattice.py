@@ -7,7 +7,6 @@ in numpy matrices so that downstream searches get O(1) order queries.
 import functools
 import itertools
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -467,7 +466,7 @@ def to_json(L):
 
 
 def _is_name(x):
-    # element names are JSON scalars; build_lattice takes their str()
+    # lattice and element names are JSON scalars, read as their str()
     return not isinstance(x, (list, dict))
 
 
@@ -484,12 +483,17 @@ def from_json(text):
     if not isinstance(covers, list) or not all(
             isinstance(p, list) and len(p) == 2 and all(map(_is_name, p)) for p in covers):
         raise ValueError("'covers' must be a list of two-element lists of names")
-    covers = [tuple(p) for p in covers]
+    name = doc.get("name", "L")
+    if not _is_name(name):
+        raise ValueError("'name' must be a name, not a list or an object")
+    # compare names, not JSON values, under which 1 == 1.0 == true
+    elements = [str(x) for x in elements]
+    covers = [(str(a), str(b)) for a, b in covers]
     if len(set(elements)) != len(elements):
         raise ValueError("duplicate element names in lattice file")
     if len(set(covers)) != len(covers):
         raise ValueError("duplicate cover pairs in lattice file")
-    return build_lattice(elements, covers, name=doc.get("name", "L"))
+    return build_lattice(elements, covers, name=str(name))
 
 
 def load(path):
@@ -711,23 +715,6 @@ def builtin_spec(spec):
 # -- structural predicates -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    modular: bool
-    distributive: bool
-    complemented: bool
-    sectionally_complemented: bool
-    relatively_complemented: bool
-    atomistic: bool
-    semimodular: bool
-    geometric: bool
-    simple: bool
-    height: int
-
-    def as_dict(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-
 def _join_irreducibles(L):
     """J(L) ascending, and the one lower cover of each."""
     J = np.array([j for j in range(L.n) if len(L._down[j]) == 1], dtype=np.intp)
@@ -835,15 +822,15 @@ def is_simple(L):
 def properties_report(L):
     semimodular = is_semimodular(L)
     atomistic = is_atomistic(L)
-    return PropertyReport(
-        modular=is_modular(L),
-        distributive=is_distributive(L),
-        complemented=is_complemented(L),
-        sectionally_complemented=is_sectionally_complemented(L),
-        relatively_complemented=is_relatively_complemented(L),
-        atomistic=atomistic,
-        semimodular=semimodular,
-        geometric=semimodular and atomistic,
-        simple=is_simple(L),
-        height=L.height(),
-    )
+    return {
+        "modular": is_modular(L),
+        "distributive": is_distributive(L),
+        "complemented": is_complemented(L),
+        "sectionally_complemented": is_sectionally_complemented(L),
+        "relatively_complemented": is_relatively_complemented(L),
+        "atomistic": atomistic,
+        "semimodular": semimodular,
+        "geometric": semimodular and atomistic,
+        "simple": is_simple(L),
+        "height": L.height(),
+    }

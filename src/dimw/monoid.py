@@ -102,11 +102,11 @@ class QOSystem:
                 vals[p] = INF
         return DimVector(self, vals, validate=False)
 
-    def vector(self, mapping, validate=True):
+    def vector(self, mapping):
         vals = [0] * len(self.points)
         for p, v in mapping.items():
             vals[self._as_index(p)] = INF if v == INF or v == "inf" else int(v)
-        return DimVector(self, tuple(vals), validate=validate)
+        return DimVector(self, tuple(vals))
 
     def lower_sets(self):
         """All lower sets of (P, <=), one bool membership row over the points
@@ -211,10 +211,6 @@ def violates_canonical_form(qo, values):
     if np.count_nonzero(bad):
         return f"infinite value at maximal non-self-related point {qo.points[bad.argmax()]}"
     return None
-
-
-def in_canonical_form(qo, values):
-    return violates_canonical_form(qo, values) is None
 
 
 def build_qosystem(k, equalities, absorptions):
@@ -352,7 +348,7 @@ class ReducedRep:
 
 def to_reduced(x):
     """Unique reduced representation of a canonical vector."""
-    if not in_canonical_form(x.qo, x.values):
+    if violates_canonical_form(x.qo, x.values) is not None:
         raise NotInF("vector is not in canonical form")
     terms = {}
     for p in x.maximal_support():

@@ -110,12 +110,12 @@ def random_vector(rng, qo, max_coeff=3, max_terms=3):
 @functools.cache
 def grid_vectors(qo, max_coeff):
     """All canonical vectors with coefficients in {0..max_coeff, oo}."""
-    from dimw.monoid import DimVector, in_canonical_form
+    from dimw.monoid import DimVector, violates_canonical_form
 
     grid = tuple(range(max_coeff + 1)) + (INF,)
     out = []
     for combo in itertools.product(grid, repeat=len(qo.points)):
-        if in_canonical_form(qo, combo):
+        if violates_canonical_form(qo, combo) is None:
             out.append(DimVector(qo, combo, validate=False))
     return tuple(out)
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import resource
@@ -6,6 +8,8 @@ import sys
 import time
 from pathlib import Path
 from unittest import mock
+
+from hypothesis import given, settings, strategies as st
 
 import dimw
 from dimw import dimension as dim
@@ -344,12 +348,95 @@ def test_lattice_file_with_malformed_fields(tmp_path):
             ({"elements": ["a"], "covers": [1]}, "covers"),
             ({"elements": 5, "covers": []}, "elements"),
             ({"elements": ["a", "b"], "covers": [["a"]]}, "covers"),
-            ({"elements": [["a"]], "covers": []}, "elements"))):
+            ({"elements": [["a"]], "covers": []}, "elements"),
+            ({"name": ["x"], "elements": ["a"], "covers": []}, "name"))):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(doc))
         code, err = _cli("validate", "--file", str(path))
         assert code == 1 and len(err) == 1, err
         assert repr(key) in err[0]
+
+
+def _run_quietly(argv):
+    """(exit code, stdout, stderr) of an in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_lattice_file_names_are_compared_as_strings(tmp_path):
+    # 1, 1.0 and true are equal JSON values but the distinct names "1",
+    # "1.0" and "True"; "1" and 1 are the same name
+    docs = {
+        "mixed": {"name": 5, "elements": [1, 1.0], "covers": [[1, 1.0]]},
+        "diamond": {"elements": ["a", "1", "True", "z"],
+                    "covers": [["a", 1], ["a", True], [1, "z"], [True, "z"]]},
+        "clash": {"elements": ["1", 1], "covers": []},
+    }
+    for key, doc in docs.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps(doc))
+    code, out, _ = _run_quietly(["validate", "--json", "--file", str(tmp_path / "mixed.json")])
+    assert code == 0 and json.loads(out)["name"] == "5"
+    assert _run_quietly(["dot", "--file", str(tmp_path / "mixed.json")])[1].startswith(
+        'digraph "5" {')
+    code, out, _ = _run_quietly(["validate", "--json", "--file", str(tmp_path / "diamond.json")])
+    assert code == 0 and json.loads(out)["elements"] == 4
+    assert _run_quietly(["validate", "--file", str(tmp_path / "clash.json")]) == (
+        1, "", "error: duplicate element names in lattice file\n")
+
+
+# JSON scalars, often equal values with distinct names (1, 1.0, true) or
+# distinct values with one name (1, "1")
+_SCALARS = st.one_of(st.sampled_from([0, 1, 0.0, -0.0, 1.0, True, False, None, "1", "True", ""]),
+                     st.text(max_size=3), st.integers(), st.floats())
+_ABSENT = object()
+
+
+@st.composite
+def _lattice_docs(draw):
+    """A lattice file: at most 6 scalar elements, often distinct as names;
+    their chain in list order, or covers drawn from them and from a name no
+    element has; and a name that is absent, a scalar, a list or an object."""
+    elements = draw(st.lists(_SCALARS, max_size=6, unique_by=str) | st.lists(_SCALARS, max_size=6))
+    ends = st.sampled_from(elements + ["zz"])
+    chain = [list(pair) for pair in zip(elements, elements[1:])]
+    covers = draw(st.just(chain) | st.lists(st.lists(ends, min_size=2, max_size=2), max_size=8))
+    doc = {"elements": elements, "covers": covers}
+    name = draw(st.one_of(st.just(_ABSENT), _SCALARS, st.lists(_SCALARS, max_size=2),
+                          st.dictionaries(st.text("ab", max_size=1), _SCALARS, max_size=1)))
+    if name is not _ABSENT:
+        doc["name"] = name
+    return doc
+
+
+def _as_strings(doc):
+    """The same file with every scalar name written as its str()."""
+    out = {"elements": [str(x) for x in doc["elements"]],
+           "covers": [[str(a), str(b)] for a, b in doc["covers"]]}
+    if "name" in doc:
+        name = doc["name"]
+        out["name"] = name if isinstance(name, (list, dict)) else str(name)
+    return out
+
+
+def test_lattice_file_fuzz(tmp_path):
+    """validate, dim and dot on generated lattice files end in exit 0, 1 or
+    2 with at most one stderr line and no exception, and a file reads the
+    same as its names written as strings."""
+    path, same = tmp_path / "fuzz.json", tmp_path / "strings.json"
+
+    @given(_lattice_docs())
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    def check(doc):
+        path.write_text(json.dumps(doc))
+        same.write_text(json.dumps(_as_strings(doc)))
+        for verb in ("validate", "dim", "dot"):
+            got = _run_quietly([verb, "--file", str(path)])
+            assert got[0] in (0, 1, 2) and len(got[2].splitlines()) <= 1, (verb, doc, got)
+            assert got == _run_quietly([verb, "--file", str(same)]), (verb, doc)
+
+    check()
 
 
 def test_check_all_coprod_c3_c1():

@@ -11,7 +11,8 @@ from dimw.cli import CATALOG_INSTANCES
 from dimw.congruence import DClasses, all_congruences
 from dimw.dimension import (DimensionWord, caustic_pairs, caustic_relations, delta,
                             dep_check, dimension_monoid, distributive_dim,
-                            functor_checks, is_v_modular, word_compare)
+                            functor_checks, is_v_modular, product_functor_check,
+                            quotient_functor_check, word_compare)
 from dimw.errors import MismatchError, NotALattice, NotDistributive, NotModular, ParamTooLarge
 from dimw.monoid import DimVector, QOSystem
 from conftest import (builtins_up_to, cross_check_lattices, random_eight_element_lattices,
@@ -448,8 +449,7 @@ def test_d2_as_words_everywhere():
 
 def test_congruence_correspondence_on_catalog(small_builtins):
     for L in small_builtins:
-        report = dim.congruence_correspondence_check(L, dimension_monoid(L), all_congruences(L),
-                                                     samples=200)
+        report = dim.congruence_correspondence_check(L, dimension_monoid(L), all_congruences(L))
         assert report["congruences"] == report["lower_sets"], L.name
 
 
@@ -701,15 +701,16 @@ def test_intervals_projective():
 def test_functor_checks_named():
     for spec in ("chain:3", "boolean:2", "M3", "N5"):
         L = lat.builtin_spec(spec)
-        report = functor_checks(L, dimension_monoid(L), B=lat.builtin("chain", 2))
-        assert report["dual"] == "ok" and report["product"] == "ok"
+        D = dimension_monoid(L)
+        functor_checks(L, D)
+        product_functor_check(L, D, lat.builtin("chain", 2))
 
 
 def test_functor_product_pairwise():
     pool = [lat.builtin_spec(s) for s in ("chain:3", "boolean:2", "M3", "N5")]
     for A in pool:
         for B in pool:
-            assert functor_checks(A, dimension_monoid(A), B=B)["product"] == "ok"
+            product_functor_check(A, dimension_monoid(A), B)
 
 
 def test_functor_product_chain2_chain2():
@@ -721,14 +722,13 @@ def test_functor_quotient_identity_and_random():
     rng = random.Random(12)
     pool = [lat.builtin_spec(s) for s in ("chain:3", "boolean:2", "M3", "N5")]
     for L in pool:
-        assert functor_checks(L, dimension_monoid(L),
-                              theta=np.arange(L.n))["quotient"] == "ok"
+        quotient_functor_check(L, dimension_monoid(L), np.arange(L.n))
     done = 0
     while done < 10:
         L = pool[rng.randrange(len(pool))]
         cons = all_congruences(L).blocks
         theta = cons[rng.randrange(len(cons))]
-        assert functor_checks(L, dimension_monoid(L), theta=theta)["quotient"] == "ok"
+        quotient_functor_check(L, dimension_monoid(L), theta)
         done += 1
 
 
@@ -747,7 +747,7 @@ def test_functor_check_failures(tamper, message, witness):
     # dropped, or a partition of N5 that is not a congruence
     L = lat.builtin("N5")
     i = L.index
-    D, kwargs = dimension_monoid(L), {}
+    D, check, args = dimension_monoid(L), functor_checks, ()
     if tamper == "moved":
         moved = D.point_of_cover.copy()
         moved[L.covers.index((i["0"], i["b"]))] = moved[L.covers.index((i["0"], i["c"]))]
@@ -757,11 +757,12 @@ def test_functor_check_failures(tamper, message, witness):
     else:
         blocks = tamper.split("|")
         # each block is named by its first name, its least member
-        kwargs["theta"] = np.array([i[next(b for b in blocks if x in b)[0]] for x in L.names])
+        check = quotient_functor_check
+        args = (np.array([i[next(b for b in blocks if x in b)[0]] for x in L.names]),)
     if message.startswith("product"):
-        kwargs["B"] = lat.builtin("chain", 2)
+        check, args = product_functor_check, (lat.builtin("chain", 2),)
     with pytest.raises(MismatchError, match=message) as err:
-        functor_checks(L, D, **kwargs)
+        check(L, D, *args)
     assert str(err.value.witness) == witness
 
 

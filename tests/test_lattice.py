@@ -160,19 +160,19 @@ def test_interval_sublattice():
 
 def test_properties_n5_partition4_boolean3():
     n5 = lat.properties_report(lat.builtin("N5"))
-    assert not n5.modular and not n5.distributive
+    assert not n5["modular"] and not n5["distributive"]
     p4 = lat.properties_report(lat.builtin("partition", 4))
-    assert p4.geometric and not p4.modular and p4.simple
+    assert p4["geometric"] and not p4["modular"] and p4["simple"]
     b3 = lat.properties_report(lat.builtin("boolean", 3))
-    assert b3.distributive and b3.complemented and b3.modular
+    assert b3["distributive"] and b3["complemented"] and b3["modular"]
 
 
 def test_property_implications_on_catalog():
     for L in builtins_up_to(60):
         rep = lat.properties_report(L)
-        if rep.distributive:
-            assert rep.modular, L.name
-        assert rep.geometric == (rep.semimodular and rep.atomistic), L.name
+        if rep["distributive"]:
+            assert rep["modular"], L.name
+        assert rep["geometric"] == (rep["semimodular"] and rep["atomistic"]), L.name
 
 
 @functools.cache
@@ -477,4 +477,4 @@ def test_properties_report_on_large_lattices():
     }
     for spec, values in pins.items():
         want = dict(zip(fields + ("height",), values))
-        assert lat.properties_report(lat.builtin_spec(spec)).as_dict() == want, spec
+        assert lat.properties_report(lat.builtin_spec(spec)) == want, spec

@@ -15,9 +15,10 @@ import numpy as np
 from dimw.congruence import congruence_from_pairs, quotient_lattice
 from dimw.dimension import delta
 from dimw.errors import MismatchError, NotModular
-from dimw.geometry import (_abnormal_pairs, _homogeneous_levels, lattice_index,
-                           n_distributive_verdicts, perspectivity_matrix)
-from dimw.lattice import FiniteLattice, is_modular, is_sectionally_complemented
+from dimw.geometry import (_homogeneous_levels, lattice_index, n_distributive_verdicts,
+                           perspectivity_matrix)
+from dimw.lattice import (FiniteLattice, _transitive_closure, is_modular,
+                          is_sectionally_complemented)
 
 from oracles import UnionFind, perspective_by_axes, sectional_complements
 
@@ -120,7 +121,8 @@ def normal_kernel(L, sim):
     complemented modular lattice agree with the ambient relations, so the
     global matrices may be reused.
     """
-    bad = _abnormal_pairs(L, sim)
+    # bad[a, b]: a < b are independent and projective, not perspective
+    bad = np.triu((L.meet == L.bottom) & _transitive_closure(sim) & ~sim, 1)
     ideals = (neutral_ideal(L, [x], sim) for x in range(L.n))
     return [x for x, m in enumerate(ideals) if not bad[np.ix_(m, m)].any()]
 
