@@ -6,17 +6,20 @@ join-irreducible j has one lower cover j_*, and j D k holds when
 j <= k v x but j !<= k_* v x for some x.  con(j_*, j) <= con(k_*, k) exactly
 when j D* k (the reflexive-transitive closure), so the strong components of
 D are the join-irreducible congruences and Con L is the lattice of down-sets
-of their quotient order.  The congruence that collapses a down-set S of
-classes sends x to lo(x), the join of the join-irreducibles below x whose
-class is not in S; x and y share a block iff lo(x) = lo(y).  Con L is one
-block table: row i of `CongruenceLattice.blocks` is the block_of array of
-congruence i, each block named by its least member.  `DClasses.collapsed_by`
-gives the class masks the pairs generate in one stacked pass, and
-`CongruenceLattice.index_of` turns those masks into rows of the table.
+of their quotient order, `DClasses.below`.  Nothing lists Con L: its size is
+`count_down_sets` of that order, its join- and meet-irreducibles are the
+principal down-sets and their complements, one per class, and its height is
+the number of classes.  `DClasses.collapsed_by` gives the class masks the
+pairs generate in one stacked pass, and one congruence includes another
+when its mask does.
 
-A congruence is such a block_of row throughout the package.  `to_json` and
-`from_json` write and read it as a JSON sidecar that lists the blocks by
-element names, beside `lattice.to_json` and `lattice.from_json`.
+The congruence that collapses a down-set S of classes sends x to lo(x),
+the join of the join-irreducibles below x whose class is not in S; x and y
+share a block iff lo(x) = lo(y).  `DClasses.partitions` writes it as a
+block_of row, each block named by its least member, and a congruence is
+such a row throughout the package.  `to_json` and `from_json` write and
+read it as a JSON sidecar that lists the blocks by element names, beside
+`lattice.to_json` and `lattice.from_json`.
 """
 
 import json
@@ -24,17 +27,14 @@ import json
 import numpy as np
 
 from .errors import ParamTooLarge
-from .lattice import (_BLOCK_CELLS, FiniteLattice, _down_sets, _is_name,
-                      _join_irreducibles, _strong_components, _transitive_closure)
+from .lattice import (_BLOCK_CELLS, FiniteLattice, _is_name, _join_irreducibles,
+                      _json_constant, _strong_components, _transitive_closure)
 
 # the D pass reads |J|^2 * n cells of the order table
 CON_PASS_GUARD = 10 ** 8
-# Con L is listed only if it has at most CON_COUNT_GUARD congruences whose
-# block_of rows (|Con L| * n int32 cells) fit in CON_TABLE_GUARD cells
+# the down-set count of the D-class order takes at most 2 * CON_COUNT_GUARD
+# steps, and fewer than 2N on an order with N down-sets
 CON_COUNT_GUARD = 100_000
-CON_TABLE_GUARD = 1 << 21
-# the refinement order is a |Con L|^2 bool matrix
-CON_ORDER_GUARD = 1 << 24
 
 
 def _d_block(L, J, lower, rows, cols):
@@ -131,64 +131,41 @@ def congruence_from_pairs(L, pairs):
     return D.partitions(D.collapsed_by(pairs).any(axis=0)[None, :])[0]
 
 
-class CongruenceLattice:
-    """All congruences of a finite lattice under the refinement order.
+def count_down_sets(below):
+    """The number of down-sets of the order below[c, d] (c <= d), |Con L| for
+    the D-class order.  Points related to no other point of the rest double
+    the count each; of the others, the most related point p splits the
+    down-sets into those without p, which avoid the points above it, and
+    those with p, which hold the points below it.  Each call counts at
+    least the leaves under it, so a count of N takes fewer than 2N calls;
+    past 2 * CON_COUNT_GUARD calls it stops with ParamTooLarge."""
+    up, down = ([int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little")
+                 for r in m] for m in (below, below.T))
+    # the other points related to c, either way
+    near = [(u | d) & ~(1 << c) for c, (u, d) in enumerate(zip(up, down))]
+    steps = 0
 
-    Congruence i collapses the D-classes marked in members[i] and has the
-    block_of row blocks[i]; rows go by block count, then block_of, descending.
-    """
+    def count(rest):
+        nonlocal steps
+        steps += 1
+        if steps > 2 * CON_COUNT_GUARD:
+            raise ParamTooLarge("congruence lattice too large")
+        free, best, p, scan = 0, 0, -1, rest
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            c = low.bit_length() - 1
+            degree = (near[c] & rest).bit_count()
+            if not degree:
+                free |= low
+            elif degree > best:
+                best, p = degree, c
+        if p < 0:
+            return 1 << free.bit_count()
+        rest ^= free
+        return (count(rest & ~up[p]) + count(rest & ~down[p])) << free.bit_count()
 
-    def __init__(self, classes, members):
-        L = classes.over
-        blocks = classes.partitions(members)
-        # a block is named by its least member
-        count = (blocks == np.arange(L.n)).sum(axis=1)
-        order = np.lexsort(np.vstack([blocks.T[::-1], count]))[::-1]
-        self.over, self.classes = L, classes
-        self.members, self.blocks = members[order], blocks[order]
-        for a in (self.members, self.blocks):
-            a.flags.writeable = False
-        self._index = {m.tobytes(): i for i, m in enumerate(self.members)}
-        self._leq = None
-
-    def __len__(self):
-        return len(self.blocks)
-
-    @property
-    def leq(self):
-        """leq[i, j]: congruence i refines j, i.e. its classes are among j's."""
-        if self._leq is None:
-            if len(self) ** 2 > CON_ORDER_GUARD:
-                raise ParamTooLarge("congruence lattice too large")
-            # members[i] <= members[j] unless some class of i is missing from j
-            self._leq = ~(self.members @ ~self.members.T)
-            self._leq.flags.writeable = False
-        return self._leq
-
-    def height(self):
-        """Length of the longest chain of Con L: the number of D-classes."""
-        return len(self.classes)
-
-    def index_of(self, masks):
-        """Table positions of the congruences whose class masks are the rows."""
-        return np.array([self._index[m.tobytes()] for m in masks], dtype=np.intp)
-
-    def join_irreducibles(self):
-        """Indices of the congruences with one lower cover: the principal
-        down-sets of the class order."""
-        return np.sort(self.index_of(self.classes.below.T)).tolist()
-
-    def meet_irreducibles(self):
-        """Indices of congruences with exactly one upper cover (coarse
-        excluded): the complements of the principal up-sets."""
-        return np.sort(self.index_of(~self.classes.below)).tolist()
-
-
-def all_congruences(L):
-    """Con L: one congruence per down-set of the D-class order."""
-    classes = DClasses(L)
-    limit = min(CON_COUNT_GUARD, CON_TABLE_GUARD // L.n)
-    return CongruenceLattice(classes, _down_sets(classes.below, limit, "congruence lattice"))
+    return count((1 << len(below)) - 1)
 
 
 def quotient_lattice(L, block_of):
@@ -232,7 +209,7 @@ def to_json(L, block_of):
 def from_json(L, text):
     """Parse the sidecar format, a JSON text or its parsed document, into the
     block_of row of a congruence of L, each block named by its least member."""
-    doc = json.loads(text) if isinstance(text, str) else text
+    doc = json.loads(text, parse_constant=_json_constant) if isinstance(text, str) else text
     if not isinstance(doc, dict):
         raise ValueError("congruence sidecar must hold a JSON object")
     if "congruence" not in doc:

@@ -348,38 +348,50 @@ def _collapsed_down_sets(D, blocks):
     return D.qo.down_set(hit)
 
 
-def congruence_correspondence_check(L, D, con):
-    """Check that lower sets of the pipeline order match Con L and that
-    collapsing is the bounded-multiple domination of delta values on 200
-    seeded quadruples.  The principal congruences of covers and samples are
-    rows of one pass."""
-    sets = D.qo.lower_sets()
-    images = _collapsed_down_sets(D, con.blocks)
-    found = {m.tobytes() for m in images}
-    if len(found) != len(con) or found != {m.tobytes() for m in sets}:
-        raise MismatchError("congruence lattice does not match the lower sets",
-                            witness=(len(con), len(sets)))
-    # images[i] <= images[j] unless some point of images[i] is missing from images[j]
-    wrong = np.argwhere(con.leq != ~(images @ ~images.T))
-    if len(wrong):
-        raise MismatchError("refinement order does not match inclusion",
-                            witness=tuple(wrong[0].tolist()))
+def congruence_correspondence_check(L, D, classes):
+    """Con L against the lower sets of the point order, as posets.  Con L is
+    the lattice of down-sets of the D-class order `classes`, so the two
+    lattices match when the orders do: each cover's class, the top of the
+    class mask of the congruence it generates, maps to the cover's point,
+    one class to one point, and class c lies below class d exactly when
+    c's point lies below d's.  On 200 seeded quadruples, x == y under
+    con(a, b), the inclusion of the class mask of (x, y) in that of (a, b),
+    must agree with the bounded-multiple domination of delta values.  The
+    masks of the covers and samples come from one pass."""
     rng = random.Random(7)
     quads = [[rng.randrange(L.n) for _ in range(4)] for _ in range(200)]
-    rows = con.index_of(con.classes.collapsed_by(list(L.covers) + [q[2:] for q in quads]))
-    want = D.qo.down_set(D.point_of_cover[:, None] == np.arange(len(D.qo)))
-    bad = np.flatnonzero((images[rows[:len(L.covers)]] != want).any(axis=1))
-    if len(bad):
-        a, b = L.covers[bad[0]]
+    m = len(L.covers)
+    masks = classes.collapsed_by(list(L.covers) + [q[:2] for q in quads]
+                                 + [q[2:] for q in quads])
+    # the top of a principal down-set is the one member whose own down-set
+    # is as large as it
+    size = classes.below.sum(axis=0)
+    top = (masks[:m] & (size == masks[:m].sum(axis=1)[:, None])) @ np.arange(len(classes))
+    point = D.point_of_cover
+    pair = np.zeros((len(classes), len(D.qo)), dtype=bool)
+    pair[top, point] = True
+    # a bijection: one point in each row and one class in each column
+    rows, cols = pair.sum(axis=1) == 1, pair.sum(axis=0) == 1
+    if not (rows.all() and cols.all()):
+        bad = np.flatnonzero(~(rows[top] & cols[point]))
         raise MismatchError("principal congruence image is not the point's lower set",
-                            witness=(L.names[a], L.names[b]))
-    for (x, y, a, b), theta in zip(quads, con.blocks[rows[len(L.covers):]].tolist()):
-        if (theta[x] == theta[y]) != propto(delta(D, x, y), delta(D, a, b)):
+                            witness=None if not len(bad) else
+                            tuple(L.names[x] for x in L.covers[bad[0]]))
+    # the first cover of each class, and its point
+    first = np.unique(top, return_index=True)[1]
+    wrong = np.argwhere(classes.below != D.qo.below[np.ix_(point[first], point[first])])
+    if len(wrong):
+        raise MismatchError("refinement order does not match inclusion",
+                            witness=tuple(tuple(L.names[x] for x in L.covers[first[c]])
+                                          for c in wrong[0].tolist()))
+    xy, ab = masks[m:m + len(quads)], masks[m + len(quads):]
+    inside = ~(xy & ~ab).any(axis=1)
+    for (x, y, a, b), ok in zip(quads, inside.tolist()):
+        if ok != propto(delta(D, x, y), delta(D, a, b)):
             raise MismatchError(
                 "collapsing and bounded domination disagree",
                 witness=tuple(L.names[z] for z in (x, y, a, b)))
-    return {"congruences": len(con), "lower_sets": len(sets),
-            "sampled_quadruples": len(quads)}
+    return {"classes": len(classes), "points": len(D.qo), "sampled_quadruples": len(quads)}
 
 
 def distributive_dim(L):
@@ -553,17 +565,19 @@ def _word_values(DM, pairs, words):
     return table[words].sum(axis=1)
 
 
-def dep_check(L, con, D, k=3):
+def dep_check(L, classes, D, k=3):
     """Order preservation and reflection of the subdirect-product map on
     dimension words of length <= k over at most 8 seeded prime intervals;
-    the factors are the quotients by the non-coarse meet-irreducible
-    congruences of con (Con L in `check`).
+    the factors are the quotients by the meet-irreducible congruences, one
+    per class c of the D-class order `classes`: the congruence that
+    collapses the classes not above c.
 
     The word values stack into one array upstairs and one per factor; the
-    order upstairs must equal the AND of the factors' orders."""
+    order upstairs must equal the AND of the factors' orders, which no
+    order of the factors changes."""
     quots = []
-    for i in con.meet_irreducibles():
-        Q, proj = quotient_lattice(L, con.blocks[i])
+    for theta in classes.partitions(~classes.below):
+        Q, proj = quotient_lattice(L, theta)
         quots.append((dimension_monoid(Q), proj))
     rng = random.Random(11)
     pool = list(L.covers)

@@ -72,24 +72,6 @@ def _strong_components(closed):
     return _numbered(mutual.argmax(axis=1) if k else np.zeros(0, dtype=np.intp))
 
 
-def _down_sets(below, limit, what):
-    """The down-sets of the order below[c, d] (c <= d) as a mask per row.
-    Points join in a linear extension, each to the sets that hold all its
-    predecessors, so the count only grows: past `limit` it stops with
-    ParamTooLarge("<what> too large"), before anything is built from the sets."""
-    k = len(below)
-    sets = [0]
-    for c in np.argsort(below.sum(axis=0), kind="stable").tolist():
-        need = sum(1 << int(d) for d in np.flatnonzero(below[:, c]) if d != c)
-        sets += [s | 1 << c for s in sets if s & need == need]
-        if len(sets) > limit:
-            raise ParamTooLarge(f"{what} too large")
-    # bit c of a set is column c: its little-endian bytes, unpacked
-    raw = b"".join(s.to_bytes(k // 8 + 1, "little") for s in sets)
-    bits = np.frombuffer(raw, dtype=np.uint8).reshape(len(sets), -1)
-    return np.unpackbits(bits, axis=1, count=k, bitorder="little").view(bool)
-
-
 def _components(n, first, second):
     """The connected components of the graph on 0..n-1 with the edges
     (first[i], second[i]): the component of each vertex, numbered 0, 1, ...
@@ -470,8 +452,13 @@ def _is_name(x):
     return not isinstance(x, (list, dict))
 
 
+def _json_constant(name):
+    """json's parse_constant: NaN, Infinity and -Infinity are not JSON."""
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def from_json(text):
-    doc = json.loads(text)
+    doc = json.loads(text, parse_constant=_json_constant)
     if not isinstance(doc, dict):
         raise ValueError("lattice file must hold a JSON object")
     for key in ("elements", "covers"):

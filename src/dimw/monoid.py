@@ -11,9 +11,8 @@ import operator
 
 import numpy as np
 
-from .congruence import CON_COUNT_GUARD
 from .errors import NotBelow, NotInF
-from .lattice import _components, _down_sets, _strong_components, _transitive_closure
+from .lattice import _components, _strong_components, _transitive_closure
 
 INF = float("inf")
 
@@ -107,11 +106,6 @@ class QOSystem:
         for p, v in mapping.items():
             vals[self._as_index(p)] = INF if v == INF or v == "inf" else int(v)
         return DimVector(self, tuple(vals))
-
-    def lower_sets(self):
-        """All lower sets of (P, <=), one bool membership row over the points
-        each.  In `check` they match Con L, so they keep its count limit."""
-        return _down_sets(self.below, CON_COUNT_GUARD, "lower-set lattice")
 
     def to_json_dict(self):
         return {"points": list(self.points),

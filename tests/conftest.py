@@ -162,6 +162,14 @@ def random_lattices(count=40):
     return out
 
 
+@functools.cache
+def lattices_and_duals():
+    """The catalog instances, the seeded random lattices and the duals of
+    all of them, built once per session."""
+    base = [lat.builtin_spec(s) for s in CATALOG_INSTANCES] + random_lattices()
+    return tuple(base + [lat.dual(L) for L in base])
+
+
 def random_eight_element_lattices(count, seed=20240817):
     """Deterministic sample of 8-element lattices (random order closures)."""
     rng = random.Random(seed)

@@ -2,6 +2,14 @@
 for Delta, for distributivity and for the cross-checks of dimension and
 geometry.
 
+Con L and the lower sets are listed here in full, where the library only
+counts them off the D-class order and compares that order with the point
+order.  `down_sets` lists the down-sets of an order, one bool mask each, and
+`all_congruences` turns the down-sets of the D-class order into one block
+table, `CongruenceLattice.blocks`, ordered by block count and then block_of,
+descending; its refinement order, irreducibles and height are read off the
+table, not off the class order.
+
 The union-find here is the one the library used for its equality classes
 before they became array components; the congruence oracle, the
 projectivity classes of `tests/theory.py` and the join of congruences run
@@ -45,14 +53,15 @@ rerun for every element and every base, where the library grows all
 sequences at once, level by level.
 """
 
+import functools
 import itertools
 import random
 
 import numpy as np
 
-from dimw.congruence import quotient_lattice
-from dimw.dimension import _primes_mask, delta, dimension_monoid
-from dimw.errors import NotBelow
+from dimw.congruence import DClasses, quotient_lattice
+from dimw.dimension import _primes_mask, delta, dimension_monoid, propto
+from dimw.errors import MismatchError, NotBelow
 from dimw.lattice import FiniteLattice, _padded, _transitive_closure
 from dimw.monoid import INF, DimVector, truncate
 
@@ -185,6 +194,101 @@ def closure_congruences(L):
     return ordered, leq
 
 
+def down_sets(below):
+    """The down-sets of the order below[c, d] (c <= d) as a mask per row.
+    Points join in a linear extension, each to the sets that hold all its
+    predecessors."""
+    k = len(below)
+    sets = [0]
+    for c in np.argsort(below.sum(axis=0), kind="stable").tolist():
+        need = sum(1 << int(d) for d in np.flatnonzero(below[:, c]) if d != c)
+        sets += [s | 1 << c for s in sets if s & need == need]
+    # bit c of a set is column c: its little-endian bytes, unpacked
+    raw = b"".join(s.to_bytes(k // 8 + 1, "little") for s in sets)
+    bits = np.frombuffer(raw, dtype=np.uint8).reshape(len(sets), -1)
+    return np.unpackbits(bits, axis=1, count=k, bitorder="little").view(bool)
+
+
+def lower_sets(qo):
+    """All lower sets of (P, <=), one bool membership row over the points each."""
+    return down_sets(qo.below)
+
+
+class CongruenceLattice:
+    """All congruences of a finite lattice under the refinement order.
+
+    Congruence i collapses the D-classes marked in members[i] and has the
+    block_of row blocks[i]; rows go by block count, then block_of, descending.
+    """
+
+    def __init__(self, classes, members):
+        L = classes.over
+        blocks = classes.partitions(members)
+        # a block is named by its least member
+        count = (blocks == np.arange(L.n)).sum(axis=1)
+        order = np.lexsort(np.vstack([blocks.T[::-1], count]))[::-1]
+        self.over, self.classes = L, classes
+        self.members, self.blocks = members[order], blocks[order]
+        self._index = {m.tobytes(): i for i, m in enumerate(self.members)}
+        # members[i] <= members[j] unless some class of i is missing from j
+        self.leq = ~(self.members @ ~self.members.T)
+
+    def __len__(self):
+        return len(self.blocks)
+
+    def index_of(self, masks):
+        """Table positions of the congruences whose class masks are the rows."""
+        return np.array([self._index[m.tobytes()] for m in masks], dtype=np.intp)
+
+    @functools.cached_property
+    def lattice(self):
+        """Con L as a lattice under refinement, its elements named t0, t1, ..."""
+        return FiniteLattice([f"t{i}" for i in range(len(self))], self.leq,
+                             name=f"Con({self.over.name})")
+
+    def join_irreducibles(self):
+        """Indices of the congruences with one lower cover."""
+        return [i for i in range(len(self)) if len(self.lattice.cocovers_of(i)) == 1]
+
+    def meet_irreducibles(self):
+        """Indices of the congruences with one upper cover."""
+        return [i for i in range(len(self)) if len(self.lattice.covers_of(i)) == 1]
+
+
+def all_congruences(L):
+    """Con L: one congruence per down-set of the D-class order."""
+    classes = DClasses(L)
+    return CongruenceLattice(classes, down_sets(classes.below))
+
+
+def congruence_correspondence_by_listing(L, D, con):
+    """The correspondence check as it ran on the listings: the lower sets of
+    the point order are the images of the congruences of `con`, the points
+    below a point with a prime interval that the congruence collapses;
+    refinement is inclusion of the images; a cover's principal congruence
+    has its point's lower set as image; and on 200 seeded quadruples
+    x == y under con(a, b), read off its block row, is the bounded-multiple
+    domination of delta values.  Raises MismatchError."""
+    hit = np.zeros((len(con), len(D.qo)), dtype=bool)
+    rows, primes = np.nonzero(con.blocks[:, L.cover_lo] == con.blocks[:, L.cover_hi])
+    hit[rows, D.point_of_cover[primes]] = True
+    images = D.qo.down_set(hit)
+    found = {m.tobytes() for m in images}
+    if len(found) != len(con) or found != {m.tobytes() for m in lower_sets(D.qo)}:
+        raise MismatchError("congruence lattice does not match the lower sets")
+    if not np.array_equal(con.leq, ~(images @ ~images.T)):
+        raise MismatchError("refinement order does not match inclusion")
+    rng = random.Random(7)
+    quads = [[rng.randrange(L.n) for _ in range(4)] for _ in range(200)]
+    rows = con.index_of(con.classes.collapsed_by(list(L.covers) + [q[2:] for q in quads]))
+    want = D.qo.down_set(D.point_of_cover[:, None] == np.arange(len(D.qo)))
+    if (images[rows[:len(L.covers)]] != want).any():
+        raise MismatchError("principal congruence image is not the point's lower set")
+    for (x, y, a, b), theta in zip(quads, con.blocks[rows[len(L.covers):]].tolist()):
+        if (theta[x] == theta[y]) != propto(delta(D, x, y), delta(D, a, b)):
+            raise MismatchError("collapsing and bounded domination disagree")
+
+
 def is_simple_by_primes(L):
     """L is simple iff every prime interval generates the coarse congruence."""
     return L.n > 1 and all(len(set(closure_principal(L, a, b))) == 1
@@ -194,7 +298,7 @@ def is_simple_by_primes(L):
 def semilattice_quotient(qo):
     """The distributive lattice of lower sets of (P, <=) together with the
     map sending a vector to the lower set generated by its support."""
-    sets = sorted(map(_index_set, qo.lower_sets()), key=lambda s: (len(s), sorted(s)))
+    sets = sorted(map(_index_set, lower_sets(qo)), key=lambda s: (len(s), sorted(s)))
     names = ["{" + ",".join(sorted(qo.points[i] for i in s)) + "}" for s in sets]
     member = np.zeros((len(sets), len(qo.points)), dtype=bool)
     for i, s in enumerate(sets):
@@ -428,12 +532,13 @@ def is_v_modular_by_search(L, D, bound=4):
     return True, None
 
 
-def dep_check_by_pairs(L, con, D, k=3, max_pool=8, seed=11):
+def dep_check_by_pairs(L, factors, D, k=3, max_pool=8, seed=11):
     """DEP comparing the order of every pair of word values upstairs with
-    the order in every factor, one pair at a time."""
+    the order in every factor L / theta, theta in `factors`, one pair at a
+    time."""
     quots = []
-    for i in con.meet_irreducibles():
-        Q, proj = quotient_lattice(L, con.blocks[i])
+    for theta in factors:
+        Q, proj = quotient_lattice(L, theta)
         quots.append((dimension_monoid(Q), proj))
     rng = random.Random(seed)
     pool = list(L.covers)

@@ -18,13 +18,14 @@ import time
 from dimw import dimension as dim
 from dimw import geometry as geo
 from dimw import lattice as lat
-from dimw.congruence import all_congruences
+from dimw.congruence import DClasses
 from dimw.dimension import delta, dimension_monoid
 from dimw.monoid import INF, from_reduced, index, refine, residual, to_reduced, truncate
 
 from conftest import (enumerate_qosystems, grid_vectors, qosystem_reps,
                       random_eight_element_lattices, random_qosystem,
                       random_vector)
+from oracles import all_congruences, lower_sets
 from theory import n_distributive, normal_kernel_theorems_check, two_piece_decomposition
 
 
@@ -101,8 +102,9 @@ def test_criterion_4_distributive_case():
 def test_criterion_5_congruence_correspondence(small_builtins):
     ok = True
     for L in small_builtins:
-        rep = dim.congruence_correspondence_check(L, dimension_monoid(L), all_congruences(L))
-        ok = ok and rep["congruences"] == rep["lower_sets"]
+        D = dimension_monoid(L)
+        dim.congruence_correspondence_check(L, D, DClasses(L))
+        ok = ok and len(all_congruences(L)) == len(lower_sets(D.qo))
         if not ok:
             break
     report(5, ok, L.name if not ok else f"{len(small_builtins)} lattices")
@@ -120,8 +122,8 @@ def test_criterion_6_modularity_cancellativity(small_builtins):
     rel = [(a, b) for a in range(3) for b in range(3) if qo.rel[a][b]]
     ok = ok and len(qo.points) == 3 and not qo.p0 and len(rel) == 2
     ok = ok and rel[0][0] == rel[1][0]  # one low point under the two others
-    rep = dim.congruence_correspondence_check(N5, D5, all_congruences(N5))
-    ok = ok and rep["congruences"] == 5 == rep["lower_sets"]
+    dim.congruence_correspondence_check(N5, D5, DClasses(N5))
+    ok = ok and len(all_congruences(N5)) == 5 == len(lower_sets(qo))
     report(6, ok)
 
 
@@ -312,8 +314,8 @@ def test_criterion_10_perspectivity_suite():
 
 def test_criterion_11_dep():
     N5, C3 = lat.builtin("N5"), lat.builtin("chain", 3)
-    ok = dim.dep_check(N5, all_congruences(N5), dimension_monoid(N5), k=3)
-    ok = ok and dim.dep_check(C3, all_congruences(C3), dimension_monoid(C3), k=3)
+    ok = dim.dep_check(N5, DClasses(N5), dimension_monoid(N5), k=3)
+    ok = ok and dim.dep_check(C3, DClasses(C3), dimension_monoid(C3), k=3)
     for L in random_eight_element_lattices(2):
-        ok = ok and dim.dep_check(L, all_congruences(L), dimension_monoid(L), k=3)
+        ok = ok and dim.dep_check(L, DClasses(L), dimension_monoid(L), k=3)
     report(11, ok)

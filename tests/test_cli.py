@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -387,8 +388,10 @@ def test_lattice_file_names_are_compared_as_strings(tmp_path):
 
 
 # JSON scalars, often equal values with distinct names (1, 1.0, true) or
-# distinct values with one name (1, "1")
-_SCALARS = st.one_of(st.sampled_from([0, 1, 0.0, -0.0, 1.0, True, False, None, "1", "True", ""]),
+# distinct values with one name (1, "1"), and the constants NaN, Infinity
+# and -Infinity that Python's json writes and reads but JSON does not have
+_SCALARS = st.one_of(st.sampled_from([0, 1, 0.0, -0.0, 1.0, True, False, None, "1", "True", "",
+                                      float("nan"), float("inf"), float("-inf")]),
                      st.text(max_size=3), st.integers(), st.floats())
 _ABSENT = object()
 
@@ -420,11 +423,21 @@ def _as_strings(doc):
     return out
 
 
+def _has_non_json_constant(doc):
+    try:
+        json.dumps(doc, allow_nan=False)
+    except ValueError:
+        return True
+    return False
+
+
 def test_lattice_file_fuzz(tmp_path):
     """validate, dim and dot on generated lattice files end in exit 0, 1 or
-    2 with at most one stderr line and no exception, and a file reads the
+    2 with at most one stderr line and no exception; a file with NaN or an
+    infinity in it is refused with one error line, and any other reads the
     same as its names written as strings."""
     path, same = tmp_path / "fuzz.json", tmp_path / "strings.json"
+    refused = []
 
     @given(_lattice_docs())
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -434,9 +447,15 @@ def test_lattice_file_fuzz(tmp_path):
         for verb in ("validate", "dim", "dot"):
             got = _run_quietly([verb, "--file", str(path)])
             assert got[0] in (0, 1, 2) and len(got[2].splitlines()) <= 1, (verb, doc, got)
-            assert got == _run_quietly([verb, "--file", str(same)]), (verb, doc)
+            if _has_non_json_constant(doc):
+                assert got[:2] == (1, "") and re.fullmatch(
+                    r"error: -?(NaN|Infinity) is not a JSON value\n", got[2]), (verb, doc, got)
+                refused.append(doc)
+            else:
+                assert got == _run_quietly([verb, "--file", str(same)]), (verb, doc)
 
     check()
+    assert refused
 
 
 def test_check_all_coprod_c3_c1():
@@ -449,9 +468,61 @@ def test_check_all_coprod_c3_c1():
         "dimension_extension"}
 
 
-def test_con_refuses_a_large_congruence_lattice_at_once():
-    # chain:60 has 2^59 congruences; the down-set count stops past the guard
-    assert _cli("con", "--builtin", "chain:60") == (1, ["error: congruence lattice too large"])
+def _glued_pentagons(k):
+    """k pentagons stacked top to bottom: 4k + 1 elements whose D-class order
+    is k disjoint V's, 5^k congruences, counted in 2^(k + 1) - 1 steps."""
+    covers = []
+    for i in range(k):
+        lo, hi = f"e{i}", f"e{i + 1}"
+        covers += [[lo, f"b{i}"], [f"b{i}", hi], [lo, f"c{i}"], [f"c{i}", f"a{i}"], [f"a{i}", hi]]
+    elements = [f"e{i}" for i in range(k + 1)] + [f"{x}{i}" for i in range(k) for x in "abc"]
+    return {"name": f"pentagons{k}", "elements": elements, "covers": covers}
+
+
+def test_con_refuses_a_large_congruence_lattice_at_once(tmp_path):
+    # 18 pentagons need 2^19 - 1 steps of the down-set count, past its budget
+    # of 2 * 100000; 16 need 2^17 - 1
+    path = tmp_path / "pentagons.json"
+    path.write_text(json.dumps(_glued_pentagons(18)))
+    start = time.perf_counter()
+    assert _cli("con", "--file", str(path)) == (1, ["error: congruence lattice too large"])
+    assert time.perf_counter() - start < 10
+    path.write_text(json.dumps(_glued_pentagons(16)))
+    proc = _proc("con", "--file", str(path))
+    assert (proc.returncode, proc.stdout) == (0, (
+        f"Con(pentagons16): {5 ** 16} congruences (48 meet-irreducible, 48 join-irreducible); "
+        "simple: False; congruence lattice height 48\n"))
+
+
+def _cap_address_space_1g():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _child_seconds():
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def test_congruence_verbs_past_the_old_listing_limit():
+    """`con` and `check` read Con L off the D-class order, so chains whose
+    congruences no listing could hold answer at once, and the axiom loop of
+    `check` meets its own guard, on the incomparable pairs, right after
+    loading."""
+    proc = _proc("check", "--builtin", "boolean:12", timeout=60,
+                 preexec_fn=_cap_address_space_1g)
+    assert (proc.returncode, proc.stdout, proc.stderr.splitlines()) == (1, "", [
+        "error: axiom check of 15718430 incomparable pairs exceeds guard 8388608"])
+    proc = _proc("con", "--builtin", "chain:20", "--json", timeout=60,
+                 preexec_fn=_cap_address_space_1g)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["congruences"] == 524288
+    for spec in ("chain:16", "chain:300"):
+        # processor time of the child, which other load on the machine does
+        # not stretch as it does wall time
+        start = _child_seconds()
+        proc = _proc("check", "--builtin", spec, timeout=60, preexec_fn=_cap_address_space_1g)
+        assert _child_seconds() - start < 1, spec
+        assert (proc.returncode, proc.stdout) == (0, (
+            "axioms: pass\ncongruence_correspondence: pass\ndual_functor: pass\n")), spec
 
 
 def test_in_process_calls_do_not_share_word_lists(capsys):

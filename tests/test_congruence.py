@@ -6,15 +6,14 @@ import pytest
 from dimw import congruence as cg
 from dimw import lattice as lat
 from dimw.cli import CATALOG_INSTANCES, run
-from dimw.congruence import (all_congruences, congruence_from_pairs, from_json, is_compatible,
-                             quotient_lattice, to_json)
+from dimw.congruence import (DClasses, congruence_from_pairs, count_down_sets, from_json,
+                             is_compatible, quotient_lattice, to_json)
 from dimw.errors import ParamTooLarge
-from dimw.lattice import FiniteLattice, _set_partitions
+from dimw.lattice import _set_partitions
 
-from conftest import builtins_up_to, random_lattices
-from oracles import (closure_congruences, closure_from_pairs, closure_principal,
-                     is_compatible_by_pairs, is_simple_by_primes)
-from theory import as_lattice
+from conftest import builtins_up_to, lattices_and_duals, random_lattices
+from oracles import (all_congruences, closure_congruences, closure_from_pairs,
+                     closure_principal, down_sets, is_compatible_by_pairs, is_simple_by_primes)
 
 
 def every_partition(L):
@@ -76,7 +75,7 @@ def test_all_congruences_sizes():
     assert len(all_congruences(lat.builtin("M3"))) == 2
     con3 = all_congruences(lat.builtin("chain", 3))
     assert len(con3) == 4
-    K = as_lattice(con3)
+    K = con3.lattice
     assert K.n == 4 and len(K.atoms()) == 2  # Boolean square
 
 
@@ -89,8 +88,7 @@ def test_all_congruences_match_brute_force():
 
 def test_congruence_lattice_distributive():
     for L in builtins_up_to(32):
-        K = as_lattice(all_congruences(L))
-        assert lat.is_distributive(K), L.name
+        assert lat.is_distributive(all_congruences(L).lattice), L.name
 
 
 def test_congruence_invariants():
@@ -164,6 +162,7 @@ def test_congruence_serialization():
     ('{"congruence": [["0", ["a"]]]}', "must be a list of lists of names"),
     ('{"congruence": [["0"], ["z"], ["a", "b", "c", "1"]]}', "unknown element 'z'"),
     ('{"congruence": [["0"], [], ["a", "b", "c", "1"]]}', "empty block"),
+    ('{"congruence": [["0", "a", "b", "c", "1", Infinity]]}', "Infinity is not a JSON value"),
 ])
 def test_congruence_sidecar_rejects_malformed_documents(doc, message):
     with pytest.raises(ValueError, match=message) as err:
@@ -202,12 +201,64 @@ def test_all_congruences_match_closure_oracle():
         ordered, leq = closure_congruences(L)
         assert con.blocks.tolist() == [list(c) for c in ordered], L.name
         assert np.array_equal(con.leq, leq), L.name
-        K = FiniteLattice(["t%d" % i for i in range(len(ordered))], leq)
-        assert con.join_irreducibles() == [
-            i for i in range(K.n) if len(K.cocovers_of(i)) == 1], L.name
-        assert con.meet_irreducibles() == [
-            i for i in range(K.n) if len(K.covers_of(i)) == 1], L.name
-        assert con.height() == K.height(), L.name
+
+
+def test_con_numbers_match_the_listing():
+    """What `con` prints, read off the D-class order, against the listing:
+    the down-set count is |Con L|, the principal down-sets and their
+    complements are its join- and meet-irreducibles, and its height is the
+    number of classes."""
+    for L in lattices_and_duals():
+        con = all_congruences(L)
+        classes = con.classes
+        assert count_down_sets(classes.below) == len(con), L.name
+        assert sorted(con.index_of(classes.below.T)) == con.join_irreducibles(), L.name
+        assert sorted(con.index_of(~classes.below)) == con.meet_irreducibles(), L.name
+        assert len(classes) == con.lattice.height(), L.name
+
+
+def test_count_down_sets_matches_the_listing_on_every_small_order():
+    for k in range(5):
+        pairs = [(c, d) for c in range(k) for d in range(k) if c != d]
+        for bits in range(1 << len(pairs)):
+            below = np.eye(k, dtype=bool)
+            for i, (c, d) in enumerate(pairs):
+                below[c, d] = bool(bits >> i & 1)
+            if (below & below.T).sum() > k or (below @ below & ~below).any():
+                continue
+            assert count_down_sets(below) == len(down_sets(below)), below.tolist()
+
+
+def test_count_down_sets_keeps_its_step_budget(monkeypatch):
+    """The count takes fewer than 2N calls for N down-sets, so a budget of
+    2 * CON_COUNT_GUARD calls refuses no order with at most CON_COUNT_GUARD
+    down-sets; past the budget it stops."""
+    for L in lattices_and_duals():
+        below = DClasses(L).below
+        n = count_down_sets(below)
+        monkeypatch.setattr(cg, "CON_COUNT_GUARD", n)
+        assert count_down_sets(below) == n, L.name
+        monkeypatch.undo()
+    def vees(k):
+        """k disjoint V's: 5^k down-sets, counted in 2^(k + 1) - 1 calls."""
+        below = np.eye(3 * k, dtype=bool)
+        below[np.arange(0, 3 * k, 3), np.arange(1, 3 * k, 3)] = True
+        below[np.arange(0, 3 * k, 3), np.arange(2, 3 * k, 3)] = True
+        return below
+
+    with pytest.raises(ParamTooLarge, match="^congruence lattice too large$"):
+        count_down_sets(vees(18))
+    monkeypatch.setattr(cg, "CON_COUNT_GUARD", 2 ** 12)
+    assert count_down_sets(vees(12)) == 5 ** 12
+    monkeypatch.setattr(cg, "CON_COUNT_GUARD", 2 ** 12 - 1)
+    with pytest.raises(ParamTooLarge, match="^congruence lattice too large$"):
+        count_down_sets(vees(12))
+    # an antichain is counted in one call
+    monkeypatch.setattr(cg, "CON_COUNT_GUARD", 1)
+    assert count_down_sets(np.eye(400, dtype=bool)) == 2 ** 400
+    monkeypatch.setattr(cg, "CON_COUNT_GUARD", 0)
+    with pytest.raises(ParamTooLarge, match="^congruence lattice too large$"):
+        count_down_sets(np.eye(400, dtype=bool))
 
 
 def test_principal_congruence_matches_closure_oracle():
@@ -242,20 +293,6 @@ def test_is_simple_matches_prime_interval_loop():
     assert not lat.is_simple(lat.builtin("chain", 1000))
 
 
-def test_count_guard_precedes_the_partitions(monkeypatch):
-    def refuse(self, collapsed):
-        raise AssertionError(f"{len(collapsed)} partitions built before the count guard")
-
-    monkeypatch.setattr(cg.DClasses, "partitions", refuse)
-    # 2^59 congruences
-    with pytest.raises(ParamTooLarge, match="congruence lattice too large"):
-        all_congruences(lat.builtin("chain", 60))
-    # 16 congruences of 16 elements: one cell over the partition table guard
-    monkeypatch.setattr(cg, "CON_TABLE_GUARD", 16 * 16 - 1)
-    with pytest.raises(ParamTooLarge, match="congruence lattice too large"):
-        all_congruences(lat.builtin("boolean", 4))
-
-
 def test_pass_guard_precedes_the_d_pass(monkeypatch):
     def refuse(*args):
         raise AssertionError("D-relation pass run before the cell guard")
@@ -263,14 +300,7 @@ def test_pass_guard_precedes_the_d_pass(monkeypatch):
     monkeypatch.setattr(cg, "_d_block", refuse)
     # 999 join-irreducibles: 999^2 * 1000 cells
     with pytest.raises(ParamTooLarge, match="D-relation pass"):
-        all_congruences(lat.builtin("chain", 1000))
-
-
-def test_order_guard_precedes_the_order_table(monkeypatch):
-    con = all_congruences(lat.builtin("chain", 4))
-    monkeypatch.setattr(cg, "CON_ORDER_GUARD", len(con) ** 2 - 1)
-    with pytest.raises(ParamTooLarge, match="congruence lattice too large"):
-        con.leq
+        DClasses(lat.builtin("chain", 1000))
 
 
 def test_con_and_check_on_coprod_c3_c1(capsys):

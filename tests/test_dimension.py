@@ -8,17 +8,17 @@ import pytest
 from dimw import dimension as dim
 from dimw import lattice as lat
 from dimw.cli import CATALOG_INSTANCES
-from dimw.congruence import DClasses, all_congruences
+from dimw.congruence import DClasses
 from dimw.dimension import (DimensionWord, caustic_pairs, caustic_relations, delta,
                             dep_check, dimension_monoid, distributive_dim,
                             functor_checks, is_v_modular, product_functor_check,
                             quotient_functor_check, word_compare)
 from dimw.errors import MismatchError, NotALattice, NotDistributive, NotModular, ParamTooLarge
 from dimw.monoid import DimVector, QOSystem
-from conftest import (builtins_up_to, cross_check_lattices, random_eight_element_lattices,
-                      random_lattices, random_posets)
-from oracles import (caustic_pairs_by_tables, delta_by_steps, dep_check_by_pairs,
-                     is_v_modular_by_search)
+from conftest import (builtins_up_to, cross_check_lattices, lattices_and_duals,
+                      random_eight_element_lattices, random_lattices, random_posets)
+from oracles import (all_congruences, caustic_pairs_by_tables, congruence_correspondence_by_listing,
+                     delta_by_steps, dep_check_by_pairs, is_v_modular_by_search, lower_sets)
 from theory import intervals_projective, projectivity_classes, schreier_refine
 
 
@@ -449,8 +449,61 @@ def test_d2_as_words_everywhere():
 
 def test_congruence_correspondence_on_catalog(small_builtins):
     for L in small_builtins:
-        report = dim.congruence_correspondence_check(L, dimension_monoid(L), all_congruences(L))
-        assert report["congruences"] == report["lower_sets"], L.name
+        D = dimension_monoid(L)
+        report = dim.congruence_correspondence_check(L, D, DClasses(L))
+        k = len(D.qo)
+        assert report == {"classes": k, "points": k, "sampled_quadruples": 200}, L.name
+        assert len(all_congruences(L)) == len(lower_sets(D.qo)), L.name
+
+
+def test_correspondence_check_matches_the_listing():
+    """The poset test and the listing check agree on every lattice and its
+    dual, and so do their readings of x == y under con(a, b) on 200 seeded
+    quadruples each: mask inclusion and the listing's block rows."""
+    rng = random.Random(3)
+    for L in lattices_and_duals():
+        D, con = dimension_monoid(L), all_congruences(L)
+        dim.congruence_correspondence_check(L, D, con.classes)
+        congruence_correspondence_by_listing(L, D, con)
+        quads = [[rng.randrange(L.n) for _ in range(4)] for _ in range(200)]
+        xy, ab = (con.classes.collapsed_by([q[s] for q in quads]) for s in (slice(2), slice(2, 4)))
+        rows = con.blocks[con.index_of(ab)]
+        for (x, y, _, _), row, ok in zip(quads, rows, ~(xy & ~ab).any(axis=1)):
+            assert ok == (row[x] == row[y]), (L.name, x, y)
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except MismatchError:
+        return False
+    return True
+
+
+def test_correspondence_checks_catch_every_moved_cover_and_flipped_cell():
+    """Every cover moved to every other point, and every off-diagonal cell
+    of the relation flipped: the poset test and the listing check both
+    fail."""
+    moves, flips = [], []
+    for spec in ("N5", "coprod_c3_c1", "boolean:3", "coprod_c2_c1"):
+        L = lat.builtin_spec(spec)
+        D, con = dimension_monoid(L), all_congruences(L)
+        k = len(D.qo)
+        for i, p in itertools.product(range(len(L.covers)), range(k)):
+            if p != D.point_of_cover[i]:
+                moved = D.point_of_cover.copy()
+                moved[i] = p
+                moves.append((L, con, dim.DimensionMonoid(L, D.qo, moved)))
+        for p, q in itertools.product(range(k), repeat=2):
+            if p != q:
+                rel = D.qo.rel.copy()
+                rel[p, q] = not rel[p, q]
+                flips.append((L, con, dim.DimensionMonoid(L, QOSystem.closed(rel),
+                                                          D.point_of_cover)))
+    assert (len(moves), len(flips)) == (348, 142)
+    for L, con, T in moves + flips:
+        assert not _verdict(dim.congruence_correspondence_check, L, T, con.classes), L.name
+        assert not _verdict(congruence_correspondence_by_listing, L, T, con), L.name
 
 
 def test_d_class_order_is_the_point_order():
@@ -466,7 +519,7 @@ def test_d_class_order_is_the_point_order():
         classes = DClasses(L)
         point = [None] * len(classes)
         for j, c in zip(classes.J.tolist(), classes.cls.tolist()):
-            p = D.gen[(L.cocovers_of(j)[0], j)]
+            p = D.point_of_cover[L.covers.index((L.cocovers_of(j)[0], j))]
             assert point[c] in (None, p), spec
             point[c] = p
         assert sorted(point) == list(range(len(D.qo.points))), spec
@@ -474,31 +527,32 @@ def test_d_class_order_is_the_point_order():
 
 
 def test_correspondence_counts():
-    N5, M3, C3 = lat.builtin("N5"), lat.builtin("M3"), lat.builtin("chain", 3)
-    assert dim.congruence_correspondence_check(
-        N5, dimension_monoid(N5), all_congruences(N5))["congruences"] == 5
-    assert dim.congruence_correspondence_check(
-        M3, dimension_monoid(M3), all_congruences(M3))["congruences"] == 2
-    assert dim.congruence_correspondence_check(
-        C3, dimension_monoid(C3), all_congruences(C3))["congruences"] == 4
+    for spec, classes, count in (("N5", 3, 5), ("M3", 1, 2), ("chain:3", 2, 4)):
+        L = lat.builtin_spec(spec)
+        D = dimension_monoid(L)
+        assert dim.congruence_correspondence_check(L, D, DClasses(L)) == {
+            "classes": classes, "points": classes, "sampled_quadruples": 200}, spec
+        assert len(all_congruences(L)) == count == len(lower_sets(D.qo)), spec
 
 
 @pytest.mark.parametrize("spec, tamper, message, witness", [
-    ("N5", "order", "refinement order does not match inclusion", (0, 4)),
-    ("coprod_c3_c1", "order", "refinement order does not match inclusion", (0, 271)),
+    ("N5", "order", "refinement order does not match inclusion", (("0", "b"), ("c", "a"))),
+    ("coprod_c3_c1", "order", "refinement order does not match inclusion",
+     (("0", "a"), ("p", "r"))),
     ("N5", "delta", "collapsing and bounded domination disagree", ("0", "1", "0", "b")),
     ("coprod_c3_c1", "delta", "collapsing and bounded domination disagree",
      ("e", "1", "c", "o")),
-    ("N5", "antichain", "congruence lattice does not match the lower sets", (5, 8)),
+    ("N5", "antichain", "refinement order does not match inclusion", (("c", "a"), ("0", "b"))),
     ("N5", "cover", "principal congruence image is not the point's lower set", ("0", "b")),
 ])
 def test_correspondence_check_failures(spec, tamper, message, witness):
     L = lat.builtin_spec(spec)
-    D, C = dimension_monoid(L), all_congruences(L)
+    D = dimension_monoid(L)
     if tamper == "order":
-        leq = C.leq.copy()
-        leq[0, -1] = not leq[0, -1]
-        C._leq = leq
+        # one off-diagonal cell of the relation flipped
+        rel = D.qo.rel.copy()
+        rel[0, -1] = not rel[0, -1]
+        D = dim.DimensionMonoid(L, QOSystem.closed(rel), D.point_of_cover)
     elif tamper == "delta":
         for a in range(L.n):
             D._delta_cache[(a, L.top)] = D.qo.zero()
@@ -510,7 +564,7 @@ def test_correspondence_check_failures(spec, tamper, message, witness):
         moved[L.covers.index((L.index["0"], L.index["b"]))] = 2
         D = dim.DimensionMonoid(L, D.qo, moved)
     with pytest.raises(MismatchError, match=message) as err:
-        dim.congruence_correspondence_check(L, D, C)
+        dim.congruence_correspondence_check(L, D, DClasses(L))
     assert err.value.witness == witness
 
 
@@ -824,48 +878,53 @@ def test_v_modular_refuses_a_large_lattice_at_once(monkeypatch):
 
 
 class _Factors:
-    """A congruence list whose meet-irreducibles are a chosen subset, so
-    that DEP runs on too few factors."""
+    """The D-classes of L with some of their rows, so that DEP runs on the
+    meet-irreducible congruences of those classes alone."""
 
-    def __init__(self, con, keep):
-        self.blocks, self._keep = con.blocks, keep
-
-    def meet_irreducibles(self):
-        return self._keep
+    def __init__(self, classes, keep):
+        self.below, self.partitions = classes.below[keep], classes.partitions
 
 
 def test_dep_check_matches_pairwise_oracle():
+    """On every subset of factors tried, the stacked orders agree with the
+    pairwise oracle run on the listing's meet-irreducible congruences of
+    those classes."""
     verdicts = []
     for L in cross_check_lattices():
         con = all_congruences(L)
+        classes = con.classes
         D = dimension_monoid(L)
-        irreducible = con.meet_irreducibles()
-        runs = [(con, 3), (_Factors(con, irreducible[:1]), 2),
-                (_Factors(con, irreducible[1:]), 2), (con, 0)]
-        for factors, k in runs:
-            got = dep_check(L, factors, D, k=k)
+        every = np.arange(len(classes))
+        runs = [(every, 3), (every[:1], 2), (every[1:], 2), (every, 0)]
+        for keep, k in runs:
+            got = dep_check(L, _Factors(classes, keep), D, k=k)
+            factors = con.blocks[con.index_of(~classes.below[keep])]
             assert got == dep_check_by_pairs(L, factors, D, k=k), (L.name, k)
             verdicts.append(got)
+        # the factors are the listing's meet-irreducibles, in another order
+        assert sorted(con.index_of(~classes.below)) == con.meet_irreducibles(), L.name
     assert verdicts.count(False) >= 20 and verdicts.count(True) >= 20
 
 
 def test_dep_check():
     N5, C3 = lat.builtin("N5"), lat.builtin("chain", 3)
-    assert dep_check(N5, all_congruences(N5), dimension_monoid(N5), k=3)
-    assert dep_check(C3, all_congruences(C3), dimension_monoid(C3), k=3)
+    assert dep_check(N5, DClasses(N5), dimension_monoid(N5), k=3)
+    assert dep_check(C3, DClasses(C3), dimension_monoid(C3), k=3)
     M3 = lat.builtin("M3")  # simple: single factor, trivially fine
-    assert dep_check(M3, all_congruences(M3), dimension_monoid(M3), k=2)
+    assert dep_check(M3, DClasses(M3), dimension_monoid(M3), k=2)
     for L in random_eight_element_lattices(2):
-        assert dep_check(L, all_congruences(L), dimension_monoid(L), k=3), L.name
+        assert dep_check(L, DClasses(L), dimension_monoid(L), k=3), L.name
 
 
 def test_dep_check_explicit_factors():
     C3 = lat.builtin("chain", 3)
-    cons = all_congruences(C3)
+    cons, classes = all_congruences(C3), DClasses(C3)
     twochains = [t for t in cons.blocks.tolist() if len(set(t)) == 2]
     assert len(twochains) == 2
     assert cons.blocks[cons.meet_irreducibles()].tolist() == twochains
-    assert dep_check(C3, cons, dimension_monoid(C3), k=3)
+    assert sorted(classes.partitions(~classes.below).tolist()) == sorted(twochains)
+    assert dep_check(C3, classes, dimension_monoid(C3), k=3)
+
 
 
 def test_dim_report_shape():

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dimw import monoid as mon
-from dimw.errors import NotBelow, NotInF, ParamTooLarge
+from dimw.congruence import count_down_sets
+from dimw.errors import NotBelow, NotInF
 from dimw.lattice import is_distributive
 from dimw.monoid import (INF, DimVector, QOSystem, ReducedRep, build_qosystem,
                          from_reduced, index, refine,
                          residual, to_reduced, truncate, violates_canonical_form)
 
 from conftest import enumerate_qosystems, grid_vectors, qosystem_reps, random_qosystem, random_vector
-from oracles import _index_set, residual_by_levels, semilattice_quotient
+from oracles import residual_by_levels, semilattice_quotient
 
 
 def n5_system():
@@ -191,8 +192,8 @@ REASONS = {None, "not antitone", "finite nonzero", "finite positions", "infinite
 
 def assert_same_qosystem(qo, ref, rng, reasons):
     """Compare the numpy QO-system with the loop reference field by field and
-    on down-sets, lower sets, generators and canonical-form reasons; add the
-    outcomes seen to `reasons`."""
+    on down-sets, the count of lower sets, generators and canonical-form
+    reasons; add the outcomes seen to `reasons`."""
     k = len(qo.points)
     assert qo.points == ref.points
     assert qo.rel.tolist() == [list(r) for r in ref.rel]
@@ -206,9 +207,7 @@ def assert_same_qosystem(qo, ref, rng, reasons):
     for row, down, members in zip(stack, qo.down_set(stack), subsets):
         assert np.array_equal(qo.down_set(row), down)
         assert frozenset(np.flatnonzero(down).tolist()) == ref.down_set(members)
-    lower = qo.lower_sets()
-    assert lower.dtype == bool and lower.shape == (len(ref.lower_sets()), k)
-    assert set(map(_index_set, lower)) == set(ref.lower_sets())
+    assert count_down_sets(qo.below) == len(ref.lower_sets())
     candidates = [tuple(rng.choice((0, 1, 2, INF)) for _ in range(k)) for _ in range(4)]
     for p in range(k):
         values = qo.generator(p).values
@@ -652,27 +651,6 @@ def test_semilattice_quotient_shapes():
     latt2, _, _ = semilattice_quotient(single)
     assert latt2.n == 2
     assert is_distributive(latt5)
-
-
-def test_lower_sets_guard_precedes_the_subset_table(monkeypatch):
-    """Lower sets keep Con L's count limit, met while the sets are counted
-    and before any table of them is built."""
-    qo = QOSystem([f"p{i}" for i in range(21)], [])
-    anti = QOSystem(["a", "b", "c"], [])
-    chain = QOSystem(["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "c")])
-    monkeypatch.setattr(mon, "CON_COUNT_GUARD", 7)
-    assert len(chain.lower_sets()) == 4
-    with pytest.raises(ParamTooLarge, match="^lower-set lattice too large$"):
-        anti.lower_sets()
-    monkeypatch.undo()
-
-    def no_table(*args, **kwargs):
-        raise AssertionError("subset table allocated")
-
-    monkeypatch.setattr(mon.np, "arange", no_table)
-    for call in (qo.lower_sets, lambda: semilattice_quotient(qo)):
-        with pytest.raises(ParamTooLarge, match="^lower-set lattice too large$"):
-            call()
 
 
 def test_semilattice_quotient_matches_propto_oracle():

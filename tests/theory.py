@@ -3,8 +3,8 @@ parts of `dimw.geometry` and `dimw.dimension` that the verbs run: proper
 axes and independence, n-distributivity by its two methods, neutral ideals
 and the normal kernel, the bounded decomposition searches (two-piece,
 V-measure, refinement of equal words, Jonsson), the modular free-monoid
-oracles, interval sublattices and Con L as a lattice.  All searches iterate
-elements in index order and return the first witness.
+oracles and interval sublattices.  All searches iterate elements in index
+order and return the first witness.
 """
 
 import functools
@@ -334,9 +334,3 @@ def interval_sublattice(L, a, b):
     K = FiniteLattice([L.names[z] for z in members], L.leq[np.ix_(members, members)],
                       name=f"{L.name}[{L.names[a]},{L.names[b]}]", _validate=False)
     return K, members
-
-
-def as_lattice(con):
-    """Con L as a lattice under refinement, its elements named t0, t1, ..."""
-    return FiniteLattice([f"t{i}" for i in range(len(con))], con.leq.copy(),
-                         name=f"Con({con.over.name})")
