@@ -159,21 +159,7 @@ def cmd_check(args):
         lambda: dim.congruence_correspondence_check(L, D, classes))
     run("dual_functor", lambda: dim.functor_checks(L, D))
 
-    def axioms():
-        # incomparable pairs only: on a comparable pair additivity adds some
-        # Delta(x, x) = 0, and transposition compares Delta(a, b) with itself
-        # (a <= b) or 0 with 0 (b <= a); one row of pairs at a time
-        for a in range(L.n):
-            for b in np.flatnonzero(~(L.leq[a] | L.leq[:, a])).tolist():
-                m, j = L.mt(a, b), L.jn(a, b)
-                up = dim.delta(D, a, j)
-                if dim.delta(D, m, j) != dim.delta(D, m, a) + up:
-                    raise MismatchError("additivity axiom broken",
-                                        witness=(L.names[a], L.names[b]))
-                if up != dim.delta(D, m, b):
-                    raise MismatchError("transposition axiom broken",
-                                        witness=(L.names[a], L.names[b]))
-    run("axioms", axioms)
+    run("axioms", lambda: dim.axiom_check(L, D))
     if args.all:
         def dep():
             if not dim.dep_check(L, classes, D, k=min(args.bound, 3)):

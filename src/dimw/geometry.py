@@ -16,10 +16,10 @@ kernel, and the bounded decomposition searches.
 
 import numpy as np
 
-from .dimension import delta
+from .dimension import delta_rows
 from .errors import MismatchError
 from .lattice import _distinct_rows, _transitive_closure
-from .monoid import index as monoid_index
+from .monoid import INF
 
 # a block of n_distributive_verdicts holds about this many states while they
 # grow, or cells, one per x and state, while they are tested
@@ -62,14 +62,24 @@ def lattice_index(L, sim):
                np.zeros(L.n, dtype=int)).tolist()
 
 
+def _bottom_values(L, D):
+    """Delta(0, x) for every x, the rows of one `delta_rows` call."""
+    return delta_rows(D, np.full(L.n, L.bottom), np.arange(L.n))
+
+
 def index_equality_check(L, D, sim):
-    """Lattice index == monoid index of the dimension value, at every x."""
+    """Lattice index == monoid index of the dimension value, at every x.  The
+    monoid index of a value is oo when some entry is, else its largest entry."""
     index = lattice_index(L, sim)
-    for x, li in enumerate(index):
-        mi = monoid_index(delta(D, L.bottom, x))
-        if li != mi:
-            raise MismatchError("lattice and monoid index disagree",
-                                witness=(L.names[x], li, mi))
+    values = _bottom_values(L, D)
+    infinite = (values == INF).any(axis=1)
+    monoid = np.where(infinite, INF, values.max(axis=1, initial=0))
+    bad = np.flatnonzero(np.array(index) != monoid)
+    if len(bad):
+        x = bad[0]
+        raise MismatchError("lattice and monoid index disagree",
+                            witness=(L.names[x], index[x],
+                                     INF if infinite[x] else int(monoid[x])))
     return dict(zip(L.names, index))
 
 
@@ -172,10 +182,8 @@ def relations_suite(L, D, sim, approx):
     transitive closure of sim.  L must be sectionally complemented and
     modular, as `check --all` establishes before it calls this."""
     approxeq = _decomposition_closure(L, approx)
-    values = {}
-    ids = np.array([values.setdefault(delta(D, L.bottom, a), len(values))
-                    for a in range(L.n)])
-    wrong = np.argwhere(approxeq != (ids[:, None] == ids[None, :]))
+    values = _bottom_values(L, D)
+    wrong = np.argwhere(approxeq != (values[:, None] == values[None]).all(axis=2))
     if len(wrong):
         a, b = wrong[0].tolist()
         raise MismatchError(

@@ -236,9 +236,10 @@ class FiniteLattice:
     Instances are immutable after construction and safe to share between
     threads; every operation in this package is a pure function.  The only
     state that changes is idempotent memos filled on first use (the height,
-    the padded upper and lower covers, the covering squares and the step
-    columns of the maximal chains): a second thread that fills the same
-    entry computes the same value.
+    the padded upper and lower covers, the first upper cover of each
+    element, the covering squares and the step columns of the maximal
+    chains): a second thread that fills the same entry computes the same
+    value.
     """
 
     def __init__(self, names, leq, name="L", _validate=True):
@@ -358,6 +359,12 @@ class FiniteLattice:
         return _padded(self._up, self.top)
 
     @functools.cached_property
+    def _first_cover(self):
+        """The index of each element's first upper cover in the sorted cover
+        list, where its upper covers start."""
+        return self.cover_lo.searchsorted(np.arange(self.n))
+
+    @functools.cached_property
     def _down_slots(self):
         """The lower covers of each element, ascending, as the rows of one
         array padded with the bottom."""
@@ -386,8 +393,8 @@ class FiniteLattice:
             return []
         toward = self._toward.get(b)
         if toward is None:
-            first = self.cover_lo.searchsorted(np.arange(self.n))
-            toward = self._toward[b] = (first + self.leq[self._up_slots, b].argmax(axis=1)).tolist()
+            toward = self._toward[b] = (self._first_cover
+                                        + self.leq[self._up_slots, b].argmax(axis=1)).tolist()
         covers, steps, z = self.covers, [], a
         while z != b:
             i = toward[z]

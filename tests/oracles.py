@@ -23,9 +23,11 @@ compatible when every pair of one block agrees on x^z and xvz for every z,
 tested pair by pair; perspectivity searches the axes x one at a time,
 and the sectional complements of x in [0, a] scan that interval.  Delta is
 summed one generator per step of the maximal chain, and distributivity is
-tested on the identity x ^ (y v z) = (x ^ y) v (x ^ z) itself.  The
-maximal chain Delta sums over is walked one cover at a time, independent of
-the lattice's step columns.  The caustic pairs are the upper triangle of
+tested on the identity x ^ (y v z) = (x ^ y) v (x ^ z) itself.  The axiom
+check and the sampled stage of the correspondence check call `delta` once
+per interval, where the library reads the values of many intervals as the
+rows of one array.  The maximal chain Delta sums over is walked one cover
+at a time, independent of the lattice's step columns.  The caustic pairs are the upper triangle of
 both collapse conditions filled as dense tables over every ordered pair, as
 they were before one shrinking list of the pairs a < b tested them.  The
 join table is the cover recursion filled and tested one row at a time, in
@@ -60,7 +62,7 @@ import random
 import numpy as np
 
 from dimw.congruence import DClasses, quotient_lattice
-from dimw.dimension import _primes_mask, delta, dimension_monoid, propto
+from dimw.dimension import _primes_mask, delta, dimension_monoid
 from dimw.errors import MismatchError, NotBelow
 from dimw.lattice import FiniteLattice, _padded, _transitive_closure
 from dimw.monoid import INF, DimVector, truncate
@@ -261,6 +263,13 @@ def all_congruences(L):
     return CongruenceLattice(classes, down_sets(classes.below))
 
 
+def propto(x, y):
+    """x is dominated by a multiple of y; the multiplier is bounded by the
+    largest finite coefficient of x."""
+    n = max(1, int(x.max_finite()))
+    return x <= y * n
+
+
 def congruence_correspondence_by_listing(L, D, con):
     """The correspondence check as it ran on the listings: the lower sets of
     the point order are the images of the congruences of `con`, the points
@@ -287,6 +296,36 @@ def congruence_correspondence_by_listing(L, D, con):
     for (x, y, a, b), theta in zip(quads, con.blocks[rows[len(L.covers):]].tolist()):
         if (theta[x] == theta[y]) != propto(delta(D, x, y), delta(D, a, b)):
             raise MismatchError("collapsing and bounded domination disagree")
+
+
+def sampled_domination_by_loop(L, D, classes):
+    """The sampled stage of the correspondence check as it ran before the
+    values came in rows: on the same 200 seeded quadruples, mask inclusion
+    against `propto` of two `delta` calls per quadruple.  The names of the
+    first quadruple where they disagree, or None."""
+    rng = random.Random(7)
+    quads = [[rng.randrange(L.n) for _ in range(4)] for _ in range(200)]
+    xy, ab = (classes.collapsed_by([q[s] for q in quads]) for s in (slice(2), slice(2, 4)))
+    for (x, y, a, b), ok in zip(quads, (~(xy & ~ab).any(axis=1)).tolist()):
+        if ok != propto(delta(D, x, y), delta(D, a, b)):
+            return tuple(L.names[z] for z in (x, y, a, b))
+    return None
+
+
+def axiom_check_by_loop(L, D):
+    """The axiom check as a loop over the incomparable pairs in row-major
+    order, four `delta` calls and one vector addition each.  Raises
+    MismatchError at the first failing pair, additivity's message first."""
+    for a in range(L.n):
+        for b in np.flatnonzero(~(L.leq[a] | L.leq[:, a])).tolist():
+            m, j = L.mt(a, b), L.jn(a, b)
+            up = delta(D, a, j)
+            if delta(D, m, j) != delta(D, m, a) + up:
+                raise MismatchError("additivity axiom broken",
+                                    witness=(L.names[a], L.names[b]))
+            if up != delta(D, m, b):
+                raise MismatchError("transposition axiom broken",
+                                    witness=(L.names[a], L.names[b]))
 
 
 def is_simple_by_primes(L):

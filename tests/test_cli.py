@@ -660,3 +660,30 @@ def test_check_all_on_boolean_10_is_refused_before_allocation():
     assert (proc.returncode, proc.stderr.splitlines()) == (1, [
         "error: decomposition closure of 1024 elements needs 1073741824 cells, "
         "over the guard 536870912"])
+
+
+def test_check_on_the_one_element_lattice(capsys):
+    # chain:1 has no covers, no generator points and no incomparable pairs
+    assert run(["check", "--builtin", "chain:1"]) == 0
+    assert capsys.readouterr().out == (
+        "axioms: pass\ncongruence_correspondence: pass\ndual_functor: pass\n")
+    assert run(["check", "--all", "--builtin", "chain:1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert {name: row["status"] for name, row in doc.items()} == {
+        "axioms": "pass", "congruence_correspondence": "pass", "dimension_extension": "pass",
+        "dual_functor": "pass", "index_equality": "pass", "relations_suite": "pass",
+        "transitivity_cancellativity": "pass", "v_modular": "yes"}
+
+
+def test_check_reads_delta_as_rows_outside_dep(monkeypatch, capsys):
+    # the axioms, the sampled correspondence and the SCM checks read their
+    # values from `delta_rows`; only the DEP words call `delta`
+    def refuse(D, a, b):
+        raise AssertionError("check must read Delta as rows")
+
+    monkeypatch.setattr(dim, "delta", refuse)
+    monkeypatch.setattr(dim, "dep_check", lambda *args, **kwargs: True)
+    assert run(["check", "--builtin", "coprod_c3_c1"]) == 0
+    # subspace:2,3 reaches the sectionally complemented modular branch
+    assert run(["check", "--all", "--builtin", "subspace:2,3"]) == 0
+    assert "fail" not in capsys.readouterr().out

@@ -17,8 +17,9 @@ from dimw.errors import MismatchError, NotALattice, NotDistributive, NotModular,
 from dimw.monoid import DimVector, QOSystem
 from conftest import (builtins_up_to, cross_check_lattices, lattices_and_duals,
                       random_eight_element_lattices, random_lattices, random_posets)
-from oracles import (all_congruences, caustic_pairs_by_tables, congruence_correspondence_by_listing,
-                     delta_by_steps, dep_check_by_pairs, is_v_modular_by_search, lower_sets)
+from oracles import (all_congruences, axiom_check_by_loop, caustic_pairs_by_tables,
+                     congruence_correspondence_by_listing, delta_by_steps, dep_check_by_pairs,
+                     is_v_modular_by_search, lower_sets, sampled_domination_by_loop)
 from theory import intervals_projective, projectivity_classes, schreier_refine
 
 
@@ -376,6 +377,40 @@ def test_axioms_on_small_catalog():
                 assert delta(D, a, L.jn(a, b)) == delta(D, L.mt(a, b), b)
 
 
+def test_delta_rows_are_the_values_of_delta():
+    """One `delta_rows` call over every pair of each lattice and its dual,
+    and of the one-element lattice, which has no covers and no points,
+    gives the value `delta` gives for each pair, as a float row."""
+    for L in lattices_and_duals() + (lat.builtin_spec("chain:1"),):
+        D = dimension_monoid(L)
+        a, b = np.divmod(np.arange(L.n * L.n), L.n)
+        rows = dim.delta_rows(D, a, b)
+        assert rows.dtype == float and rows.shape == (L.n * L.n, len(D.qo)), L.name
+        assert list(map(tuple, rows.tolist())) == [
+            delta(D, x, y).values for x, y in zip(a.tolist(), b.tolist())], L.name
+
+
+def test_axiom_check_matches_the_loop():
+    """`axiom_check` and the loop over `delta` it replaced give the same
+    verdict, message and witness on every lattice and its dual, as `check`
+    builds its monoid, and with each cover in turn moved onto the next
+    generator point."""
+    cases = failing = 0
+    for L in lattices_and_duals():
+        D = dim._presented_monoid(L)
+        k = len(D.qo)
+        monoids = [D]
+        for i in range(len(L.covers) if k > 1 else 0):
+            moved = D.point_of_cover.copy()
+            moved[i] = (moved[i] + 1) % k
+            monoids.append(dim.DimensionMonoid(L, D.qo, moved))
+        for T in monoids:
+            got = _failure(dim.axiom_check, L, T)
+            assert got == _failure(axiom_check_by_loop, L, T), L.name
+            cases, failing = cases + 1, failing + (got is not None)
+    assert (cases, failing) == (780, 513)
+
+
 def test_triangle_inequality_on_small_catalog():
     for L in builtins_up_to(32):
         D = dimension_monoid(L)
@@ -472,6 +507,16 @@ def test_correspondence_check_matches_the_listing():
             assert ok == (row[x] == row[y]), (L.name, x, y)
 
 
+def _failure(check, *args):
+    """The text of the MismatchError the check raises, message and witness,
+    or None when it passes."""
+    try:
+        check(*args)
+    except MismatchError as e:
+        return str(e)
+    return None
+
+
 def _verdict(check, *args):
     try:
         check(*args)
@@ -535,6 +580,18 @@ def test_correspondence_counts():
         assert len(all_congruences(L)) == count == len(lower_sets(D.qo)), spec
 
 
+def _zero_pairs_to_top(monkeypatch, L):
+    """`delta_rows` with the rows of the argument pairs (x, top) zeroed."""
+    rows_of = dim.delta_rows
+
+    def zeroed(D, a, b):
+        rows = rows_of(D, a, b)
+        rows[np.asarray(b) == L.top] = 0
+        return rows
+
+    monkeypatch.setattr(dim, "delta_rows", zeroed)
+
+
 @pytest.mark.parametrize("spec, tamper, message, witness", [
     ("N5", "order", "refinement order does not match inclusion", (("0", "b"), ("c", "a"))),
     ("coprod_c3_c1", "order", "refinement order does not match inclusion",
@@ -545,7 +602,7 @@ def test_correspondence_counts():
     ("N5", "antichain", "refinement order does not match inclusion", (("c", "a"), ("0", "b"))),
     ("N5", "cover", "principal congruence image is not the point's lower set", ("0", "b")),
 ])
-def test_correspondence_check_failures(spec, tamper, message, witness):
+def test_correspondence_check_failures(monkeypatch, spec, tamper, message, witness):
     L = lat.builtin_spec(spec)
     D = dimension_monoid(L)
     if tamper == "order":
@@ -554,8 +611,7 @@ def test_correspondence_check_failures(spec, tamper, message, witness):
         rel[0, -1] = not rel[0, -1]
         D = dim.DimensionMonoid(L, QOSystem.closed(rel), D.point_of_cover)
     elif tamper == "delta":
-        for a in range(L.n):
-            D._delta_cache[(a, L.top)] = D.qo.zero()
+        _zero_pairs_to_top(monkeypatch, L)
     elif tamper == "antichain":
         D = dim.DimensionMonoid(L, QOSystem(D.qo.points, []), D.point_of_cover)
     else:
@@ -566,6 +622,29 @@ def test_correspondence_check_failures(spec, tamper, message, witness):
     with pytest.raises(MismatchError, match=message) as err:
         dim.congruence_correspondence_check(L, D, DClasses(L))
     assert err.value.witness == witness
+
+
+def test_correspondence_samples_match_the_loop(monkeypatch):
+    """The sampled stage reads its values as rows and dominates them with
+    one array test.  On every lattice and its dual it passes, as the loop
+    over `delta` and `propto` does, and with the values of the argument
+    pairs (x, top) read as 0 it fails at the quadruple the loop names, or
+    passes where the loop does."""
+    failing = 0
+    for L in lattices_and_duals():
+        D, classes = dimension_monoid(L), DClasses(L)
+        assert _failure(dim.congruence_correspondence_check, L, D, classes) is None, L.name
+        assert sampled_domination_by_loop(L, D, classes) is None, L.name
+        for a in range(L.n):
+            D._delta_cache[(a, L.top)] = D.qo.zero()
+        want = sampled_domination_by_loop(L, D, classes)
+        with monkeypatch.context() as m:
+            _zero_pairs_to_top(m, L)
+            got = _failure(dim.congruence_correspondence_check, L, D, classes)
+        assert got == (None if want is None else str(MismatchError(
+            "collapsing and bounded domination disagree", witness=want))), L.name
+        failing += want is not None
+    assert failing == 112
 
 
 def test_projectivity_classes():

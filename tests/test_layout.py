@@ -37,9 +37,11 @@ KEEP = {
     "lattice.FiniteLattice.le", "lattice.FiniteLattice.covers_of",
     "lattice.FiniteLattice.cocovers_of", "lattice.FiniteLattice.interval",
     "lattice.FiniteLattice.atoms", "lattice.FiniteLattice.maximal_chain",
-    # the monoid algebra
+    # the monoid algebra; the index of a value and the largest finite entry
+    # that bounded domination scales by, which `check` reads off value rows
     "monoid.DimVector.support", "monoid.DimVector.maximal_support", "monoid.DimVector.meet",
-    "monoid.ReducedRep.items",
+    "monoid.ReducedRep.items", "monoid.index", "monoid.DimVector.max_finite",
+    "monoid.DimVector.has_infinite", "monoid.DimVector.is_zero",
     # read by the benchmark's word checker
     "monoid.QOSystem.generator", "dimension.DimensionMonoid.gen",
     # the inverse of QOSystem.to_json_dict
