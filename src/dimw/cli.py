@@ -165,15 +165,11 @@ def cmd_check(args):
             if not dim.dep_check(L, classes, D, k=min(args.bound, 3)):
                 raise MismatchError("subdirect map does not reflect order")
 
-        if L.n <= dim.V_MODULAR_GUARD:
-            ok, witness = dim.is_v_modular(L, D)
-            results["v_modular"] = {"status": "yes" if ok else "no",
-                                    "witness": None if witness is None else
-                                    [[L.names[u], L.names[v]] for u, v in witness]}
-            run("dimension_extension", dep)
-        else:
-            print(f"note: skipped v_modular and dimension_extension: {L.name} has {L.n} "
-                  f"elements, over the {dim.V_MODULAR_GUARD}-element guard", file=sys.stderr)
+        ok, witness = dim.is_v_modular(L, D)
+        results["v_modular"] = {"status": "yes" if ok else "no",
+                                "witness": None if witness is None else
+                                [[L.names[u], L.names[v]] for u, v in witness]}
+        run("dimension_extension", dep)
         if scm:
             sim = geo.perspectivity_matrix(L)
             approx = geo._transitive_closure(sim)

@@ -55,19 +55,24 @@ index-least chains of many pairs in lockstep, one gather over the upper
 cover slots per step for all of them, and counts their points with one
 bincount: the values come back as the rows of one float array.  The axiom
 check runs over blocks of incomparable pairs and the sampled
-correspondence over its 400 pairs that way, and the index and relations
-checks of `check --all` read Delta(0, x) for every x from one call.  The
-walk follows only the requested chains: pointer jumping from every element
-toward each target would hold n x k counts per target, 27M on `chain:300`.
+correspondence over its 400 pairs that way, the index and relations
+checks of `check --all` read Delta(0, x) for every x from one call, and
+`dep_check` reads the values of its pooled primes from one call per
+monoid.  The walk follows only the requested chains: pointer jumping from
+every element toward each target would hold n x k counts per target, 27M
+on `chain:300`.
 
-V-modularity and DEP are table passes too.  `is_v_modular` closes the
-one-step weak-projectivity relation on element pairs, an n^2 x n^2 bool
-matrix guarded to n <= 24; Delta of a prime is its generator vector, which
-a target holds iff the prime's point is the point of one of the target's
-primes, so the verdict is one mask over the closure and needs no sum
-search and no bound.  `dep_check` stacks the word values upstairs and in
-each factor as float arrays and compares their order matrices whole.  The
-test suite checks both against the element loops they replaced
+V-modularity and DEP are table passes too.  `is_v_modular` reads weak
+projectivity off the point order, which is the order of congruences of
+primes: by Dilworth (1950) a prime is weakly projective into [c, d] iff
+con(c, d) collapses it, so it reaches the targets whose primes have a
+point at or above its own.  Delta of a prime is its generator vector, which a target
+holds iff the prime's point is the point of one of the target's primes, so
+L is V-modular iff the points of the primes of every interval form a
+down-set; the test needs no sum search, no bound and no closure on element
+pairs.  `dep_check` stacks the word values upstairs and in each factor as
+float arrays and compares their order matrices whole.  The test suite
+checks both against the element loops and the closure they replaced
 (`tests/oracles.py`).
 
 Delta is functorial: a product projection, a quotient map and order
@@ -90,10 +95,10 @@ from types import MappingProxyType
 import numpy as np
 
 from .congruence import _block_names, quotient_lattice
-from .errors import MismatchError, NotDistributive, ParamTooLarge
+from .errors import MismatchError, NotDistributive
 from .lattice import dual as lattice_dual
 from .lattice import (_components, _cover_index, _distinct_rows, _join_irreducibles, _matches,
-                      _padded, _transitive_closure, is_distributive, is_modular, product)
+                      _padded, is_distributive, is_modular, product)
 from .monoid import INF, QOSystem, build_qosystem
 
 
@@ -571,64 +576,55 @@ def quotient_functor_check(L, D, theta):
 # -- V-modularity and DEP ---------------------------------------------------
 
 
-# is_v_modular holds one bool cell per pair of element pairs: n^4 for n at
-# most V_MODULAR_GUARD elements
-V_MODULAR_GUARD = 24
-
-
-def _weak_projectivity(L):
-    """reach[u*n + v, c*n + d]: [u, v] is weakly projective into [c, d] in one
-    or more steps.  One step goes up, [u, v] -> [c, d] when v ^ c == u and
-    v v c <= d, or down, [u, v] -> [c', c] when u v c == v and c' <= u ^ c."""
-    n = L.n
-    ids = np.arange(n)
-    up = ((L.meet[None] == ids[:, None, None])[..., None]       # [u, v, c, .]
-          & L.leq[L.join][None])                                # [., v, c, d]
-    cap = L.leq.T[L.meet].transpose(0, 2, 1)                    # [u, c', c]
-    down = ((L.join[:, None, :] == ids[None, :, None])[:, :, None, :]  # [u, v, ., c]
-            & cap[:, None])                                     # [u, ., c', c]
-    return _transitive_closure((up | down).reshape(n * n, n * n))
+def _holding(L, covers):
+    """holds[c, d]: [c, d] contains one of the prime intervals picked by the
+    bool mask `covers` over L.covers.  The n x n float product counts them."""
+    lo, hi = L.cover_lo[covers], L.cover_hi[covers]
+    return L.leq[:, lo].astype(float) @ L.leq[hi].astype(float) > 0
 
 
 def is_v_modular(L, D):
     """Check that weakly projective images stay in the canonical submonoid
     of the target interval: (True, None), or (False, (source, target)) for
-    the first failing prime source in cover order and its least target.
+    the first failing prime source in cover order and its least target
+    (c, d) in c * n + d order.
 
     Sources range over prime intervals: a general source decomposes into a
     chain of primes, each weakly projective into the same target, so any
-    failure already shows up on a prime.  The targets of every source are
-    its row of one transitive closure of the one-step relation on element
-    pairs, n^2 x n^2 cells, in (c, d) order.
+    failure already shows up on a prime.  By Dilworth (Ann. of Math. 51,
+    1950), a prime [u, v] is weakly projective into [c, d] iff con(c, d)
+    collapses it.  con(c, d) is the join of the principal congruences of
+    the primes of [c, d], and those are ordered as the points of their
+    primes (`congruence_correspondence_check`).  So a prime with point p
+    reaches exactly the targets whose S, the points of the target's
+    primes, has p in its down-set.
 
-    A target holds Delta of a prime with point p iff p is among S, the
-    points of the target's primes, at any bound on the number of parts.  In
-    canonical form Delta of that prime is the generator vector f_p, every
-    part is some f_q with q in S, and a sum of parts is
-    `QOSystem.combination(c)` for counts c on S.  Suppose c_p = 0.  If p
-    lies strictly below no counted point, the sum reads 0 at p, where f_p
-    reads 1 or oo.  If p lies strictly below a counted q, the sum is
-    nonzero at q, but f_p reads 0 at q: the relation is antisymmetric, so q
-    is not strictly below p.  So p in S is necessary, and one part f_p is
-    enough.  The verdict is then one table pass over the sources' rows.
-    """
-    n = L.n
-    if n > V_MODULAR_GUARD:
-        raise ParamTooLarge(f"V-modularity check of {n} elements needs {n ** 4} "
-                            f"cells, over the guard {V_MODULAR_GUARD ** 4}")
-    reach = _weak_projectivity(L)
-    # inside[c*n + d, p]: some prime of [c, d] has point p
-    c, d = np.divmod(np.arange(n * n), n)
-    rows, primes = np.nonzero(_primes_mask(L, c[:, None], d[:, None]))
-    inside = np.zeros((n * n, len(D.qo)), dtype=bool)
-    inside[rows, D.point_of_cover[primes]] = True
-    # [u, v] goes up into itself (c = u, d = v), so its row holds it
-    fails = reach[L.cover_lo * n + L.cover_hi] & ~inside[:, D.point_of_cover].T
-    hit = np.argwhere(fails)
-    if not len(hit):
-        return True, None
-    s, t = hit[0].tolist()
-    return False, (L.covers[s], divmod(t, n))
+    A target holds Delta of a prime with point p iff p is in S, at any
+    bound on the number of parts.  In canonical form Delta of that prime is
+    the generator vector f_p, every part is some f_q with q in S, and a sum
+    of parts is `QOSystem.combination(c)` for counts c on S.  Suppose
+    c_p = 0.  If p lies strictly below no counted point, the sum reads 0 at
+    p, where f_p reads 1 or oo.  If p lies strictly below a counted q, the
+    sum is nonzero at q, but f_p reads 0 at q: the relation is
+    antisymmetric, so q is not strictly below p.  So p in S is necessary,
+    and one part f_p is enough.
+
+    So L is V-modular iff S is a down-set of the point order for every
+    c <= d.  Only a point with another point strictly above it can fail,
+    so an antichain of points answers at once.  Such a point p fails at
+    the targets that hold a prime with a point strictly above p and no
+    prime with point p, two products over the order table.  The points run
+    in the order of their first covers, so the first failing point names
+    the first failing prime and its least target."""
+    point = D.point_of_cover
+    above = D.qo.below & ~np.eye(len(D.qo), dtype=bool)
+    firsts = np.sort(np.unique(point, return_index=True)[1])
+    for i in firsts[above[point[firsts]].any(axis=1)].tolist():
+        p = point[i]
+        fails = np.flatnonzero(_holding(L, above[p, point]) & ~_holding(L, point == p))
+        if len(fails):
+            return False, (L.covers[i], divmod(int(fails[0]), L.n))
+    return True, None
 
 
 def _order_matrix(V):
@@ -639,11 +635,10 @@ def _order_matrix(V):
     return out
 
 
-def _word_values(DM, pairs, words):
+def _word_values(DM, a, b, words):
     """Each word's value in DM, a float row per word with INF kept; `words`
-    indexes `pairs`, padded with len(pairs)."""
-    rows = [delta(DM, a, b).values for a, b in pairs] + [DM.qo.zero().values]
-    table = np.array(rows, dtype=float).reshape(len(rows), len(DM.qo))
+    indexes the pairs (a[i], b[i]), padded with len(a), a zero row."""
+    table = np.vstack([delta_rows(DM, a, b), np.zeros((1, len(DM.qo)))])
     return table[words].sum(axis=1)
 
 
@@ -654,9 +649,10 @@ def dep_check(L, classes, D, k=3):
     per class c of the D-class order `classes`: the congruence that
     collapses the classes not above c.
 
-    The word values stack into one array upstairs and one per factor; the
-    order upstairs must equal the AND of the factors' orders, which no
-    order of the factors changes."""
+    The word values stack into one array upstairs and one per factor, from
+    one `delta_rows` call over the pooled primes in each; the order upstairs
+    must equal the AND of the factors' orders, which no order of the
+    factors changes."""
     quots = []
     for theta in classes.partitions(~classes.below):
         Q, proj = quotient_lattice(L, theta)
@@ -671,9 +667,9 @@ def dep_check(L, classes, D, k=3):
     if len(words) > 400:
         words = [words[0]] + rng.sample(words[1:], 399)
     words = _padded(words, len(pool))
-    upstairs = _order_matrix(_word_values(D, pool, words))
+    a, b = np.array(pool, dtype=np.intp).reshape(-1, 2).T
+    upstairs = _order_matrix(_word_values(D, a, b, words))
     downstairs = np.ones_like(upstairs)
     for DQ, proj in quots:
-        small = [(proj[a], proj[b]) for a, b in pool]
-        downstairs &= _order_matrix(_word_values(DQ, small, words))
+        downstairs &= _order_matrix(_word_values(DQ, proj[a], proj[b], words))
     return np.array_equal(upstairs, downstairs)

@@ -45,10 +45,12 @@ The cross-check oracles are the element loops that V-modularity, DEP,
 n-distributivity and the decomposition closure ran before they became passes
 over the tables: a breadth-first search of weakly projective intervals with
 one bounded breadth-first search over partial sums per target, where the
-library tests point membership, the pairwise product of DEP word values,
-Huhn's identity evaluated one tuple at a time, and the closure rescanned
-pair by pair until nothing changes.  Normality scans the member pairs one at
-a time, and a neutral ideal grows from a worklist.  The lattice index, the
+library tests point membership; the transitive closure of weak projectivity
+on element pairs, n^2 x n^2 cells, that V-modularity read its targets off
+before it tested the point order for down-sets; the pairwise product of DEP
+word values; Huhn's identity evaluated one tuple at a time; and the closure
+rescanned pair by pair until nothing changes.  Normality scans the member
+pairs one at a time, and a neutral ideal grows from a worklist.  The lattice index, the
 homogeneous base sets and the sectionally complemented branch of
 n-distributivity come from a depth-first search of homogeneous sequences,
 rerun for every element and every base, where the library grows all
@@ -569,6 +571,40 @@ def is_v_modular_by_search(L, D, bound=4):
             if not _bounded_sum_search(val, parts, bound):
                 return False, (source, (c, d))
     return True, None
+
+
+def _weak_projectivity(L):
+    """reach[u*n + v, c*n + d]: [u, v] is weakly projective into [c, d] in one
+    or more steps.  One step goes up, [u, v] -> [c, d] when v ^ c == u and
+    v v c <= d, or down, [u, v] -> [c', c] when u v c == v and c' <= u ^ c."""
+    n = L.n
+    ids = np.arange(n)
+    up = ((L.meet[None] == ids[:, None, None])[..., None]       # [u, v, c, .]
+          & L.leq[L.join][None])                                # [., v, c, d]
+    cap = L.leq.T[L.meet].transpose(0, 2, 1)                    # [u, c', c]
+    down = ((L.join[:, None, :] == ids[None, :, None])[:, :, None, :]  # [u, v, ., c]
+            & cap[:, None])                                     # [u, ., c', c]
+    return _transitive_closure((up | down).reshape(n * n, n * n))
+
+
+def is_v_modular_by_closure(L, D):
+    """V-modularity with the targets of each prime read off one transitive
+    closure of weak projectivity on element pairs, n^2 x n^2 cells, and a
+    target holding a prime's point when one of its primes has that point."""
+    n = L.n
+    reach = _weak_projectivity(L)
+    # inside[c*n + d, p]: some prime of [c, d] has point p
+    c, d = np.divmod(np.arange(n * n), n)
+    rows, primes = np.nonzero(_primes_mask(L, c[:, None], d[:, None]))
+    inside = np.zeros((n * n, len(D.qo)), dtype=bool)
+    inside[rows, D.point_of_cover[primes]] = True
+    # [u, v] goes up into itself (c = u, d = v), so its row holds it
+    fails = reach[L.cover_lo * n + L.cover_hi] & ~inside[:, D.point_of_cover].T
+    hit = np.argwhere(fails)
+    if not len(hit):
+        return True, None
+    s, t = hit[0].tolist()
+    return False, (L.covers[s], divmod(t, n))
 
 
 def dep_check_by_pairs(L, factors, D, k=3, max_pool=8, seed=11):

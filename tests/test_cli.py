@@ -546,14 +546,16 @@ def test_eval_keeps_big_multiplicities_exact(capsys):
         "p0": 2 ** 62, "p1": 2 ** 63 - 1, "p2": "inf"}}
 
 
-def test_check_all_reports_the_checks_it_skips(capsys):
+def test_check_all_runs_every_check_past_24_elements(capsys):
     assert run(["check", "--all", "--builtin", "boolean:5", "--json"]) == 0
     out, err = capsys.readouterr()
-    assert sorted(json.loads(out)) == ["axioms", "congruence_correspondence", "dual_functor",
-                                       "index_equality", "relations_suite",
-                                       "transitivity_cancellativity"]
-    assert err.splitlines() == ["note: skipped v_modular and dimension_extension: boolean:5 "
-                                "has 32 elements, over the 24-element guard"]
+    doc = json.loads(out)
+    assert sorted(doc) == ["axioms", "congruence_correspondence", "dimension_extension",
+                           "dual_functor", "index_equality", "relations_suite",
+                           "transitivity_cancellativity", "v_modular"]
+    assert doc["v_modular"] == {"status": "yes", "witness": None}
+    assert doc["dimension_extension"] == {"status": "pass"}
+    assert err == ""
     assert run(["check", "--all", "--builtin", "N5", "--json"]) == 0
     assert capsys.readouterr().err == ""
 

@@ -13,13 +13,14 @@ from dimw.dimension import (DimensionWord, caustic_pairs, caustic_relations, del
                             dep_check, dimension_monoid, distributive_dim,
                             functor_checks, is_v_modular, product_functor_check,
                             quotient_functor_check, word_compare)
-from dimw.errors import MismatchError, NotALattice, NotDistributive, NotModular, ParamTooLarge
+from dimw.errors import MismatchError, NotALattice, NotDistributive, NotModular
 from dimw.monoid import DimVector, QOSystem
 from conftest import (builtins_up_to, cross_check_lattices, lattices_and_duals,
                       random_eight_element_lattices, random_lattices, random_posets)
 from oracles import (all_congruences, axiom_check_by_loop, caustic_pairs_by_tables,
                      congruence_correspondence_by_listing, delta_by_steps, dep_check_by_pairs,
-                     is_v_modular_by_search, lower_sets, sampled_domination_by_loop)
+                     is_v_modular_by_closure, is_v_modular_by_search, lower_sets,
+                     sampled_domination_by_loop)
 from theory import intervals_projective, projectivity_classes, schreier_refine
 
 
@@ -914,7 +915,8 @@ def test_v_modularity():
 
 
 def _v_modular_lattices():
-    return cross_check_lattices() + [L for L in random_lattices() if L.n <= dim.V_MODULAR_GUARD]
+    # the closure and search oracles hold n^4 cells
+    return cross_check_lattices() + [L for L in random_lattices() if L.n <= 24]
 
 
 def test_v_modular_matches_search_oracle():
@@ -943,17 +945,31 @@ def test_v_modular_evaluates_no_delta(monkeypatch):
     assert [is_v_modular(L, D) for L, D in monoids] == expected
 
 
-def test_v_modular_refuses_a_large_lattice_at_once(monkeypatch):
-    B5 = lat.builtin("boolean", 5)
-    D5 = dimension_monoid(B5)
+def test_v_modular_matches_closure_oracle():
+    """The down-set test on the point order gives the verdict and witness of
+    the transitive closure of weak projectivity on element pairs, on each
+    lattice and its dual, under both derivations of D."""
+    cases = []
+    for L in _v_modular_lattices():
+        for M in (L, lat.dual(L)):
+            for derive in (dimension_monoid, dim._presented_monoid):
+                D = derive(M)
+                got = is_v_modular(M, D)
+                assert got == is_v_modular_by_closure(M, D), (M.name, derive)
+                cases.append(got[0])
+    assert len(cases) == 308 and cases.count(False) == 112
 
-    def refuse(*args):
-        raise AssertionError("the guard must come first")
 
-    monkeypatch.setattr(dim, "dimension_monoid", refuse)
-    monkeypatch.setattr(dim, "_weak_projectivity", refuse)
-    with pytest.raises(ParamTooLarge, match="32 elements"):
-        is_v_modular(B5, D5)
+def test_v_modular_past_24_elements():
+    """N5 x chain 5 has 25 elements, 25^4 cells for the closure oracle.  It
+    fails where N5 does, [c, a] into [0, b], in the copy of N5 at 0 of the
+    chain."""
+    L = lat.product(lat.builtin("N5"), lat.builtin("chain", 5))
+    D = dimension_monoid(L)
+    assert L.n == 25
+    got = is_v_modular(L, D)
+    assert got == is_v_modular_by_closure(L, D) == (False, ((15, 5), (0, 10)))
+    assert [L.names[x] for pair in got[1] for x in pair] == ["(c,0)", "(a,0)", "(0,0)", "(b,0)"]
 
 
 class _Factors:
@@ -1004,6 +1020,24 @@ def test_dep_check_explicit_factors():
     assert sorted(classes.partitions(~classes.below).tolist()) == sorted(twochains)
     assert dep_check(C3, classes, dimension_monoid(C3), k=3)
 
+
+def test_dep_check_evaluates_no_delta(monkeypatch):
+    """DEP reads each monoid's word values from one `delta_rows` call, with
+    a prime that a factor collapses as a zero row, and keeps its verdicts:
+    on all the factors, and on the first class's alone, which fails on some
+    lattices."""
+    cases = []
+    for L in cross_check_lattices():
+        classes, D = DClasses(L), dimension_monoid(L)
+        cases += [(L, classes, D), (L, _Factors(classes, [0]), D)]
+    expected = [dep_check(L, classes, D) for L, classes, D in cases]
+
+    def refuse(*args):
+        raise AssertionError("Delta evaluated pair by pair")
+
+    monkeypatch.setattr(dim, "delta", refuse)
+    assert [dep_check(L, classes, D) for L, classes, D in cases] == expected
+    assert set(expected) == {True, False}
 
 
 def test_dim_report_shape():

@@ -94,9 +94,11 @@ def _token(value):
 def _verb_runs(path):
     """argv lists for every verb, text and --json, on N5, on subspace:2,3
     (the sectionally complemented modular branch of check --all) and on a
-    lattice file, and check --all below the default --bound on N5."""
+    lattice file, check --all below the default --bound on N5, and eval of
+    the blank word, the empty sum, on N5."""
     runs = [["catalog"], ["catalog", "--json"],
-            ["check", "--all", "--bound", "2", "--builtin", "N5"]]
+            ["check", "--all", "--bound", "2", "--builtin", "N5"],
+            ["eval", "--word", "", "--builtin", "N5"]]
     for source in (["--builtin", "N5"], ["--builtin", "subspace:2,3"], ["--file", str(path)]):
         L = lattice.load(source[1]) if source[0] == "--file" else lattice.builtin_spec(source[1])
         bot, top = L.names[L.bottom], L.names[L.top]
