@@ -20,7 +20,10 @@ _BLOCK_CELLS = 1 << 16
 
 def _closure_from_edges(n, edges):
     """Reflexive-transitive closure as a boolean matrix leq[i, j] == (i <= j),
-    filled down a topological order of the edges, or CycleError."""
+    or CycleError.  The up-sets are int bitsets, bit j for element j, filled
+    from the last element of a topological order of the edges back to the
+    first: the up-set of v is v OR the up-sets of its successors.  One
+    unpack turns the bitsets into the rows of the matrix."""
     succ = [[] for _ in range(n)]
     indeg = [0] * n
     for a, b in edges:
@@ -37,12 +40,15 @@ def _closure_from_edges(n, edges):
                 stack.append(w)
     if len(order) != n:
         raise CycleError("cover pairs induce a cycle")
-    leq = np.zeros((n, n), dtype=bool)
+    rows = [0] * n
     for v in reversed(order):
-        leq[v, v] = True
+        row = 1 << v
         for w in succ[v]:
-            leq[v] |= leq[w]
-    return leq
+            row |= rows[w]
+        rows[v] = row
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
 
 
 def _transitive_closure(mat):
@@ -131,22 +137,26 @@ def _distinct_rows(rows):
 
 def _covers_of_leq(leq, order):
     """The covering pairs of the order leq, ascending, given a linear
-    extension `order` of it.  The first element of a set in a linear
-    extension is minimal in it, so the upper covers of a come out one by
-    one: take the first remaining element of its strict up-set, then drop
-    it and everything above it."""
-    n = len(order)
-    ranked = leq[np.ix_(order, order)]
-    outside = ~ranked
+    extension `order` of it.  The up-sets are int bitsets in rank space, bit
+    r for order[r], packed from blocks of at most _BLOCK_CELLS cells of leq,
+    so the lowest set bit of a set is its least-ranked member, which is
+    minimal in it.  The upper covers of a come out one by one: take the
+    lowest bit left of its strict up-set, then clear it and its up-set."""
+    n, ranks = len(order), np.asarray(order)
+    step = max(1, _BLOCK_CELLS // n)
+    up = []
+    for s in range(0, n, step):
+        block = leq.take(ranks[s:s + step], axis=0).take(ranks, axis=1)
+        data = memoryview(np.packbits(block, axis=1, bitorder="little").tobytes())
+        width = len(data) // len(block)
+        up.extend(int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width))
     pairs = []
-    for i in range(n):
-        rest = ranked[i].copy()
-        rest[i] = False
-        j = int(rest.argmax())
-        while rest[j]:
+    for i, rest in enumerate(up):
+        rest &= ~(1 << i)
+        while rest:
+            j = (rest & -rest).bit_length() - 1
             pairs.append((order[i], order[j]))
-            rest &= outside[j]
-            j = int(rest.argmax())
+            rest &= ~up[j]
     pairs.sort()
     return tuple(pairs)
 
@@ -200,6 +210,15 @@ def _is_join(leq, up, bound):
     if it has several, the test puts bound(a, b), a candidate, below every
     other.  This is the row-by-row test of the recursion: in a column
     b <= a it holds on its own, as bound(a, b) = a < c <= bound(c, b).
+
+    The constructor runs the pass on the join table only.  A finite
+    join-semilattice with a least element 0 is a lattice (Davey and
+    Priestley, Introduction to Lattices and Order, 2nd ed., ch. 2): the
+    common lower bounds of a and b hold 0, and their join is a ^ b.  A
+    finite order has a least element iff it has one minimal element, so
+    once every join exists the meet side fails exactly when two elements
+    are minimal, and else, by the claim on the dual order, the dual table
+    is the meet table.
     """
     if up.count([]) > 1:
         return False
@@ -231,7 +250,12 @@ class FiniteLattice:
     O(n^2 d) time, d the largest number of covers of one element, and
     8 n^2 bytes.  Each is filled in place, and every other array of its
     build is at most one block of _BLOCK_CELLS cells, the rows of one
-    element's covers, or the cover list; on a non-lattice, the witness.
+    element's covers, the cover list, or the n^2 / 8 bytes of the cover
+    scan's bitset up-sets; on a non-lattice, the witness.
+
+    Both tables are filled, and then one pass tests the join table
+    (`_is_join`): a finite join-semilattice with a least element is a
+    lattice, so the meet side needs only a count of the minimal elements.
 
     Instances are immutable after construction and safe to share between
     threads; every operation in this package is a pure function.  The only
@@ -278,10 +302,14 @@ class FiniteLattice:
             self._up[a].append(b)
             self._down[b].append(a)
         # the meet table is the join table of the dual order; both are filled
-        # before either is tested, so that a failure has both for its witness
+        # before the test, so that a failure has both for its witness.  The
+        # count is "more than one", not "not exactly one": a relation that is
+        # no order, such as a quotient by a partition that is no congruence,
+        # can have no minimal element, and the quotient check must still
+        # reach its own verdict on it
         self.join = _least_bounds(leq, self._up, order)
         self.meet = _least_bounds(leq.T, self._down, order[::-1])
-        if not (_is_join(leq, self._up, self.join) and _is_join(leq.T, self._down, self.meet)):
+        if self._down.count([]) > 1 or not _is_join(leq, self._up, self.join):
             self._raise_witness()
         self.bottom, self.top = order[0], order[-1]
         for a in (self.leq, self.meet, self.join, self.cover_lo, self.cover_hi):
@@ -459,6 +487,20 @@ def _is_name(x):
     return not isinstance(x, (list, dict))
 
 
+def _is_cover_list(covers):
+    """Is `covers` a list of two-element lists of names?  One pass over the
+    pairs, with `_is_name` inlined: a call per name costs more than the test."""
+    if not isinstance(covers, list):
+        return False
+    for p in covers:
+        if not isinstance(p, list) or len(p) != 2:
+            return False
+        a, b = p
+        if isinstance(a, (list, dict)) or isinstance(b, (list, dict)):
+            return False
+    return True
+
+
 def _json_constant(name):
     """json's parse_constant: NaN, Infinity and -Infinity are not JSON."""
     raise ValueError(f"{name} is not a JSON value")
@@ -474,8 +516,7 @@ def from_json(text):
     elements, covers = doc["elements"], doc["covers"]
     if not isinstance(elements, list) or not all(map(_is_name, elements)):
         raise ValueError("'elements' must be a list of names")
-    if not isinstance(covers, list) or not all(
-            isinstance(p, list) and len(p) == 2 and all(map(_is_name, p)) for p in covers):
+    if not _is_cover_list(covers):
         raise ValueError("'covers' must be a list of two-element lists of names")
     name = doc.get("name", "L")
     if not _is_name(name):

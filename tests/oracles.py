@@ -32,7 +32,10 @@ both collapse conditions filled as dense tables over every ordered pair, as
 they were before one shrinking list of the pairs a < b tested them.  The
 join table is the cover recursion filled and tested one row at a time, in
 element indices, as it was before the rows held ranks and one pass tested
-them all.
+them all.  The order closure ORs the rows of a bool matrix down a
+topological order, and the covers scan each rank-space row with argmax,
+clearing the up-set of each cover found, as they ran before both held their
+rows as int bitsets.
 
 The lattice predicates are tested on their definitions, element by element
 over the meet/join tables, where the library reads them off the covers: the
@@ -65,7 +68,7 @@ import numpy as np
 
 from dimw.congruence import DClasses, quotient_lattice
 from dimw.dimension import _primes_mask, delta, dimension_monoid
-from dimw.errors import MismatchError, NotBelow
+from dimw.errors import CycleError, MismatchError, NotBelow
 from dimw.lattice import FiniteLattice, _padded, _transitive_closure
 from dimw.monoid import INF, DimVector, truncate
 
@@ -351,6 +354,54 @@ def semilattice_quotient(qo):
         return _index_set(qo.down_set(np.array(x.values) != 0))
 
     return lat, sets, classify
+
+
+def closure_by_rows(n, edges):
+    """The reflexive-transitive closure of the edges on 0..n-1 as a bool
+    matrix, or CycleError: each row ORs the rows of its successors, filled
+    from the last element of a topological order back to the first."""
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
+    for a, b in edges:
+        succ[a].append(b)
+        indeg[b] += 1
+    stack = sorted((i for i in range(n) if indeg[i] == 0), reverse=True)
+    order = []
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                stack.append(w)
+    if len(order) != n:
+        raise CycleError("cover pairs induce a cycle")
+    leq = np.zeros((n, n), dtype=bool)
+    for v in reversed(order):
+        leq[v, v] = True
+        for w in succ[v]:
+            leq[v] |= leq[w]
+    return leq
+
+
+def covers_by_argmax(leq, order):
+    """The covering pairs of leq, ascending, given a linear extension
+    `order`: in each rank-space row, argmax finds the first element left of
+    the strict up-set, and the row drops it and everything above it."""
+    n = len(order)
+    ranked = leq[np.ix_(order, order)]
+    outside = ~ranked
+    pairs = []
+    for i in range(n):
+        rest = ranked[i].copy()
+        rest[i] = False
+        j = int(rest.argmax())
+        while rest[j]:
+            pairs.append((order[i], order[j]))
+            rest &= outside[j]
+            j = int(rest.argmax())
+    pairs.sort()
+    return tuple(pairs)
 
 
 def join_table_by_rows(leq, up, order):

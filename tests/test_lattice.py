@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from dimw import lattice as lat
+from dimw.congruence import quotient_lattice
 from dimw.errors import CycleError, NotALattice, ParamTooLarge, UnknownBuiltin
 
-from conftest import builtins_up_to, random_eight_element_lattices, random_posets
-from oracles import (is_atomistic_by_atom_joins, is_distributive_by_identity,
-                     is_modular_by_identity, is_relatively_complemented_by_tables,
+from conftest import (builtins_up_to, lattices_and_duals, random_eight_element_lattices,
+                      random_posets)
+from oracles import (closure_by_rows, covers_by_argmax, is_atomistic_by_atom_joins,
+                     is_distributive_by_identity, is_modular_by_identity,
+                     is_relatively_complemented_by_tables,
                      is_sectionally_complemented_by_tables, is_semimodular_by_pairs,
                      join_table_by_rows, maximal_chain_by_covers)
 from theory import interval_sublattice
@@ -385,6 +388,99 @@ def test_join_table_matches_row_recursion():
                 assert np.array_equal(got, want)
                 seen["lattice"] += 1
     assert seen["lattice"] >= 100 and seen["not"] >= 100, seen
+
+
+def _tampered_quotient_relations():
+    """The relations `quotient_lattice` builds on N5 from the partitions
+    that test_functor_check_failures passes as congruences; two of them are
+    not orders."""
+    L = lat.builtin("N5")
+    out = []
+    for tamper in ("0c|a|b|1", "0b1|ac", "0ab1|c"):
+        blocks = tamper.split("|")
+        theta = np.array([L.index[next(b for b in blocks if x in b)[0]] for x in L.names])
+        out.append(quotient_lattice(L, theta)[0].leq)
+    return out
+
+
+def test_bitset_closure_and_covers_match_row_oracles():
+    """The int-bitset closure and cover scan give exactly the bool-row
+    closure and the argmax scan, on each relation and its reverse: the
+    closure from its strict pairs (CycleError on a cycle) and from the
+    edges of each random poset, the covers under the constructor's order."""
+    relations = [np.array(_order_oracle(len(names), edges)) for names, edges in random_posets()]
+    relations += _perturbed_orders() + [L.leq for L in lattices_and_duals()]
+    relations += _tampered_quotient_relations()
+    inputs = [(len(names), edges) for names, edges in random_posets()]
+    for rel in relations:
+        inputs += [(len(r), np.argwhere(r & ~np.eye(len(r), dtype=bool)).tolist())
+                   for r in (rel, rel.T)]
+    cycles = 0
+    for n, edges in inputs:
+        try:
+            want = closure_by_rows(n, edges)
+        except CycleError:
+            cycles += 1
+            with pytest.raises(CycleError):
+                lat._closure_from_edges(n, edges)
+            continue
+        got = lat._closure_from_edges(n, edges)
+        assert got.dtype == bool and np.array_equal(got, want)
+    assert cycles == 4
+    for rel in relations:
+        for r in (rel, rel.T):
+            order = np.argsort(r.sum(axis=0), kind="stable").tolist()
+            assert lat._covers_of_leq(r, order) == covers_by_argmax(r, order)
+
+
+def _first_missing_bound(leq):
+    """The first pair i <= j in index order, meet before join, with no
+    greatest common lower bound or no least common upper bound, as (kind,
+    i, j), or None: a common upper bound k of i and j is the least iff its
+    up-set, which lies in their common up-set, is as large."""
+    missing = {}
+    for kind, up in (("meet", leq.T), ("join", leq)):
+        common = up[:, None, :] & up[None, :, :]
+        least = common & (up.sum(axis=1) == common.sum(axis=2)[:, :, None])
+        missing[kind] = np.triu(~least.any(axis=2))
+    bad = missing["meet"] | missing["join"]
+    if not bad.any():
+        return None
+    i, j = divmod(int(bad.argmax()), len(leq))
+    return ("meet" if missing["meet"][i, j] else "join"), i, j
+
+
+def test_join_pass_and_one_minimal_element_decide_lattices():
+    """A finite join-semilattice with a least element is a lattice, so the
+    constructor's verdict, the join pass and then "at most one minimal
+    element", is the verdict of the join and meet passes together on every
+    order and its dual, and its NotALattice names the pair the definition
+    finds first."""
+    orders = [np.array(_order_oracle(len(names), edges)) for names, edges in random_posets()]
+    seen = {"lattice": 0, "join pass": 0, "minimal count": 0}
+    for leq in orders + _perturbed_orders():
+        for leq in (leq, leq.T):
+            order = np.argsort(leq.sum(axis=0), kind="stable").tolist()
+            up, down = [[] for _ in order], [[] for _ in order]
+            for a, b in lat._covers_of_leq(leq, order):
+                up[a].append(b)
+                down[b].append(a)
+            joins = lat._is_join(leq, up, lat._least_bounds(leq, up, order))
+            meets = lat._is_join(leq.T, down, lat._least_bounds(leq.T, down, order[::-1]))
+            assert (joins and down.count([]) <= 1) == (joins and meets)
+            names = [f"x{i}" for i in range(len(leq))]
+            witness = _first_missing_bound(leq)
+            if witness is None:
+                assert joins and meets
+                lat.FiniteLattice(names, leq, _validate=False)
+                seen["lattice"] += 1
+                continue
+            seen["minimal count" if joins else "join pass"] += 1
+            with pytest.raises(NotALattice) as err:
+                lat.FiniteLattice(names, leq, _validate=False)
+            kind, i, j = witness
+            assert (err.value.kind, err.value.pair) == (kind, (names[i], names[j]))
+    assert seen == {"lattice": 750, "join pass": 719, "minimal count": 51}
 
 
 @pytest.mark.parametrize("spec", ["boolean:8", "subspace:2,4"])
