@@ -98,10 +98,11 @@ def cmd_eval(args):
 
 
 def cmd_compare(args):
-    L = _load(args)
+    # the word count is a usage error, refused before the lattice is loaded
     if len(args.word) != 2:
         print("error: compare needs exactly two --word expressions", file=sys.stderr)
         return 2
+    L = _load(args)
     w1 = dim.DimensionWord.parse(args.word[0], L)
     w2 = dim.DimensionWord.parse(args.word[1], L)
     verdict = dim.word_compare(dim.dimension_monoid(L), w1, w2)

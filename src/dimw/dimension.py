@@ -47,8 +47,11 @@ generator points of its prime intervals are one gather from
 `point_of_cover`, counted with one bincount and summed in one
 `QOSystem.combination`, which does Python work only at the positions that
 become infinite and skips the product when the QO-system has no relation
-at all.  Each monoid caches its values by pair.  `DimensionWord.parse`
-tries its compiled `k*(...)` pattern only on terms that contain `*`.
+at all.  Each monoid caches its values by pair and by interval, in one
+dict: a pair whose interval is known costs no walk.  `DimensionWord.parse`
+fills the word's multiset as it reads the terms, tries its compiled
+`k*(...)` pattern only on terms that contain `*`, and a word sums in the
+order of its terms.
 
 `check` reads Delta in batches instead.  `delta_rows` walks the
 index-least chains of many pairs in lockstep, one gather over the upper
@@ -224,9 +227,11 @@ class DimensionMonoid:
         return groups
 
     def delta_word(self, word):
-        """The sum of the word's terms, from its first term; 0 if it is empty."""
+        """The sum of the word's terms, from its first term in the word's
+        order; 0 if it is empty.  Addition is componentwise, so the order
+        does not change the value."""
         out = None
-        for (a, b), mult in word.items():
+        for (a, b), mult in word._mult.items():
             value = delta(self, a, b)
             if mult != 1:
                 value = value * mult
@@ -273,13 +278,20 @@ def dimension_monoid(L):
 
 
 def delta(D, a, b):
-    """Value of the interval [a^b, avb]; path choice does not matter."""
-    key = (a, b)
-    if key in D._delta_cache:
-        return D._delta_cache[key]
-    L = D.lattice
-    points = D.point_of_cover[L._chain_covers(L.mt(a, b), L.jn(a, b))]
-    out = D._delta_cache[key] = D.qo.combination(np.bincount(points, minlength=len(D.qo)))
+    """Value of the interval [a^b, avb]; path choice does not matter.  The
+    cache is looked up by the pair, then by the interval (a^b, avb), and a
+    chain walked on a second miss is stored under both keys: the value
+    depends on the interval alone."""
+    cache = D._delta_cache
+    out = cache.get((a, b))
+    if out is None:
+        L = D.lattice
+        key = L.mt(a, b), L.jn(a, b)
+        out = cache.get(key)
+        if out is None:
+            points = D.point_of_cover[L._chain_covers(*key)]
+            out = cache[key] = D.qo.combination(np.bincount(points, minlength=len(D.qo)))
+        cache[a, b] = out
     return out
 
 
@@ -332,33 +344,34 @@ class DimensionWord:
             if k:
                 self._mult[(a, b)] = self._mult.get((a, b), 0) + k
 
-    def items(self):
-        return sorted(self._mult.items())
-
     def __len__(self):
         return sum(self._mult.values())
 
     @classmethod
     def parse(cls, text, L):
         """Parse `a..b + c..d + 2*(e..f)` using element names of L.  A blank
-        text is the empty word; an empty term between `+` signs is an error."""
-        index = L.index
-        terms = []
+        text is the empty word; an empty term between `+` signs is an error.
+        The multiset fills as the terms are read."""
+        index, word = L.index, cls(())
+        mult = word._mult
         for raw in text.split("+") if text.strip() else ():
-            raw = raw.strip()
-            mult = 1
-            m = _MULTIPLE.fullmatch(raw) if "*" in raw else None
+            # a term is read unstripped: the names are stripped once split
+            k = 1
+            m = _MULTIPLE.fullmatch(raw.strip()) if "*" in raw else None
             if m:
-                mult, raw = int(m.group(1)), m.group(2).strip()
-            if ".." not in raw:
-                raise ValueError(f"bad word term {raw!r}")
-            aname, bname = raw.split("..", 1)
-            a, b = index.get(aname.strip()), index.get(bname.strip())
+                k, raw = int(m.group(1)), m.group(2)
+            aname, dots, bname = raw.partition("..")
+            if not dots:
+                raise ValueError(f"bad word term {raw.strip()!r}")
+            aname, bname = aname.strip(), bname.strip()
+            a, b = index.get(aname), index.get(bname)
             if a is None or b is None:
-                name = (aname if a is None else bname).strip()
+                name = aname if a is None else bname
                 raise ValueError(f"unknown element {name!r} in word {text!r}")
-            terms.append((a, b, mult))
-        return cls(terms)
+            if k:
+                key = a, b
+                mult[key] = mult.get(key, 0) + k
+        return word
 
 
 def word_compare(D, w1, w2):

@@ -27,10 +27,6 @@ class NotInF(DimwError):
     """A coefficient map violates the canonical-form invariants."""
 
 
-class NotBelow(DimwError):
-    """residual(x, y) requires x <= y componentwise."""
-
-
 class NotDistributive(DimwError):
     """Operation requires a distributive lattice."""
 

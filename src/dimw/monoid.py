@@ -11,7 +11,7 @@ import operator
 
 import numpy as np
 
-from .errors import NotBelow, NotInF
+from .errors import NotInF
 from .lattice import _components, _strong_components, _transitive_closure
 
 INF = float("inf")
@@ -129,14 +129,6 @@ class DimVector:
             if reason:
                 raise NotInF(reason)
 
-    def support(self):
-        return [i for i, v in enumerate(self.values) if v != 0]
-
-    def maximal_support(self):
-        # p is maximal when p itself is the only support point at or above it
-        s = np.array(self.support(), dtype=int)
-        return s[self.qo.below[s][:, s].sum(axis=1) == 1].tolist()
-
     def is_zero(self):
         return all(v == 0 for v in self.values)
 
@@ -169,10 +161,6 @@ class DimVector:
 
     def __hash__(self):
         return hash(self.values)
-
-    def meet(self, other):
-        """Componentwise infimum, as a tuple; not necessarily canonical."""
-        return tuple(min(a, b) for a, b in zip(self.values, other.values))
 
     def to_json_dict(self):
         return {"values": {self.qo.points[i]: ("inf" if v == INF else v)
@@ -232,126 +220,9 @@ def build_qosystem(k, equalities, absorptions):
     return QOSystem.closed(rel), point_of[cls]
 
 
-def truncate(qo, mapping, n):
-    """rho_n: sum over points of (value ^ n) copies of the generator."""
-    if isinstance(mapping, DimVector):
-        mapping = mapping.values
-    # min(oo, n) == n
-    return qo.combination([max(0, int(min(v, n))) for v in mapping])
-
-
-def residual(x, y):
-    """The canonical t with x + t == y, for x <= y componentwise.
-
-    zbar = y - x truncated at 0 if x == y, else at the least even level
-    >= max(M, 1), M the largest finite coefficient of zbar.  A level below M
-    cuts it; every level >= max(M, 1) gives t the support of zbar, which
-    fixes the oo positions of x + t, so all such levels are exact or none
-    is.  Existence is guaranteed for canonical inputs.
-    """
-    if not x <= y:
-        raise NotBelow("residual requires x <= y")
-    zbar = tuple(INF if yv == INF else yv - xv for xv, yv in zip(x.values, y.values))
-    top = max((v for v in zbar if v != INF), default=0)
-    t = truncate(x.qo, zbar, 0 if x == y else 2 * ((max(top, 1) + 1) // 2))
-    if x + t != y:
-        raise AssertionError("residual construction failed; input not canonical?")
-    return t
-
-
 def index(x):
     """Largest n for which some nonzero y has n*y <= x: infinity when an
     infinite coefficient occurs, otherwise the largest coefficient."""
     if x.has_infinite():
         return INF
     return int(max(x.values, default=0)) if not x.is_zero() else 0
-
-
-def refine(a0, a1, b0, b1):
-    """A 2x2 refinement ((c00, c01), (c10, c11)) of a0 + a1 == b0 + b1: rows
-    sum to a0, a1 and columns to b0, b1.  One pass visits each point after
-    every point strictly above it.  At a self-related point c_ij is oo if a_i
-    and b_j both are, else 0.  At a plain point a cell already nonzero strictly
-    above it is forced to oo; the others, in the order 00, 01, 10, 11, take the
-    least of what row i and column j still need there (0 if that is oo),
-    subtracted from both: the north-west corner rule of Z+.
-
-    Proof.  A cell (i, j) nonzero above p makes a_i and b_j positive above p,
-    so both are oo at p (a canonical vector is antitone, finite only on an
-    antichain): a forced oo never breaks a sum.  If a_i is oo at a plain p, a_i
-    has support strictly above p, where some cell of row i is nonzero, so row
-    i holds a forced cell; finite rows and columns hold none.  If
-    a0[p] + a1[p] is finite, p is the Z+ case; if it is oo, at most one row
-    and one column are finite, and the greedy meets their demands exactly.
-    Each cell is canonical: oo at a plain point only below its own support,
-    finite and positive only where none of its support lies above.
-    """
-    qo = a0.qo
-    if a0 + a1 != b0 + b1:
-        raise ValueError("refine requires equal sums")
-    cells = [[0] * len(qo) for _ in range(4)]
-    above = [np.flatnonzero(r).tolist() for r in qo.rel]
-    # row p of below counts the points at or above p
-    for p in np.argsort(qo.below.sum(axis=1), kind="stable").tolist():
-        # what rows 0, 1 and columns 2, 3 still need at p; oo - n stays oo
-        need = [a0.values[p], a1.values[p], b0.values[p], b1.values[p]]
-        for c, i, j in zip(cells, (0, 0, 1, 1), (2, 3, 2, 3)):
-            if p in qo.p0:
-                c[p] = INF if need[i] == need[j] == INF else 0
-            elif any(c[q] for q in above[p]):
-                c[p] = INF
-            else:
-                v = min(need[i], need[j])
-                c[p] = v = 0 if v == INF else v
-                need[i] -= v
-                need[j] -= v
-    c00, c01, c10, c11 = (DimVector(qo, c, validate=False) for c in cells)
-    return (c00, c01), (c10, c11)
-
-
-class ReducedRep:
-    """Antichain-supported generator expression; the presentation-layer view."""
-
-    def __init__(self, qo, terms):
-        self.qo = qo
-        self.terms = dict(terms)
-        pts = np.array(list(self.terms), dtype=int)
-        # each term is at or below itself; any further pair breaks the antichain
-        if qo.below[pts][:, pts].sum() > len(pts):
-            raise NotInF("reduced terms must form an antichain")
-        for p, c in self.terms.items():
-            if p in qo.p0:
-                if c != INF:
-                    raise NotInF("self-related points carry the infinity marker")
-            elif not (isinstance(c, int) and c > 0):
-                raise NotInF("plain points carry positive integer coefficients")
-
-    def items(self):
-        return sorted(self.terms.items())
-
-    def __eq__(self, other):
-        return self.qo is other.qo and self.terms == other.terms
-
-    def __repr__(self):
-        body = " + ".join(
-            ("e[%s]" % self.qo.points[p]) if c == INF or c == 1
-            else "%d*e[%s]" % (c, self.qo.points[p])
-            for p, c in self.items())
-        return body or "0"
-
-
-def to_reduced(x):
-    """Unique reduced representation of a canonical vector."""
-    if violates_canonical_form(x.qo, x.values) is not None:
-        raise NotInF("vector is not in canonical form")
-    terms = {}
-    for p in x.maximal_support():
-        terms[p] = INF if p in x.qo.p0 else int(x.values[p])
-    return ReducedRep(x.qo, terms)
-
-
-def from_reduced(r):
-    counts = [0] * len(r.qo)
-    for p, c in r.items():
-        counts[p] = 1 if c == INF else c
-    return r.qo.combination(counts)

@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from dimw import lattice as lat
 from dimw.cli import CATALOG_INSTANCES
@@ -199,3 +200,23 @@ def cross_check_lattices():
     on: the catalog entries of at most 24 elements and a seeded sample of
     eight-element lattices."""
     return builtins_up_to(24) + random_eight_element_lattices(20)
+
+
+# the element names of N5 and coprod_c3_c1, the two lattices words are fuzzed on
+WORD_SPECS = ("N5", "coprod_c3_c1")
+_WORD_NAMES = ("0", "1") + tuple("abcdefghijklmnopqr")
+
+
+def word_texts():
+    """Texts over the element names of N5 and coprod_c3_c1: a soup of names,
+    `+`, `*`, `(`, `)`, `..`, digits and spaces, or sums of terms `a..b` and
+    `k*(a..b)` with spaces strewn in, some of them malformed by the soup."""
+    soup = st.lists(st.sampled_from(("+", "*", "(", ")", "..", " ", *"0123456789")
+                                    + _WORD_NAMES), max_size=16).map("".join)
+    space = st.sampled_from(("", " ", "  "))
+    name = st.sampled_from(_WORD_NAMES)
+    pair = st.builds("{}{}{}..{}{}{}".format, space, name, space, space, name, space)
+    term = pair | st.builds("{}{}{}*{}({}){}".format, space, st.integers(0, 12), space,
+                            space, pair, space)
+    terms = st.lists(term | soup, min_size=1, max_size=4).map("+".join)
+    return soup | terms

@@ -23,7 +23,9 @@ compatible when every pair of one block agrees on x^z and xvz for every z,
 tested pair by pair; perspectivity searches the axes x one at a time,
 and the sectional complements of x in [0, a] scan that interval.  Delta is
 summed one generator per step of the maximal chain, and distributivity is
-tested on the identity x ^ (y v z) = (x ^ y) v (x ^ z) itself.  The axiom
+tested on the identity x ^ (y v z) = (x ^ y) v (x ^ z) itself.  A
+dimension word is parsed into a list of terms first and built from the list
+after, as the parser ran before it filled the multiset as it read.  The axiom
 check and the sampled stage of the correspondence check call `delta` once
 per interval, where the library reads the values of many intervals as the
 rows of one array.  The maximal chain Delta sums over is walked one cover
@@ -41,8 +43,7 @@ The lattice predicates are tested on their definitions, element by element
 over the meet/join tables, where the library reads them off the covers: the
 modular law for every c <= a, the semimodular exchange for every pair, a
 complement for every x in every interval [a, b] or [0, a], and every element
-a join of atoms.  The residual x -> y searches the even truncation levels
-of y - x for the first exact one, where the library computes that level.
+a join of atoms.
 
 The cross-check oracles are the element loops that V-modularity, DEP,
 n-distributivity and the decomposition closure ran before they became passes
@@ -67,10 +68,10 @@ import random
 import numpy as np
 
 from dimw.congruence import DClasses, quotient_lattice
-from dimw.dimension import _primes_mask, delta, dimension_monoid
-from dimw.errors import CycleError, MismatchError, NotBelow
+from dimw.dimension import _MULTIPLE, DimensionWord, _primes_mask, delta, dimension_monoid
+from dimw.errors import CycleError, MismatchError
 from dimw.lattice import FiniteLattice, _padded, _transitive_closure
-from dimw.monoid import INF, DimVector, truncate
+from dimw.monoid import DimVector
 
 
 class UnionFind:
@@ -475,6 +476,30 @@ def delta_by_steps(D, a, b):
     return out
 
 
+def parse_word_by_terms(text, L):
+    """A dimension word read as the parser read it before it filled the
+    multiset in the same pass: each term stripped, its `k*(...)` pattern
+    tried, its names looked up, the (a, b, k) triples listed, and the word
+    built from the list."""
+    index = L.index
+    terms = []
+    for raw in text.split("+") if text.strip() else ():
+        raw = raw.strip()
+        mult = 1
+        m = _MULTIPLE.fullmatch(raw) if "*" in raw else None
+        if m:
+            mult, raw = int(m.group(1)), m.group(2).strip()
+        if ".." not in raw:
+            raise ValueError(f"bad word term {raw!r}")
+        aname, bname = raw.split("..", 1)
+        a, b = index.get(aname.strip()), index.get(bname.strip())
+        if a is None or b is None:
+            name = (aname if a is None else bname).strip()
+            raise ValueError(f"unknown element {name!r} in word {text!r}")
+        terms.append((a, b, mult))
+    return DimensionWord(terms)
+
+
 def is_distributive_by_identity(L):
     """x ^ (y v z) == (x ^ y) v (x ^ z) for all x, y, z."""
     meet, join = L.meet, L.join
@@ -541,20 +566,6 @@ def is_atomistic_by_atom_joins(L):
         if s != x:
             return False
     return True
-
-
-def residual_by_levels(x, y):
-    """The residual by search: zbar = y - x truncated at the levels 0, 2,
-    4, ... until the sum is exact."""
-    if not x <= y:
-        raise NotBelow("residual requires x <= y")
-    zbar = tuple(INF if yv == INF else yv - xv for xv, yv in zip(x.values, y.values))
-    limit = int(max(x.max_finite(), y.max_finite())) + 1
-    for n in range(limit + 1):
-        t = truncate(x.qo, zbar, 2 * n)
-        if x + t == y:
-            return t
-    raise AssertionError("residual construction failed; input not canonical?")
 
 
 def _weak_targets(L, iv):

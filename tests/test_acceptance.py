@@ -20,13 +20,14 @@ from dimw import geometry as geo
 from dimw import lattice as lat
 from dimw.congruence import DClasses
 from dimw.dimension import delta, dimension_monoid
-from dimw.monoid import INF, from_reduced, index, refine, residual, to_reduced, truncate
+from dimw.monoid import INF, index
 
 from conftest import (enumerate_qosystems, grid_vectors, qosystem_reps,
                       random_eight_element_lattices, random_qosystem,
                       random_vector)
 from oracles import all_congruences, lower_sets
-from theory import n_distributive, normal_kernel_theorems_check, two_piece_decomposition
+from theory import (from_reduced, meet, n_distributive, normal_kernel_theorems_check, refine,
+                    residual, support, to_reduced, truncate, two_piece_decomposition)
 
 
 def report(num, ok, detail=""):
@@ -218,8 +219,8 @@ def test_criterion_9_primitive_monoid_suite():
             for y in vecs:
                 ok = ok and (x <= y) == any(x + z == y for z in vecs)
                 propto = any(x <= y * n for n in range(1, 6))
-                classify_ok = propto == (set(p for p in x.support()) <=
-                                         {q for p in y.support()
+                classify_ok = propto == (set(p for p in support(x)) <=
+                                         {q for p in support(y)
                                           for q in range(len(qo.points)) if qo.below[q][p]})
                 ok = ok and classify_ok
         if not ok:
@@ -235,9 +236,9 @@ def test_criterion_9_primitive_monoid_suite():
     for _ in range(500):
         qo = random_qosystem(rng, max_points=4)
         x, y0, y1 = (random_vector(rng, qo) for _ in range(3))
-        z = truncate(qo, (x + y0).meet(x + y1), int(x.max_finite()) + 3)
+        z = truncate(qo, meet(x + y0, x + y1), int(x.max_finite()) + 3)
         n = int(max(x.max_finite(), z.max_finite())) + 1
-        y = truncate(qo, y0.meet(y1), n)
+        y = truncate(qo, meet(y0, y1), n)
         ok = ok and y <= y0 and y <= y1 and z <= x + y
     # pseudo-cancellation witnesses, 500 instances
     done = 0

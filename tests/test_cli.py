@@ -19,7 +19,7 @@ from dimw import lattice as lat
 from dimw.cli import CATALOG_INSTANCES, catalog_summary, export_dot, run
 from dimw.dimension import dimension_monoid
 
-from conftest import random_lattices
+from conftest import WORD_SPECS, random_lattices, word_texts
 from oracles import (is_atomistic_by_atom_joins, is_distributive_by_identity,
                      is_modular_by_identity, is_relatively_complemented_by_tables,
                      is_sectionally_complemented_by_tables, is_semimodular_by_pairs)
@@ -533,6 +533,36 @@ def test_in_process_calls_do_not_share_word_lists(capsys):
     assert capsys.readouterr().out == "incomparable\n"
     assert run(["compare", "--builtin", "N5", "--word", "0..b"]) == 2
     assert "exactly two" in capsys.readouterr().err
+
+
+def test_compare_counts_its_words_before_loading(capsys):
+    # the lattice file does not exist, and the word count is refused first
+    argv = ["compare", "--file", "no-such-lattice.json", "--word", "0..a"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: compare needs exactly two --word expressions\n"
+    assert run(argv + ["--word", "0..b"]) == 1
+    assert "No such file" in capsys.readouterr().err
+
+
+def test_word_fuzz_through_eval_and_compare():
+    """eval and compare on generated words, one to three of them, end in
+    exit 0, 1 or 2 with at most one `error:` line on stderr and no
+    exception; an answer prints to stdout only, a refusal to stderr only."""
+    codes = set()
+
+    @given(st.sampled_from(WORD_SPECS), st.lists(word_texts(), min_size=1, max_size=3))
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    def check(spec, words):
+        for verb, texts in (("eval", words[:1]), ("compare", words)):
+            got = code, out, err = _run_quietly(
+                [verb, "--builtin", spec] + [f"--word={w}" for w in texts])
+            assert code in (0, 1, 2) and "Traceback" not in err, (verb, texts, got)
+            assert (bool(out), len(err.splitlines())) == ((True, 0) if code == 0 else (False, 1))
+            assert code == 0 or err.startswith("error: "), (verb, texts, got)
+            codes.add(code)
+
+    check()
+    assert codes == {0, 1, 2}
 
 
 def test_eval_keeps_big_multiplicities_exact(capsys):

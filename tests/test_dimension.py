@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dimw import dimension as dim
 from dimw import lattice as lat
@@ -15,12 +16,13 @@ from dimw.dimension import (DimensionWord, caustic_pairs, caustic_relations, del
                             quotient_functor_check, word_compare)
 from dimw.errors import MismatchError, NotALattice, NotDistributive, NotModular
 from dimw.monoid import DimVector, QOSystem
-from conftest import (builtins_up_to, cross_check_lattices, lattices_and_duals,
-                      random_eight_element_lattices, random_lattices, random_posets)
+import oracles
+from conftest import (WORD_SPECS, builtins_up_to, cross_check_lattices, lattices_and_duals,
+                      random_eight_element_lattices, random_lattices, random_posets, word_texts)
 from oracles import (all_congruences, axiom_check_by_loop, caustic_pairs_by_tables,
                      congruence_correspondence_by_listing, delta_by_steps, dep_check_by_pairs,
                      is_v_modular_by_closure, is_v_modular_by_search, lower_sets,
-                     sampled_domination_by_loop)
+                     parse_word_by_terms, sampled_domination_by_loop)
 from theory import intervals_projective, projectivity_classes, schreier_refine
 
 
@@ -473,6 +475,65 @@ def test_word_parse_and_compare():
     assert word_compare(D, left, right) == "incomparable"
 
 
+def test_word_parser_matches_the_term_list_oracle():
+    """On generated texts over the names of N5 and coprod_c3_c1, the
+    one-pass parser gives the multiset of the term-list parser, in the same
+    order, or refuses with the same ValueError text."""
+    lattices = {spec: lat.builtin_spec(spec) for spec in WORD_SPECS}
+    seen = set()
+
+    @given(st.sampled_from(WORD_SPECS), word_texts())
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    def check(spec, text):
+        L = lattices[spec]
+        try:
+            want = parse_word_by_terms(text, L)
+        except ValueError as e:
+            with pytest.raises(ValueError) as err:
+                DimensionWord.parse(text, L)
+            assert str(err.value) == str(e), (spec, text)
+            seen.add(str(e).split(" ", 1)[0])
+            return
+        got = DimensionWord.parse(text, L)
+        assert list(got._mult.items()) == list(want._mult.items()), (spec, text)
+        seen.add("word" if got._mult else "empty")
+
+    check()
+    assert seen == {"word", "empty", "bad", "unknown"}
+
+
+def test_delta_is_cached_by_interval(monkeypatch):
+    """On one monoid per lattice, every ordered pair asked in a seeded
+    shuffled order gets the value of `delta` with an empty cache and of
+    its `delta_rows` row, and walks one chain per distinct interval; the
+    cache holds each pair and each interval once."""
+    rng = random.Random(30)
+    walks = []
+    chain_covers = lat.FiniteLattice._chain_covers
+
+    def counted(L, a, b):
+        walks.append((a, b))
+        return chain_covers(L, a, b)
+
+    for L in lattices_and_duals():
+        D, fresh = dimension_monoid(L), dimension_monoid(L)
+        pairs = list(itertools.product(range(L.n), repeat=2))
+        rng.shuffle(pairs)
+        walks.clear()
+        with monkeypatch.context() as m:
+            m.setattr(lat.FiniteLattice, "_chain_covers", counted)
+            values = [delta(D, a, b) for a, b in pairs]
+        intervals = {(L.mt(a, b), L.jn(a, b)) for a, b in pairs}
+        assert sorted(walks) == sorted(intervals), L.name
+        assert D._delta_cache.keys() == set(pairs) | intervals, L.name
+        a, b = np.array(pairs).T
+        rows = dim.delta_rows(D, a, b)
+        for (x, y), value, row in zip(pairs, values, rows.tolist()):
+            fresh._delta_cache.clear()
+            assert value.values == delta(fresh, x, y).values, (L.name, x, y)
+            assert value.values == tuple(row), (L.name, x, y)
+
+
 def test_d2_as_words_everywhere():
     for L in builtins_up_to(20):
         D = dimension_monoid(L)
@@ -582,8 +643,9 @@ def test_correspondence_counts():
 
 
 def _zero_pairs_to_top(monkeypatch, L):
-    """`delta_rows` with the rows of the argument pairs (x, top) zeroed."""
-    rows_of = dim.delta_rows
+    """`delta_rows`, and the `delta` of the loop oracles, with the values of
+    the argument pairs (x, top) zeroed."""
+    rows_of, value_of = dim.delta_rows, oracles.delta
 
     def zeroed(D, a, b):
         rows = rows_of(D, a, b)
@@ -591,6 +653,8 @@ def _zero_pairs_to_top(monkeypatch, L):
         return rows
 
     monkeypatch.setattr(dim, "delta_rows", zeroed)
+    monkeypatch.setattr(oracles, "delta",
+                        lambda D, a, b: D.qo.zero() if b == L.top else value_of(D, a, b))
 
 
 @pytest.mark.parametrize("spec, tamper, message, witness", [
@@ -636,11 +700,9 @@ def test_correspondence_samples_match_the_loop(monkeypatch):
         D, classes = dimension_monoid(L), DClasses(L)
         assert _failure(dim.congruence_correspondence_check, L, D, classes) is None, L.name
         assert sampled_domination_by_loop(L, D, classes) is None, L.name
-        for a in range(L.n):
-            D._delta_cache[(a, L.top)] = D.qo.zero()
-        want = sampled_domination_by_loop(L, D, classes)
         with monkeypatch.context() as m:
             _zero_pairs_to_top(m, L)
+            want = sampled_domination_by_loop(L, D, classes)
             got = _failure(dim.congruence_correspondence_check, L, D, classes)
         assert got == (None if want is None else str(MismatchError(
             "collapsing and bounded domination disagree", witness=want))), L.name

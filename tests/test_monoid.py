@@ -7,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from dimw import monoid as mon
 from dimw.congruence import count_down_sets
-from dimw.errors import NotBelow, NotInF
+from dimw.errors import NotInF
 from dimw.lattice import is_distributive
-from dimw.monoid import (INF, DimVector, QOSystem, ReducedRep, build_qosystem,
-                         from_reduced, index, refine,
-                         residual, to_reduced, truncate, violates_canonical_form)
+from dimw.monoid import INF, DimVector, QOSystem, build_qosystem, index, violates_canonical_form
 
 from conftest import enumerate_qosystems, grid_vectors, qosystem_reps, random_qosystem, random_vector
-from oracles import residual_by_levels, semilattice_quotient
+from oracles import semilattice_quotient
+from theory import (NotBelow, ReducedRep, from_reduced, meet, refine, residual,
+                    residual_by_levels, support, to_reduced, truncate)
 
 
 def n5_system():
@@ -288,7 +288,7 @@ def test_generator_vectors():
     f_hi = qo.generator(hi)
     assert f_hi.values[hi] == 1 and f_hi.values[low] == INF
     f_low = qo.generator(low)
-    assert f_low.values[low] == 1 and sum(f_low.support() != [] for _ in [0]) == 1
+    assert f_low.values[low] == 1 and sum(support(f_low) != [] for _ in [0]) == 1
     single = QOSystem(["p"], [("p", "p")])
     assert single.generator(0).values == (INF,)
 
@@ -323,14 +323,14 @@ def test_reduced_round_trip_examples():
     z = to_reduced(qo.zero())
     assert z.items() == [] and from_reduced(z) == qo.zero()
     single = QOSystem(["p"], [("p", "p")])
-    rr = mon.ReducedRep(single, {0: INF})
+    rr = ReducedRep(single, {0: INF})
     assert from_reduced(rr) == single.generator(0)
 
 
 def test_reduced_rejects_non_antichain():
     qo, gmap = n5_system()
     with pytest.raises(NotInF):
-        mon.ReducedRep(qo, {gmap[1]: 1, gmap[2]: 1})
+        ReducedRep(qo, {gmap[1]: 1, gmap[2]: 1})
 
 
 def test_not_in_f_detected():
@@ -512,11 +512,11 @@ def test_interval_axiom_witness():
     for _ in range(500):
         qo = random_qosystem(rng, max_points=4)
         x, y0, y1 = (random_vector(rng, qo) for _ in range(3))
-        z_raw = (x + y0).meet(x + y1)
+        z_raw = meet(x + y0, x + y1)
         z = truncate(qo, z_raw, int(max(v for v in z_raw if v != INF) if any(v != INF for v in z_raw) else 0))
         # z <= x + y0, x + y1 by construction; find y <= y0, y1 with z <= x + y
         n = int(max(x.max_finite(), z.max_finite())) + 1
-        y = truncate(qo, y0.meet(y1), n)
+        y = truncate(qo, meet(y0, y1), n)
         assert y <= y0 and y <= y1
         assert z <= x + y
 
