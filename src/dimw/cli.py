@@ -93,7 +93,11 @@ def cmd_eval(args):
     L = _load(args)
     word = dim.DimensionWord.parse(args.word, L)
     value = dim.dimension_monoid(L).delta_word(word)
-    _emit(args, value.to_json_dict(), f"{args.word} = {value!r}")
+    try:
+        _emit(args, value.to_json_dict(), f"{args.word} = {value!r}")
+    except ValueError:  # an int past sys.get_int_max_str_digits() digits
+        raise ValueError(f"value of word {args.word!r} has more than "
+                         f"{sys.get_int_max_str_digits()} digits to print") from None
     return 0
 
 

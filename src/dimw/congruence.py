@@ -13,6 +13,14 @@ the number of classes.  `DClasses.collapsed_by` gives the class masks the
 pairs generate in one stacked pass, and one congruence includes another
 when its mask does.
 
+D is read off the arrow relations (R. Freese, J. Jezek and J. B. Nation,
+Free Lattices, AMS 1995, ch. II).  Each meet-irreducible m has one upper
+cover m*; j up m when j !<= m and j <= m*, and k down m when k !<= m and
+k_* <= m.  Then j D k iff j up m and k down m for some m: a maximal m above
+k_* v x and not above j, for a witness x, is meet-irreducible with both
+arrows; and such an m is a witness, as k v m > m lies above m* >= j.  So D
+is one product of the two |J| x |M| tables of `_arrows`.
+
 The congruence that collapses a down-set S of classes sends x to lo(x),
 the join of the join-irreducibles below x whose class is not in S; x and y
 share a block iff lo(x) = lo(y).  `DClasses.partitions` writes it as a
@@ -27,41 +35,43 @@ import json
 import numpy as np
 
 from .errors import ParamTooLarge
-from .lattice import (_BLOCK_CELLS, FiniteLattice, _is_name, _join_irreducibles,
-                      _json_constant, _strong_components, _transitive_closure)
+from .lattice import (_BLOCK_CELLS, FiniteLattice, _irreducibles, _is_name, _json_constant,
+                      _strong_components, _transitive_closure)
 
-# the D pass reads |J|^2 * n cells of the order table
-CON_PASS_GUARD = 10 ** 8
+# the D stage, the arrow product and its Warshall closure, takes
+# |J|^2 * (|J| + |M|) steps
+CON_PASS_GUARD = 1 << 31
 # the down-set count of the D-class order takes at most 2 * CON_COUNT_GUARD
 # steps, and fewer than 2N on an order with N down-sets
 CON_COUNT_GUARD = 100_000
 
 
-def _d_block(L, J, lower, rows, cols):
-    """out[a, b] == (J[rows[a]] D J[cols[b]]): some x has j <= k v x but not
-    j <= k_* v x.  One pass of len(cols) * n cells per row."""
-    up, up_lo = L.join[J[cols]], L.join[lower[cols]]
-    out = np.empty((len(rows), len(cols)), dtype=bool)
-    for i, a in enumerate(rows):
-        le = L.leq[J[a]]
-        out[i] = (le[up] & ~le[up_lo]).any(axis=1)
-    return out
+def _arrows(L):
+    """J(L) ascending and the arrow tables over M(L): up[j, m] when j !<= m
+    and j <= m*, down[k, m] when k !<= m and k_* <= m, gathered from the
+    order table a block of rows at a time."""
+    (J, lower), (M, upper) = _irreducibles(L._down), _irreducibles(L._up)
+    up, down = (np.empty((len(J), len(M)), dtype=bool) for _ in range(2))
+    step = max(1, _BLOCK_CELLS // L.n)
+    for s in range(0, len(J), step):
+        rows = L.leq.take(J[s:s + step], axis=0)
+        le_m = rows.take(M, axis=1)
+        up[s:s + step] = rows.take(upper, axis=1) > le_m
+        down[s:s + step] = L.leq.take(lower[s:s + step], axis=0).take(M, axis=1) > le_m
+    return J, up, down
 
 
 def has_one_d_class(L):
     """Do the join-irreducibles of L form a single D-class?  A search from
-    the first one along D and then against it, each of which stops as soon
-    as it has reached everything it can; a chain pays for one row."""
-    J, lower = _join_irreducibles(L)
-    every = np.arange(len(J))
-    for forward in (True, False):
-        seen = every == 0
-        frontier = every[seen]
-        while len(frontier):
-            hit = (_d_block(L, J, lower, frontier, every).any(axis=0) if forward
-                   else _d_block(L, J, lower, every, frontier).any(axis=1))
-            frontier = np.flatnonzero(hit & ~seen)
-            seen |= hit
+    the first one along D and then against it: the next step from the
+    frontier is every k with an arrow into an m that the frontier's arrows
+    reach.  Each search stops as soon as it has reached everything it can."""
+    J, up, down = _arrows(L)
+    for a, b in ((up, down), (down, up)):
+        seen = frontier = np.arange(len(J)) == 0
+        while frontier.any():
+            hit = b[:, a[frontier].any(axis=0)].any(axis=1)
+            frontier, seen = hit & ~seen, seen | hit
         if not seen.all():
             return False
     return True
@@ -72,17 +82,17 @@ class DClasses:
 
     `J` lists them ascending and `cls[a]` is the class of J[a]; classes are
     numbered in the order of their least members.  below[c, d] holds when
-    the congruence of class c lies below that of class d.
+    the congruence of class c lies below that of class d.  D is the float32
+    product of the arrow tables, exact as each count is at most |M| < 2^24.
     """
 
     def __init__(self, L):
-        J, lower = _join_irreducibles(L)
-        cells = len(J) ** 2 * L.n
-        if cells > CON_PASS_GUARD:
-            raise ParamTooLarge(f"D-relation pass of {cells} cells exceeds guard "
-                                f"{CON_PASS_GUARD}")
-        every = np.arange(len(J))
-        reach = _transitive_closure(_d_block(L, J, lower, every, every))
+        j, m = (len(_irreducibles(covers)[0]) for covers in (L._down, L._up))
+        steps = j * j * (j + m)
+        if steps > CON_PASS_GUARD:
+            raise ParamTooLarge(f"D-relation stage of {steps} steps exceeds guard {CON_PASS_GUARD}")
+        J, up, down = _arrows(L)
+        reach = _transitive_closure(up.astype(np.float32) @ down.T.astype(np.float32) > 0)
         reps, cls = _strong_components(reach)
         self.over, self.J, self.cls = L, J, cls
         self.below = reach[np.ix_(reps, reps)]

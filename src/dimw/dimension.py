@@ -92,6 +92,7 @@ import functools
 import itertools
 import random
 import re
+import sys
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -100,7 +101,7 @@ import numpy as np
 from .congruence import _block_names, quotient_lattice
 from .errors import MismatchError, NotDistributive
 from .lattice import dual as lattice_dual
-from .lattice import (_components, _cover_index, _distinct_rows, _join_irreducibles, _matches,
+from .lattice import (_components, _cover_index, _distinct_rows, _irreducibles, _matches,
                       _padded, is_distributive, is_modular, product)
 from .monoid import INF, QOSystem, build_qosystem
 
@@ -359,7 +360,12 @@ class DimensionWord:
             k = 1
             m = _MULTIPLE.fullmatch(raw.strip()) if "*" in raw else None
             if m:
-                k, raw = int(m.group(1)), m.group(2)
+                digits, raw = m.groups()
+                limit = sys.get_int_max_str_digits()
+                if 0 < limit < len(digits):
+                    raise ValueError(f"multiplicity of {len(digits)} digits in word term "
+                                     f"'...*({raw.strip()})' exceeds the limit {limit}")
+                k = int(digits)
             aname, dots, bname = raw.partition("..")
             if not dots:
                 raise ValueError(f"bad word term {raw.strip()!r}")
@@ -502,7 +508,7 @@ def distributive_dim(L):
     """
     if not is_distributive(L):
         raise NotDistributive(f"{L.name} is not distributive")
-    J = _join_irreducibles(L)[0].tolist()
+    J = _irreducibles(L._down)[0].tolist()
 
     def f(a, b):
         lo, hi = L.mt(a, b), L.jn(a, b)

@@ -53,10 +53,11 @@ def _closure_from_edges(n, edges):
 
 def _transitive_closure(mat):
     """Transitive closure of a boolean relation matrix (Warshall, numpy rows).
-    A k that nothing reaches adds no pair, so sparse relations skip it."""
+    A k that no other point reaches adds no pair, so sparse relations, and
+    the loops of reflexive ones, skip it."""
     out = mat.copy()
     for k in range(len(out)):
-        if out[:, k].any():
+        if np.count_nonzero(out[:, k]) > out[k, k]:
             out |= out[:, k, None] & out[k, None, :]
     return out
 
@@ -750,10 +751,12 @@ def builtin_spec(spec):
 # -- structural predicates -------------------------------------------------
 
 
-def _join_irreducibles(L):
-    """J(L) ascending, and the one lower cover of each."""
-    J = np.array([j for j in range(L.n) if len(L._down[j]) == 1], dtype=np.intp)
-    return J, np.array([L._down[j][0] for j in J], dtype=np.intp)
+def _irreducibles(covers):
+    """The elements with exactly one cover in the cover lists `covers`,
+    ascending, and that cover of each: J(L) and each j_* from `L._down`, M(L)
+    and each m* from `L._up`."""
+    one = np.array([x for x, c in enumerate(covers) if len(c) == 1], dtype=np.intp)
+    return one, np.array([covers[x][0] for x in one.tolist()], dtype=np.intp)
 
 
 def _cover_index(lo, hi, n, a, b):
@@ -808,7 +811,7 @@ def is_distributive(L):
     L is distributive.  Conversely a distributive L is the lattice of
     down-sets of J, whose height is |J|.
     """
-    return is_modular(L) and len(_join_irreducibles(L)[0]) == L.height()
+    return is_modular(L) and len(_irreducibles(L._down)[0]) == L.height()
 
 
 def is_complemented(L):
@@ -843,12 +846,13 @@ def is_atomistic(L):
     """Every join-irreducible covers the bottom: an atomistic j is the join
     of the atoms below it, so it is one of them; conversely every x is the
     join of the join-irreducibles below it."""
-    return bool((_join_irreducibles(L)[1] == L.bottom).all())
+    return bool((_irreducibles(L._down)[1] == L.bottom).all())
 
 
 def is_simple(L):
     """L is simple iff it has two or more elements and its join-irreducibles
-    form a single class of Freese's D-relation."""
+    form a single class of Freese's D-relation, searched along the arrow
+    tables of `congruence.has_one_d_class` with no n-length row per j."""
     from .congruence import has_one_d_class
 
     return L.n > 1 and has_one_d_class(L)

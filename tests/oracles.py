@@ -16,7 +16,9 @@ projectivity classes of `tests/theory.py` and the join of congruences run
 on it.  The congruence oracle is the union-find fixed point that generated
 congruences before they were read off the D-relation: close a set of merged
 pairs under (x^z, y^z) and (xvz, yvz) for every z, and list Con L by closing
-the principal congruences of the prime intervals under join.  A congruence
+the principal congruences of the prime intervals under join.  The D relation
+itself is found by its definition, trying every x as a witness, where the
+library reads it off the arrow relations.  A congruence
 here is a block_of tuple with each block named by its least member, the
 root of its union-find set, as in the rows of Con L's table.  A partition is
 compatible when every pair of one block agrees on x^z and xvz for every z,
@@ -70,7 +72,7 @@ import numpy as np
 from dimw.congruence import DClasses, quotient_lattice
 from dimw.dimension import _MULTIPLE, DimensionWord, _primes_mask, delta, dimension_monoid
 from dimw.errors import CycleError, MismatchError
-from dimw.lattice import FiniteLattice, _padded, _transitive_closure
+from dimw.lattice import FiniteLattice, _irreducibles, _padded, _transitive_closure
 from dimw.monoid import DimVector
 
 
@@ -332,6 +334,19 @@ def axiom_check_by_loop(L, D):
             if up != delta(D, m, b):
                 raise MismatchError("transposition axiom broken",
                                     witness=(L.names[a], L.names[b]))
+
+
+def d_relation_by_witnesses(L):
+    """Freese's D on J(L) ascending: j D k iff some x has j <= k v x but not
+    j <= k_* v x, one pass of |J| * n cells per j.  A maximal m above
+    k_* v x and not above j is meet-irreducible, with j up m and k down m."""
+    J, lower = _irreducibles(L._down)
+    up, up_lo = L.join[J], L.join[lower]
+    out = np.empty((len(J), len(J)), dtype=bool)
+    for i, j in enumerate(J.tolist()):
+        le = L.leq[j]
+        out[i] = (le[up] & ~le[up_lo]).any(axis=1)
+    return out
 
 
 def is_simple_by_primes(L):

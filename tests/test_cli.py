@@ -576,6 +576,41 @@ def test_eval_keeps_big_multiplicities_exact(capsys):
         "p0": 2 ** 62, "p1": 2 ** 63 - 1, "p2": "inf"}}
 
 
+def test_numbers_past_the_int_digit_limit_are_refused_by_name(capsys):
+    limit = sys.get_int_max_str_digits()
+    nines, long = "9" * limit, "9" * (limit + 1)
+    # 2 * (10^limit - 1) has limit + 1 digits: it is found but cannot be printed
+    for flags in ([], ["--json"]):
+        assert run(["eval", "--builtin", "M3", *flags, "--word", f"{nines}*(0..1)"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            f"error: value of word '{nines}*(0..1)' has more than {limit} digits to print"]
+    refusal = [f"error: multiplicity of {limit + 1} digits in word term '...*(0..1)' "
+               f"exceeds the limit {limit}"]
+    for argv in (["eval", "--word", f"{long}*( 0..1 )"],
+                 ["compare", "--word", "0..1", "--word", f"{long}*(0..1)"]):
+        assert run(argv + ["--builtin", "M3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == refusal
+    # compare still answers on the longest multiplicity int() reads
+    assert run(["compare", "--builtin", "M3", "--word", f"{nines}*(0..1)",
+                "--word", f"{nines}*(0..1) + 0..a"]) == 0
+    assert capsys.readouterr().out == "less\n"
+
+
+def test_con_answers_chains_up_to_the_pass_guard():
+    proc = _proc("con", "--builtin", "chain:1000", timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, (
+        f"Con(chain:1000): {2 ** 999} congruences (999 meet-irreducible, "
+        "999 join-irreducible); simple: False; congruence lattice height 999\n"), "")
+    # chain:1026 has 1025 join- and 1025 meet-irreducibles, the first past 2^31
+    start = time.perf_counter()
+    proc = _proc("con", "--builtin", "chain:1026", timeout=10)
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout, proc.stderr.splitlines()) == (1, "", [
+        "error: D-relation stage of 2153781250 steps exceeds guard 2147483648"])
+
+
 def test_check_all_runs_every_check_past_24_elements(capsys):
     assert run(["check", "--all", "--builtin", "boolean:5", "--json"]) == 0
     out, err = capsys.readouterr()

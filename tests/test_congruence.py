@@ -9,11 +9,12 @@ from dimw.cli import CATALOG_INSTANCES, run
 from dimw.congruence import (DClasses, congruence_from_pairs, count_down_sets, from_json,
                              is_compatible, quotient_lattice, to_json)
 from dimw.errors import ParamTooLarge
-from dimw.lattice import _set_partitions
+from dimw.lattice import _set_partitions, _strong_components, _transitive_closure
 
 from conftest import builtins_up_to, lattices_and_duals, random_lattices
 from oracles import (all_congruences, closure_congruences, closure_from_pairs,
-                     closure_principal, down_sets, is_compatible_by_pairs, is_simple_by_primes)
+                     closure_principal, d_relation_by_witnesses, down_sets, is_compatible_by_pairs,
+                     is_simple_by_primes)
 
 
 def every_partition(L):
@@ -295,12 +296,30 @@ def test_is_simple_matches_prime_interval_loop():
 
 def test_pass_guard_precedes_the_d_pass(monkeypatch):
     def refuse(*args):
-        raise AssertionError("D-relation pass run before the cell guard")
+        raise AssertionError("the arrow tables were reached")
 
-    monkeypatch.setattr(cg, "_d_block", refuse)
-    # 999 join-irreducibles: 999^2 * 1000 cells
-    with pytest.raises(ParamTooLarge, match="D-relation pass"):
-        DClasses(lat.builtin("chain", 1000))
+    monkeypatch.setattr(cg, "_arrows", refuse)
+    # 1025 join- and 1025 meet-irreducibles: 1025^2 * 2050 steps, the first
+    # chain past 2^31; chain:1025 takes exactly 2^31 and passes the guard
+    with pytest.raises(ParamTooLarge, match="^D-relation stage of 2153781250 "
+                                            "steps exceeds guard 2147483648$"):
+        DClasses(lat.builtin("chain", 1026))
+    with pytest.raises(AssertionError, match="arrow tables were reached"):
+        DClasses(lat.builtin("chain", 1025))
+
+
+def test_arrow_d_relation_matches_the_witness_pass():
+    extra = [lat.builtin_spec(s)
+             for s in ("chain:50", "subspace:2,4", "partition:5", "coprod_c3_c1")]
+    for L in lattices_and_duals() + tuple(extra + [lat.dual(L) for L in extra]):
+        d = d_relation_by_witnesses(L)
+        J, up, down = cg._arrows(L)
+        assert np.array_equal(up.astype(int) @ down.T.astype(int) > 0, d), L.name
+        reach = _transitive_closure(d)
+        reps, cls = _strong_components(reach)
+        D = DClasses(L)
+        assert np.array_equal(D.cls, cls), L.name
+        assert np.array_equal(D.below, reach[np.ix_(reps, reps)]), L.name
 
 
 def test_con_and_check_on_coprod_c3_c1(capsys):
