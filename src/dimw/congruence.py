@@ -104,13 +104,16 @@ class DClasses:
 
     def collapsed_by(self, pairs):
         """One class mask per pair (a, b) of the congruence it generates: the
-        down-set of the classes of the j <= a v b with j !<= a ^ b."""
+        down-set of the classes of the j <= a v b with j !<= a ^ b.  The
+        float32 product is exact, as each count is at most |J| < 2^24; a
+        bool product would run without BLAS."""
         L = self.over
         a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
         leq = L.leq[self.J]
         inside = leq[:, L.join[a, b]] & ~leq[:, L.meet[a, b]]
         onehot = self.cls[:, None] == np.arange(len(self.below))
-        return inside.T @ onehot @ self.below.T
+        return (inside.T.astype(np.float32) @ onehot.astype(np.float32)
+                @ self.below.T.astype(np.float32)) > 0
 
     def partitions(self, collapsed):
         """block_of rows of the congruences that collapse the classes of each

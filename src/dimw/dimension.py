@@ -405,6 +405,19 @@ def _collapsed_down_sets(D, blocks):
     return D.qo.down_set(hit)
 
 
+def _draws_below(rng, n, count):
+    """`count` draws of rng.randrange(n), the same stream at a fraction of
+    the calls: randrange(n) takes getrandbits(n.bit_length()) again until
+    the draw is below n."""
+    getrandbits, bits, out = rng.getrandbits, n.bit_length(), []
+    for _ in range(count):
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        out.append(r)
+    return out
+
+
 def congruence_correspondence_check(L, D, classes):
     """Con L against the lower sets of the point order, as posets.  Con L is
     the lattice of down-sets of the D-class order `classes`, so the two
@@ -417,8 +430,8 @@ def congruence_correspondence_check(L, D, classes):
     value of (x, y) lies below the value of (a, b) times the largest finite
     entry of the first, or times 1.  The masks of the covers and samples
     come from one pass, and the values from one `delta_rows` call."""
-    rng = random.Random(7)
-    quads = [[rng.randrange(L.n) for _ in range(4)] for _ in range(200)]
+    draws = _draws_below(random.Random(7), L.n, 800)
+    quads = [draws[i:i + 4] for i in range(0, 800, 4)]
     m = len(L.covers)
     masks = classes.collapsed_by(list(L.covers) + [q[:2] for q in quads]
                                  + [q[2:] for q in quads])

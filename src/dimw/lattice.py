@@ -212,14 +212,14 @@ def _is_join(leq, up, bound):
     other.  This is the row-by-row test of the recursion: in a column
     b <= a it holds on its own, as bound(a, b) = a < c <= bound(c, b).
 
-    The constructor runs the pass on the join table only.  A finite
-    join-semilattice with a least element 0 is a lattice (Davey and
-    Priestley, Introduction to Lattices and Order, 2nd ed., ch. 2): the
-    common lower bounds of a and b hold 0, and their join is a ^ b.  A
-    finite order has a least element iff it has one minimal element, so
-    once every join exists the meet side fails exactly when two elements
-    are minimal, and else, by the claim on the dual order, the dual table
-    is the meet table.
+    The constructor runs the pass on the dual order only, where it tests
+    the meet table.  A finite meet-semilattice with a greatest element 1 is
+    a lattice (the dual of Davey and Priestley, Introduction to Lattices
+    and Order, 2nd ed., ch. 2): the common upper bounds of a and b hold 1,
+    and their meet is a v b.  A finite order has a greatest element iff it
+    has one maximal element, so once every meet exists the join side fails
+    exactly when two elements are maximal, and else, by the claim, the
+    table of `_least_bounds` on the order is the join table.
     """
     if up.count([]) > 1:
         return False
@@ -249,22 +249,24 @@ class FiniteLattice:
     stays the caller's; the meet table is the join table of the dual order,
     read through `leq.T` without a copy.  The two int32 tables take
     O(n^2 d) time, d the largest number of covers of one element, and
-    8 n^2 bytes.  Each is filled in place, and every other array of its
+    4 n^2 bytes each.  Each is filled in place, and every other array of its
     build is at most one block of _BLOCK_CELLS cells, the rows of one
     element's covers, the cover list, or the n^2 / 8 bytes of the cover
     scan's bitset up-sets; on a non-lattice, the witness.
 
-    Both tables are filled, and then one pass tests the join table
-    (`_is_join`): a finite join-semilattice with a least element is a
-    lattice, so the meet side needs only a count of the minimal elements.
+    The constructor fills the meet table, and one pass tests it (`_is_join`
+    on the dual order): a finite meet-semilattice with a greatest element
+    is a lattice, so the join side needs only a count of the maximal
+    elements.  The join table is filled on its first read, so a caller
+    that reads neither table pays for the meet table alone.
 
     Instances are immutable after construction and safe to share between
     threads; every operation in this package is a pure function.  The only
-    state that changes is idempotent memos filled on first use (the height,
-    the padded upper and lower covers, the first upper cover of each
-    element, the covering squares and the step columns of the maximal
-    chains): a second thread that fills the same entry computes the same
-    value.
+    state that changes is idempotent memos filled on first use (the join
+    table, the height, the padded upper and lower covers, the first upper
+    cover of each element, the covering squares and the step columns of
+    the maximal chains): a second thread that fills the same entry computes
+    the same value.
     """
 
     def __init__(self, names, leq, name="L", _validate=True):
@@ -302,21 +304,29 @@ class FiniteLattice:
         for a, b in self.covers:
             self._up[a].append(b)
             self._down[b].append(a)
-        # the meet table is the join table of the dual order; both are filled
-        # before the test, so that a failure has both for its witness.  The
-        # count is "more than one", not "not exactly one": a relation that is
-        # no order, such as a quotient by a partition that is no congruence,
-        # can have no minimal element, and the quotient check must still
+        # the meet table is the join table of the dual order, and the test
+        # runs on it; the join table waits for its first reader.  The count
+        # is "more than one", not "not exactly one": a relation that is no
+        # order, such as a quotient by a partition that is no congruence,
+        # can have no maximal element, and the quotient check must still
         # reach its own verdict on it
-        self.join = _least_bounds(leq, self._up, order)
         self.meet = _least_bounds(leq.T, self._down, order[::-1])
-        if self._down.count([]) > 1 or not _is_join(leq, self._up, self.join):
+        if self._up.count([]) > 1 or not _is_join(leq.T, self._down, self.meet):
             self._raise_witness()
         self.bottom, self.top = order[0], order[-1]
-        for a in (self.leq, self.meet, self.join, self.cover_lo, self.cover_hi):
+        for a in (self.leq, self.meet, self.cover_lo, self.cover_hi):
             a.flags.writeable = False
         self._height = None
         self._toward = {}
+
+    @functools.cached_property
+    def join(self):
+        """The join table, filled by the cover recursion on first read.  On
+        a lattice the constructor's meet-side test has shown that it is the
+        join; on a non-lattice `_raise_witness` reads it as a bound table."""
+        join = _least_bounds(self.leq, self._up, self._order)
+        join.flags.writeable = False
+        return join
 
     def _raise_witness(self):
         """NotALattice for the first pair i <= j in index order, meet before

@@ -108,9 +108,10 @@ class QOSystem:
         return DimVector(self, tuple(vals))
 
     def to_json_dict(self):
+        # a free system has no pair to list, so its k x k table is not scanned
         return {"points": list(self.points),
-                "rel": [[self.points[a], self.points[b]]
-                        for a, b in np.argwhere(self.rel).tolist()]}
+                "rel": [] if self._free else [[self.points[a], self.points[b]]
+                                              for a, b in np.argwhere(self.rel).tolist()]}
 
     def __repr__(self):
         return f"QOSystem({len(self.points)} points, {int(self.rel.sum())} relations)"

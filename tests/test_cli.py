@@ -250,16 +250,21 @@ def test_check_all_builds_each_geometry_object_once(monkeypatch, capsys):
         "perspectivity_matrix": 1, "_transitive_closure": 1, "_decomposition_closure": 1}
 
 
-def _proc(*argv, timeout=120, **options):
-    """Run `dimw` in a fresh interpreter, with no traceback on stderr; the
-    options go to subprocess.run."""
+def _python(*args, timeout=120, **options):
+    """Run a fresh interpreter that imports this `dimw`, with no traceback on
+    stderr; the options go to subprocess.run."""
     src = str(Path(dimw.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "dimw.cli", *argv], capture_output=True,
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env, timeout=timeout, **options)
     assert "Traceback" not in proc.stderr
     return proc
+
+
+def _proc(*argv, **options):
+    """Run `dimw` in a fresh interpreter (`_python`)."""
+    return _python("-m", "dimw.cli", *argv, **options)
 
 
 def _cli(*argv):
@@ -496,6 +501,35 @@ def test_con_refuses_a_large_congruence_lattice_at_once(tmp_path):
 
 def _cap_address_space_1g():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_validate_and_con_fill_the_meet_table_alone(monkeypatch, capsys):
+    """The constructor fills the meet table and tests it; the join table is
+    filled on its first read, which `validate` and `con` never make."""
+    fills = mock.Mock(wraps=lat._least_bounds)
+    monkeypatch.setattr(lat, "_least_bounds", fills)
+    for spec in ("N5", "boolean:4", "partition:4", "coprod_c3_c1"):
+        for verb, count in (("validate", 1), ("con", 1), ("dim", 2)):
+            fills.reset_mock()
+            assert run([verb, "--builtin", spec]) == 0, (verb, spec)
+            assert fills.call_count == count, (verb, spec)
+    capsys.readouterr()
+
+
+def test_validate_peak_memory_on_boolean_12():
+    """`validate boolean:12` holds the order and the int32 meet table, 16 MB
+    and 64 MB; a join table would add 64 MB more.  The child reports its
+    own peak resident set, in KiB on Linux."""
+    proc = _python("-c", "import resource\n"
+                   "from dimw.cli import run\n"
+                   "code = run(['validate', '--builtin', 'boolean:12'])\n"
+                   "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)",
+                   timeout=60, preexec_fn=_cap_address_space_1g)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == ("boolean:12: 4096 elements, 24576 covers, height 12, "
+                        "bounds [000000000000, 111111111111]")
+    code, peak = map(int, lines[1].split())
+    assert code == 0 and peak < 160 << 10, peak
 
 
 def _child_seconds():

@@ -569,6 +569,15 @@ def test_correspondence_check_matches_the_listing():
             assert ok == (row[x] == row[y]), (L.name, x, y)
 
 
+def test_draws_below_are_the_randrange_stream():
+    # the correspondence check cuts 800 draws into its 200 quadruples
+    for n in range(1, 101):
+        rng = random.Random(7)
+        want = [[rng.randrange(n) for _ in range(4)] for _ in range(200)]
+        draws = dim._draws_below(random.Random(7), n, 800)
+        assert [draws[i:i + 4] for i in range(0, 800, 4)] == want, n
+
+
 def _failure(check, *args):
     """The text of the MismatchError the check raises, message and witness,
     or None when it passes."""

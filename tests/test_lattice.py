@@ -451,11 +451,12 @@ def _first_missing_bound(leq):
 
 
 def test_join_pass_and_one_minimal_element_decide_lattices():
-    """A finite join-semilattice with a least element is a lattice, so the
-    constructor's verdict, the join pass and then "at most one minimal
-    element", is the verdict of the join and meet passes together on every
-    order and its dual, and its NotALattice names the pair the definition
-    finds first."""
+    """A finite join-semilattice with a least element is a lattice, and
+    dually, so the join pass and then "at most one minimal element" is the
+    verdict of the join and meet passes together on every order and its
+    dual, and so is the constructor's verdict, the meet pass and then "at
+    most one maximal element"; its NotALattice names the pair the
+    definition finds first."""
     orders = [np.array(_order_oracle(len(names), edges)) for names, edges in random_posets()]
     seen = {"lattice": 0, "join pass": 0, "minimal count": 0}
     for leq in orders + _perturbed_orders():
@@ -468,6 +469,7 @@ def test_join_pass_and_one_minimal_element_decide_lattices():
             joins = lat._is_join(leq, up, lat._least_bounds(leq, up, order))
             meets = lat._is_join(leq.T, down, lat._least_bounds(leq.T, down, order[::-1]))
             assert (joins and down.count([]) <= 1) == (joins and meets)
+            assert (meets and up.count([]) <= 1) == (joins and meets)
             names = [f"x{i}" for i in range(len(leq))]
             witness = _first_missing_bound(leq)
             if witness is None:
@@ -498,6 +500,15 @@ def test_tables_follow_a_relabelling(spec):
     assert not np.array_equal(pos, np.arange(L.n))
     for ours, theirs in ((S.meet, L.meet), (S.join, L.join)):
         assert np.array_equal(ours[np.ix_(pos, pos)], pos[theirs])
+
+
+def test_join_table_waits_for_its_first_reader(tmp_path):
+    path = tmp_path / "n5.json"
+    lat.save(lat.builtin("N5"), path)
+    L = lat.load(path)
+    assert "join" not in vars(L)
+    assert np.array_equal(L.join, lat.builtin("N5").join)
+    assert "join" in vars(L) and not L.join.flags.writeable
 
 
 def test_large_chain_and_boolean_build():
