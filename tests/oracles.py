@@ -45,7 +45,9 @@ The lattice predicates are tested on their definitions, element by element
 over the meet/join tables, where the library reads them off the covers: the
 modular law for every c <= a, the semimodular exchange for every pair, a
 complement for every x in every interval [a, b] or [0, a], and every element
-a join of atoms.
+a join of atoms.  The covering squares look the top corner c v a of each
+pair of covers up in the join table, as they did before the library read
+it off the order.
 
 The cross-check oracles are the element loops that V-modularity, DEP,
 n-distributivity and the decomposition closure ran before they became passes
@@ -72,7 +74,8 @@ import numpy as np
 from dimw.congruence import DClasses, quotient_lattice
 from dimw.dimension import _MULTIPLE, DimensionWord, _primes_mask, delta, dimension_monoid
 from dimw.errors import CycleError, MismatchError
-from dimw.lattice import FiniteLattice, _irreducibles, _padded, _transitive_closure
+from dimw.lattice import (FiniteLattice, _cover_index, _irreducibles, _matches, _padded,
+                          _transitive_closure)
 from dimw.monoid import DimVector
 
 
@@ -535,6 +538,16 @@ def is_modular_by_identity(L):
         if not np.array_equal(lhs, rhs):
             return False
     return True
+
+
+def covering_squares_by_join(lo, hi, join):
+    """The covering squares of `lattice._covering_squares` over the covers
+    lo[i] < hi[i], sorted by (lo, hi), with c v a read from the join table
+    (the meet table for the dual's covers)."""
+    i, k = _matches(lo, lo)
+    other = i != k
+    i, c = i[other], hi[k[other]]
+    return i, _cover_index(lo, hi, len(join), c, join[c, hi[i]])
 
 
 def is_semimodular_by_pairs(L):

@@ -505,14 +505,25 @@ def _cap_address_space_1g():
 
 def test_validate_and_con_fill_the_meet_table_alone(monkeypatch, capsys):
     """The constructor fills the meet table and tests it; the join table is
-    filled on its first read, which `validate` and `con` never make."""
+    filled on its first read, which `validate` and `con` never make, nor
+    `dim`, `catalog` and `dot --labels` on a modular lattice, whose
+    modularity test and square classes read the order.  The caustic
+    presentation of a non-modular lattice reads it."""
     fills = mock.Mock(wraps=lat._least_bounds)
     monkeypatch.setattr(lat, "_least_bounds", fills)
-    for spec in ("N5", "boolean:4", "partition:4", "coprod_c3_c1"):
-        for verb, count in (("validate", 1), ("con", 1), ("dim", 2)):
+    for spec, dim_fills in (("N5", 2), ("boolean:4", 1), ("partition:4", 2),
+                            ("coprod_c3_c1", 2)):
+        for verb, count in (("validate", 1), ("con", 1), ("dim", dim_fills)):
             fills.reset_mock()
             assert run([verb, "--builtin", spec]) == 0, (verb, spec)
             assert fills.call_count == count, (verb, spec)
+    for argv, count in ((["dot", "--labels", "--builtin", "subspace:2,3"], 1),
+                        # 14 modular entries and N5, partition:4, partition:5,
+                        # coprod_c2_c1 and coprod_c3_c1
+                        (["catalog"], 14 + 2 * 5)):
+        fills.reset_mock()
+        assert run(argv) == 0, argv
+        assert fills.call_count == count, argv
     capsys.readouterr()
 
 
@@ -529,6 +540,23 @@ def test_validate_peak_memory_on_boolean_12():
     assert lines[0] == ("boolean:12: 4096 elements, 24576 covers, height 12, "
                         "bounds [000000000000, 111111111111]")
     code, peak = map(int, lines[1].split())
+    assert code == 0 and peak < 160 << 10, peak
+
+
+def test_dim_peak_memory_on_boolean_12():
+    """`dim boolean:12` on a modular lattice reads the order and the covers
+    after loading, so it holds what `validate` holds and no join table
+    (64 MB).  The child reports its own peak resident set, in KiB on
+    Linux."""
+    proc = _python("-c", "import resource\n"
+                   "from dimw.cli import run\n"
+                   "code = run(['dim', '--builtin', 'boolean:12'])\n"
+                   "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)",
+                   timeout=60, preexec_fn=_cap_address_space_1g)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "dimension monoid of boolean:12: 12 generator classes, 0 idempotent"
+    assert lines[-2] == "  relation: (antichain)"
+    code, peak = map(int, lines[-1].split())
     assert code == 0 and peak < 160 << 10, peak
 
 
@@ -666,6 +694,39 @@ def test_nonsense_builtin_parameters_and_empty_word_terms():
             (("dim", "--builtin", "boolean:-1"), "error: boolean needs n >= 0"),
             (("eval", "--builtin", "N5", "--word", "0..a +"), "error: bad word term ''")):
         assert _cli(*argv) == (1, [line]), argv
+
+
+def _builtin_specs():
+    """Builtin specs, well-formed or not, that build at most a few hundred
+    elements: catalog keys or junk, then parameters that are small ints,
+    values past a size guard, or text with no decimal digit, which no int()
+    reads."""
+    junk = st.text(st.characters(blacklist_categories=("Nd",)), max_size=4)
+    key = st.sampled_from(sorted(lat._BUILTINS)) | junk
+    param = (st.integers(-2, 4).map(str)
+             | st.sampled_from(["10001", "-100", str(10 ** 20), " 3", "+2", "0_3", "1.5", "2e1"])
+             | junk)
+    return st.builds(lambda k, sep, ps: k + sep + ",".join(ps),
+                     key, st.sampled_from([":", ""]), st.lists(param, max_size=3))
+
+
+def test_builtin_spec_fuzz():
+    """validate on generated builtin specs ends in exit 0, 1 or 2 (an empty
+    spec is a missing --builtin) with no exception; an answer prints to
+    stdout only, a refusal one `error:` line to stderr only."""
+    codes = set()
+
+    @given(_builtin_specs())
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    def check(spec):
+        got = code, out, err = _run_quietly(["validate", f"--builtin={spec}"])
+        assert code in (0, 1, 2), (spec, got)
+        assert (bool(out), len(err.splitlines())) == ((True, 0) if code == 0 else (False, 1))
+        assert code == 0 or err.startswith("error: "), (spec, got)
+        codes.add(code)
+
+    check()
+    assert {0, 1} <= codes
 
 
 def test_malformed_words_and_builtins_in_process(capsys):

@@ -10,7 +10,8 @@ from dimw.errors import CycleError, NotALattice, ParamTooLarge, UnknownBuiltin
 
 from conftest import (builtins_up_to, lattices_and_duals, random_eight_element_lattices,
                       random_posets)
-from oracles import (closure_by_rows, covers_by_argmax, is_atomistic_by_atom_joins,
+from oracles import (closure_by_rows, covering_squares_by_join, covers_by_argmax,
+                     is_atomistic_by_atom_joins,
                      is_distributive_by_identity, is_modular_by_identity,
                      is_relatively_complemented_by_tables,
                      is_sectionally_complemented_by_tables, is_semimodular_by_pairs,
@@ -570,6 +571,25 @@ def test_cover_predicates_match_table_oracles(predicate, oracle):
         want = oracle(L)
         assert predicate(L) is want, L.name
         seen[want] += 1
+    assert seen[True] >= 30 and seen[False] >= 30, seen
+
+
+@pytest.mark.parametrize("block_cells", [lat._BLOCK_CELLS, 16])
+def test_covering_squares_from_the_order_match_the_join_lookup(monkeypatch, block_cells):
+    """The squares read off the order are the ones the join table gives,
+    on L's covers, the pass of `L._squares`, and on the dual's, the second
+    pass of `is_modular`, where the meet table gives them; 16-cell blocks
+    split every search into many."""
+    monkeypatch.setattr(lat, "_BLOCK_CELLS", block_cells)
+    extra = tuple(lat.builtin_spec(s) for s in ("boolean:8", "partition:5", "subspace:2,4"))
+    seen = {True: 0, False: 0}
+    for L in lattices_and_duals() + extra:
+        by_hi = np.lexsort((L.cover_lo, L.cover_hi))
+        for lo, hi, leq, table in ((L.cover_lo, L.cover_hi, L.leq, L.join),
+                                   (L.cover_hi[by_hi], L.cover_lo[by_hi], L.leq.T, L.meet)):
+            got, want = lat._covering_squares(lo, hi, leq), covering_squares_by_join(lo, hi, table)
+            assert all(map(np.array_equal, got, want)), L.name
+            seen[bool((got[1] < len(lo)).all())] += 1
     assert seen[True] >= 30 and seen[False] >= 30, seen
 
 
