@@ -25,18 +25,14 @@ The congruence that collapses a down-set S of classes sends x to lo(x),
 the join of the join-irreducibles below x whose class is not in S; x and y
 share a block iff lo(x) = lo(y).  `DClasses.partitions` writes it as a
 block_of row, each block named by its least member, and a congruence is
-such a row throughout the package.  `to_json` and `from_json` write and
-read it as a JSON sidecar that lists the blocks by element names, beside
-`lattice.to_json` and `lattice.from_json`.
+such a row throughout the package.
 """
-
-import json
 
 import numpy as np
 
 from .errors import ParamTooLarge
-from .lattice import (_BLOCK_CELLS, FiniteLattice, _irreducibles, _is_name, _json_constant,
-                      _strong_components, _transitive_closure)
+from .lattice import (_BLOCK_CELLS, FiniteLattice, _irreducibles, _strong_components,
+                      _transitive_closure)
 
 # the D stage, the arrow product and its Warshall closure, takes
 # |J|^2 * (|J| + |M|) steps
@@ -137,13 +133,6 @@ class DClasses:
         return out
 
 
-def congruence_from_pairs(L, pairs):
-    """The block_of row of the smallest congruence of L merging every given
-    pair."""
-    D = DClasses(L)
-    return D.partitions(D.collapsed_by(pairs).any(axis=0)[None, :])[0]
-
-
 def count_down_sets(below):
     """The number of down-sets of the order below[c, d] (c <= d), |Con L| for
     the D-class order.  Points related to no other point of the rest double
@@ -162,7 +151,8 @@ def count_down_sets(below):
         nonlocal steps
         steps += 1
         if steps > 2 * CON_COUNT_GUARD:
-            raise ParamTooLarge("congruence lattice too large")
+            raise ParamTooLarge(f"congruence lattice too large: counting the down-sets of "
+                                f"{len(below)} D-classes takes over {2 * CON_COUNT_GUARD} steps")
         free, best, p, scan = 0, 0, -1, rest
         while scan:
             low = scan & -scan
@@ -192,60 +182,3 @@ def quotient_lattice(L, block_of):
     names = ["[%s]" % L.names[r] for r in reps.tolist()]
     Q = FiniteLattice(names, leq, name=f"{L.name}/~", _validate=False)
     return Q, proj
-
-
-# -- the JSON sidecar ----------------------------------------------------------
-
-
-def _block_names(L, block_of):
-    """The blocks of a block_of row as lists of element names, each in index
-    order, the blocks in the order of their least members."""
-    blocks = {}
-    for x, b in enumerate(np.asarray(block_of).tolist()):
-        blocks.setdefault(b, []).append(L.names[x])
-    return list(blocks.values())
-
-
-def is_compatible(L, block_of):
-    """Is the partition of a block_of row, each block named by a member of
-    it, a congruence?  x ^ z and x v z share a block with r ^ z and r v z for
-    all x, z, r the member naming x's block; so do any two members of a block."""
-    b = np.asarray(block_of, dtype=np.intp)
-    return all((b[t] == b[t[b]]).all() for t in (L.meet, L.join))
-
-
-def to_json(L, block_of):
-    """The sidecar document of a congruence: {"congruence": [[names...], ...]}."""
-    return json.dumps({"congruence": _block_names(L, block_of)}, sort_keys=True)
-
-
-def from_json(L, text):
-    """Parse the sidecar format, a JSON text or its parsed document, into the
-    block_of row of a congruence of L, each block named by its least member."""
-    doc = json.loads(text, parse_constant=_json_constant) if isinstance(text, str) else text
-    if not isinstance(doc, dict):
-        raise ValueError("congruence sidecar must hold a JSON object")
-    if "congruence" not in doc:
-        raise ValueError("congruence sidecar has no 'congruence' key")
-    blocks = doc["congruence"]
-    if not isinstance(blocks, list) or not all(
-            isinstance(block, list) and all(map(_is_name, block)) for block in blocks):
-        raise ValueError("'congruence' must be a list of lists of names")
-    block_of = np.full(L.n, -1, dtype=np.int32)
-    for block in blocks:
-        if not block:
-            raise ValueError("empty block in congruence")
-        # names match by str(), as in build_lattice
-        members = []
-        for x in map(str, block):
-            if x not in L.index:
-                raise ValueError(f"unknown element {x!r} in congruence")
-            if block_of[L.index[x]] >= 0 or L.index[x] in members:
-                raise ValueError(f"element {x!r} appears in two blocks")
-            members.append(L.index[x])
-        block_of[members] = min(members)
-    if (block_of < 0).any():
-        raise ValueError("blocks do not cover every element")
-    if not is_compatible(L, block_of):
-        raise ValueError("blocks are not compatible with meet and join")
-    return block_of

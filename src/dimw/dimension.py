@@ -78,14 +78,11 @@ float arrays and compares their order matrices whole.  The test suite
 checks both against the element loops and the closure they replaced
 (`tests/oracles.py`).
 
-Delta is functorial: a product projection, a quotient map and order
-reversal each send a prime interval to a prime interval or collapse it.
-One check per map: `functor_checks` for order reversal, the one `check`
-runs, and `product_functor_check` and `quotient_functor_check`, which the
-test suite runs.  Each finds the image covers as index arrays, by
-`searchsorted` in the target's sorted cover keys, and tests the map of
-generator points that they induce for being an isomorphism of QO-systems
-onto the target (`_natural_map`).
+Delta is functorial: order reversal sends a prime interval to a prime
+interval.  `functor_checks`, which `check` runs, finds the image covers as
+index arrays, by `searchsorted` in the dual's sorted cover keys, and tests
+the map of generator points that they induce for being an isomorphism of
+QO-systems onto the dual's (`_natural_map`).
 """
 
 import functools
@@ -98,11 +95,11 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .congruence import _block_names, quotient_lattice
+from .congruence import quotient_lattice
 from .errors import MismatchError, NotDistributive
 from .lattice import dual as lattice_dual
 from .lattice import (_components, _cover_index, _distinct_rows, _irreducibles, _matches,
-                      _padded, is_distributive, is_modular, product)
+                      _padded, is_distributive, is_modular)
 from .monoid import INF, QOSystem, build_qosystem
 
 
@@ -395,16 +392,6 @@ def word_compare(D, w1, w2):
 # -- cross-validation checks ----------------------------------------------
 
 
-def _collapsed_down_sets(D, blocks):
-    """For each block_of row, the membership vector of the points below a
-    point with a prime interval that the row collapses."""
-    L = D.lattice
-    hit = np.zeros((len(blocks), len(D.qo)), dtype=bool)
-    rows, primes = np.nonzero(blocks[:, L.cover_lo] == blocks[:, L.cover_hi])
-    hit[rows, D.point_of_cover[primes]] = True
-    return D.qo.down_set(hit)
-
-
 def _draws_below(rng, n, count):
     """`count` draws of rng.randrange(n), the same stream at a fraction of
     the calls: randrange(n) takes getrandbits(n.bit_length()) again until
@@ -525,7 +512,7 @@ def distributive_dim(L):
 
     def f(a, b):
         lo, hi = L.mt(a, b), L.jn(a, b)
-        return tuple(1 if L.le(j, hi) and not L.le(j, lo) else 0 for j in J)
+        return tuple(1 if L.leq[j, hi] and not L.leq[j, lo] else 0 for j in J)
 
     return J, f
 
@@ -568,41 +555,6 @@ def functor_checks(L, D):
     points it induces must be an isomorphism onto the dual's QO-system."""
     Dd = dimension_monoid(lattice_dual(L))
     _natural_map("dual", D, _image_points(Dd, L.cover_hi, L.cover_lo), Dd.qo.rel)
-
-
-def product_functor_check(L, D, B):
-    """Product compatibility: the covers of L x B map onto the disjoint union
-    of the QO-systems of L and B, by the coordinate each cover moves."""
-    P = product(L, B)
-    DP, DB = dimension_monoid(P), dimension_monoid(B)
-    # the disjoint union of the two systems, L's points first
-    k = len(D.qo)
-    union = np.zeros((k + len(DB.qo),) * 2, dtype=bool)
-    union[:k, :k], union[k:, k:] = D.qo.rel, DB.qo.rel
-    # (a, b) is element a * B.n + b of P, and a cover moves one coordinate
-    (a, b), (c, d) = np.divmod(P.cover_lo, B.n), np.divmod(P.cover_hi, B.n)
-    in_L = b == d
-    image = np.empty(len(P.covers), dtype=np.intp)
-    image[in_L] = _image_points(D, a[in_L], c[in_L])
-    image[~in_L] = k + _image_points(DB, b[~in_L], d[~in_L])
-    _natural_map("product", DP, image, union)
-
-
-def quotient_functor_check(L, D, theta):
-    """Quotient compatibility for `theta`, the block_of row of a congruence
-    of L: the uncollapsed covers map onto the quotient's QO-system, and the
-    map is defined exactly on the points that theta does not collapse."""
-    Q, proj = quotient_lattice(L, theta)
-    DQ = dimension_monoid(Q)
-    # an uncollapsed cover (a, b) goes to the cover of their blocks
-    lo, hi = proj[L.cover_lo], proj[L.cover_hi]
-    image, kept = np.full(len(L.covers), -1), lo != hi
-    image[kept] = _image_points(DQ, lo[kept], hi[kept])
-    src = _natural_map("quotient", D, image, DQ.qo.rel)
-    collapsed = _collapsed_down_sets(D, np.array([theta]))[0]
-    if sorted(src) != np.flatnonzero(~collapsed).tolist():
-        raise MismatchError("quotient map is not defined on the uncollapsed points",
-                            witness=" | ".join(map(",".join, _block_names(L, theta))))
 
 
 # -- V-modularity and DEP ---------------------------------------------------

@@ -23,16 +23,8 @@ class ParamTooLarge(DimwError):
     """A constructor guard tripped (too many elements or congruences)."""
 
 
-class NotInF(DimwError):
-    """A coefficient map violates the canonical-form invariants."""
-
-
 class NotDistributive(DimwError):
     """Operation requires a distributive lattice."""
-
-
-class NotModular(DimwError):
-    """Operation requires a modular lattice."""
 
 
 class MismatchError(DimwError):

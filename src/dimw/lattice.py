@@ -368,32 +368,11 @@ class FiniteLattice:
 
     # -- basic queries ----------------------------------------------------
 
-    def le(self, a, b):
-        return bool(self.leq[a, b])
-
     def mt(self, a, b):
         return int(self.meet[a, b])
 
     def jn(self, a, b):
         return int(self.join[a, b])
-
-    def covers_of(self, a):
-        """Upper covers of a, ascending."""
-        return list(self._up[a])
-
-    def cocovers_of(self, b):
-        """Lower covers of b, ascending."""
-        return list(self._down[b])
-
-    def interval(self, a, b):
-        """Elements z with a <= z <= b, ascending index order."""
-        if not self.le(a, b):
-            raise ValueError("interval endpoints must satisfy a <= b")
-        mask = self.leq[a] & self.leq[:, b]
-        return [int(z) for z in np.flatnonzero(mask)]
-
-    def atoms(self):
-        return self.covers_of(self.bottom)
 
     def height(self):
         """Length of the longest chain from bottom to top, along the covers
@@ -457,12 +436,6 @@ class FiniteLattice:
             z = covers[i][1]
         return steps
 
-    def maximal_chain(self, a, b):
-        """The index-least maximal chain from a to b (a <= b required)."""
-        if not self.leq[a, b]:
-            raise ValueError("chain endpoints must satisfy a <= b")
-        return [a] + [self.covers[i][1] for i in self._chain_covers(a, b)]
-
     def __eq__(self, other):
         return (isinstance(other, FiniteLattice) and self.names == other.names
                 and np.array_equal(self.leq, other.leq))
@@ -499,14 +472,7 @@ def build_lattice(elements, covers, name="L"):
     return FiniteLattice(names, leq, name=name, _validate=False)
 
 
-# -- serialization --------------------------------------------------------
-
-
-def to_json(L):
-    return json.dumps(
-        {"name": L.name, "elements": list(L.names),
-         "covers": [[L.names[a], L.names[b]] for a, b in L.covers]},
-        sort_keys=True)
+# -- lattice files --------------------------------------------------------
 
 
 def _is_name(x):
@@ -563,22 +529,7 @@ def load(path):
         return from_json(f.read())
 
 
-def save(L, path):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(to_json(L) + "\n")
-
-
 # -- constructions --------------------------------------------------------
-
-
-def product(A, B):
-    """Direct product with componentwise order."""
-    if A.n * B.n > SIZE_GUARD:
-        raise ParamTooLarge(f"product would have {A.n * B.n} elements")
-    names = [f"({a},{b})" for a in A.names for b in B.names]
-    leq = np.kron(A.leq, B.leq)
-    L = FiniteLattice(names, leq, name=f"{A.name}x{B.name}", _validate=False)
-    return L
 
 
 def dual(L):
@@ -770,7 +721,7 @@ def builtin(key, *params):
 def builtin_spec(spec):
     """Parse a CLI-style builtin spec like "partition:4" or "subspace:2,3"."""
     key, _, rest = spec.partition(":")
-    params = [p for p in rest.split(",") if p] if rest else []
+    params = rest.split(",") if rest else []
     return builtin(key, *params)
 
 

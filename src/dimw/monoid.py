@@ -11,7 +11,6 @@ import operator
 
 import numpy as np
 
-from .errors import NotInF
 from .lattice import _components, _strong_components, _transitive_closure
 
 INF = float("inf")
@@ -66,24 +65,19 @@ class QOSystem:
     def __len__(self):
         return len(self.points)
 
-    def down_set(self, members):
-        """The points below some member, for a bool membership vector over
-        the points or a stack of them; the result has the same shape."""
-        return members @ self.below.T
-
     def is_antichain(self):
         # below holds the diagonal; anything more relates two distinct points
         return int(self.below.sum()) == len(self.points)
 
     def zero(self):
-        return DimVector(self, (0,) * len(self.points), validate=False)
+        return DimVector(self, (0,) * len(self.points))
 
     def generator(self, p):
         """f_p: oo strictly below p; 1 at p if p is not self-related, else oo."""
         p = self._as_index(p)
         vals = [INF if r else 0 for r in self.rel[:, p].tolist()]
         vals[p] = INF if p in self.p0 else 1
-        return DimVector(self, tuple(vals), validate=False)
+        return DimVector(self, tuple(vals))
 
     def combination(self, counts):
         """The sum of counts[p] copies of f_p over the points, for non-negative
@@ -99,13 +93,7 @@ class QOSystem:
         if not self._free:
             for p in (self.rel @ (counts > 0)).nonzero()[0].tolist():
                 vals[p] = INF
-        return DimVector(self, vals, validate=False)
-
-    def vector(self, mapping):
-        vals = [0] * len(self.points)
-        for p, v in mapping.items():
-            vals[self._as_index(p)] = INF if v == INF or v == "inf" else int(v)
-        return DimVector(self, tuple(vals))
+        return DimVector(self, vals)
 
     def to_json_dict(self):
         # a free system has no pair to list, so its k x k table is not scanned
@@ -118,38 +106,25 @@ class QOSystem:
 
 
 class DimVector:
-    """An element of the canonical numerical monoid over a QOSystem."""
+    """An element of the canonical numerical monoid over a QOSystem.  The
+    package makes its values canonical by construction, as sums of
+    generators, so the values are taken unchecked."""
 
     __slots__ = ("qo", "values")
 
-    def __init__(self, qo, values, validate=True):
+    def __init__(self, qo, values):
         self.qo = qo
         self.values = tuple(values)
-        if validate:
-            reason = violates_canonical_form(qo, self.values)
-            if reason:
-                raise NotInF(reason)
-
-    def is_zero(self):
-        return all(v == 0 for v in self.values)
-
-    def max_finite(self):
-        finite = [v for v in self.values if v != INF]
-        return max(finite, default=0)
-
-    def has_infinite(self):
-        return INF in self.values
 
     def __add__(self, other):
         assert self.qo is other.qo
-        return DimVector(self.qo, tuple(map(operator.add, self.values, other.values)),
-                         validate=False)
+        return DimVector(self.qo, tuple(map(operator.add, self.values, other.values)))
 
     def __mul__(self, k):
         # 0 * oo is 0 here (empty sum)
         if k == 0:
             return self.qo.zero()
-        return DimVector(self.qo, [k * v for v in self.values], validate=False)
+        return DimVector(self.qo, [k * v for v in self.values])
 
     __rmul__ = __mul__
 
@@ -171,29 +146,6 @@ class DimVector:
         parts = ["%s:%s" % (self.qo.points[i], "oo" if v == INF else v)
                  for i, v in enumerate(self.values) if v != 0]
         return "<" + " ".join(parts) + ">" if parts else "<0>"
-
-
-def violates_canonical_form(qo, values):
-    """Return a reason string if the map is not in canonical form, else None."""
-    v = np.array(values, dtype=float)
-    # the diagonal of rel never fires: v[p] < v[p] is false
-    bad = qo.rel & (v[:, None] < v)
-    if np.count_nonzero(bad):
-        p, q = divmod(int(bad.argmax()), len(v))
-        return f"not antitone at ({qo.points[p]}, {qo.points[q]})"
-    bad = qo.rel.diagonal() & (v != 0) & (v != INF)
-    if np.count_nonzero(bad):
-        return f"finite nonzero value on self-related point {qo.points[bad.argmax()]}"
-    # finite positions are now plain points, so the diagonal is false here too
-    finite = (v > 0) & (v < INF)
-    if finite @ qo.rel @ finite:
-        return "finite positions are not an antichain"
-    # a self-related point is related to itself, so only plain points can be
-    # infinite with nothing of the support strictly above them
-    bad = (v == INF) & ~(qo.rel @ (v != 0))
-    if np.count_nonzero(bad):
-        return f"infinite value at maximal non-self-related point {qo.points[bad.argmax()]}"
-    return None
 
 
 def build_qosystem(k, equalities, absorptions):
@@ -219,11 +171,3 @@ def build_qosystem(k, equalities, absorptions):
     rel = np.zeros((len(reps),) * 2, dtype=bool)
     rel[point_of[rows], point_of[cols]] = True
     return QOSystem.closed(rel), point_of[cls]
-
-
-def index(x):
-    """Largest n for which some nonzero y has n*y <= x: infinity when an
-    infinite coefficient occurs, otherwise the largest coefficient."""
-    if x.has_infinite():
-        return INF
-    return int(max(x.values, default=0)) if not x.is_zero() else 0

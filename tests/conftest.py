@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from dimw import lattice as lat
 from dimw.cli import CATALOG_INSTANCES
-from dimw.monoid import INF, QOSystem
+from dimw.monoid import INF, DimVector, QOSystem
+
+from theory import violates_canonical_form
 
 
 def builtins_up_to(max_elements):
@@ -110,15 +112,12 @@ def random_vector(rng, qo, max_coeff=3, max_terms=3):
 
 @functools.cache
 def grid_vectors(qo, max_coeff):
-    """All canonical vectors with coefficients in {0..max_coeff, oo}."""
-    from dimw.monoid import DimVector, violates_canonical_form
-
+    """All canonical vectors with coefficients in {0..max_coeff, oo}, in grid
+    order; one canonical-form pass tests the whole grid."""
     grid = tuple(range(max_coeff + 1)) + (INF,)
-    out = []
-    for combo in itertools.product(grid, repeat=len(qo.points)):
-        if violates_canonical_form(qo, combo) is None:
-            out.append(DimVector(qo, combo, validate=False))
-    return tuple(out)
+    combos = list(itertools.product(grid, repeat=len(qo.points)))
+    return tuple(DimVector(qo, combo) for combo, reason
+                 in zip(combos, violates_canonical_form(qo, combos)) if reason is None)
 
 
 def random_poset(rng):

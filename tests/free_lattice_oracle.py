@@ -9,6 +9,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from theory import cocovers_of, covers_of
+
 _ORDER = set()
 
 
@@ -100,7 +102,7 @@ def lattice_isomorphism(A, B):
         return None
 
     def prof(L, i):
-        return (len(L.covers_of(i)), len(L.cocovers_of(i)),
+        return (len(covers_of(L, i)), len(cocovers_of(L, i)),
                 int(L.leq[i].sum()), int(L.leq[:, i].sum()))
 
     pa = [prof(A, i) for i in range(A.n)]

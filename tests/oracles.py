@@ -78,6 +78,8 @@ from dimw.lattice import (FiniteLattice, _cover_index, _irreducibles, _matches, 
                           _transitive_closure)
 from dimw.monoid import DimVector
 
+import theory
+
 
 class UnionFind:
     """Disjoint sets over 0..n-1; the least index of a set is its root."""
@@ -152,7 +154,7 @@ def perspective_by_axes(L, a, b):
 
 def sectional_complements(L, x, a):
     """All y with x ^ y == bottom and x v y == a (x <= a assumed)."""
-    return [y for y in L.interval(L.bottom, a)
+    return [y for y in theory.interval(L, L.bottom, a)
             if L.mt(x, y) == L.bottom and L.jn(x, y) == a]
 
 
@@ -261,11 +263,11 @@ class CongruenceLattice:
 
     def join_irreducibles(self):
         """Indices of the congruences with one lower cover."""
-        return [i for i in range(len(self)) if len(self.lattice.cocovers_of(i)) == 1]
+        return [i for i in range(len(self)) if len(theory.cocovers_of(self.lattice, i)) == 1]
 
     def meet_irreducibles(self):
         """Indices of the congruences with one upper cover."""
-        return [i for i in range(len(self)) if len(self.lattice.covers_of(i)) == 1]
+        return [i for i in range(len(self)) if len(theory.covers_of(self.lattice, i)) == 1]
 
 
 def all_congruences(L):
@@ -277,7 +279,7 @@ def all_congruences(L):
 def propto(x, y):
     """x is dominated by a multiple of y; the multiplier is bounded by the
     largest finite coefficient of x."""
-    n = max(1, int(x.max_finite()))
+    n = max(1, int(theory.max_finite(x)))
     return x <= y * n
 
 
@@ -292,7 +294,7 @@ def congruence_correspondence_by_listing(L, D, con):
     hit = np.zeros((len(con), len(D.qo)), dtype=bool)
     rows, primes = np.nonzero(con.blocks[:, L.cover_lo] == con.blocks[:, L.cover_hi])
     hit[rows, D.point_of_cover[primes]] = True
-    images = D.qo.down_set(hit)
+    images = theory.down_set(D.qo, hit)
     found = {m.tobytes() for m in images}
     if len(found) != len(con) or found != {m.tobytes() for m in lower_sets(D.qo)}:
         raise MismatchError("congruence lattice does not match the lower sets")
@@ -301,7 +303,7 @@ def congruence_correspondence_by_listing(L, D, con):
     rng = random.Random(7)
     quads = [[rng.randrange(L.n) for _ in range(4)] for _ in range(200)]
     rows = con.index_of(con.classes.collapsed_by(list(L.covers) + [q[2:] for q in quads]))
-    want = D.qo.down_set(D.point_of_cover[:, None] == np.arange(len(D.qo)))
+    want = theory.down_set(D.qo, D.point_of_cover[:, None] == np.arange(len(D.qo)))
     if (images[rows[:len(L.covers)]] != want).any():
         raise MismatchError("principal congruence image is not the point's lower set")
     for (x, y, a, b), theta in zip(quads, con.blocks[rows[len(L.covers):]].tolist()):
@@ -370,7 +372,7 @@ def semilattice_quotient(qo):
     lat = FiniteLattice(names, ~(member @ ~member.T), name="lowersets", _validate=False)
 
     def classify(x):
-        return _index_set(qo.down_set(np.array(x.values) != 0))
+        return _index_set(theory.down_set(qo, np.array(x.values) != 0))
 
     return lat, sets, classify
 
@@ -457,7 +459,7 @@ def maximal_chain_by_covers(L, a, b):
     chain = [a]
     z = a
     while z != b:
-        z = min(w for w in L.covers_of(z) if L.le(w, b))
+        z = min(w for w in theory.covers_of(L, z) if theory.le(L, w, b))
         chain.append(z)
     return chain
 
@@ -585,11 +587,11 @@ def is_relatively_complemented_by_tables(L):
 
 def is_atomistic_by_atom_joins(L):
     """Every x is the join of the atoms below it."""
-    atoms = L.atoms()
+    atoms = theory.atoms(L)
     for x in range(L.n):
         s = L.bottom
         for a in atoms:
-            if L.le(a, x):
+            if theory.le(L, a, x):
                 s = L.jn(s, a)
         if s != x:
             return False
@@ -604,12 +606,12 @@ def _weak_targets(L, iv):
         if L.mt(v, c) == u:  # [u, v] up into [c, d] for any d >= v v c
             base = L.jn(v, c)
             for d in range(L.n):
-                if L.le(base, d):
+                if theory.le(L, base, d):
                     out.add((c, d))
         if L.jn(u, c) == v:  # [u, v] down into [c', c] for any c' <= u ^ c
             cap = L.mt(u, c)
             for cp in range(L.n):
-                if L.le(cp, cap):
+                if theory.le(L, cp, cap):
                     out.add((cp, c))
     return out
 
@@ -621,12 +623,12 @@ def _bounded_sum_search(target, parts, bound):
     componentwise below the target, so domination is a complete filter.
     """
     sums = {tuple(target.qo.zero().values)}
-    if target.is_zero():
+    if theory.is_zero(target):
         return True
     for _ in range(bound):
         fresh = set()
         for s in sums:
-            sv = DimVector(target.qo, s, validate=False)
+            sv = DimVector(target.qo, s)
             for p in parts:
                 t = sv + p
                 if t == target:
@@ -769,11 +771,11 @@ def decomposition_closure_by_loop(L, rel):
                 if out[a, b]:
                     continue
                 hit = False
-                for a0 in L.interval(L.bottom, a):
+                for a0 in theory.interval(L, L.bottom, a):
                     if a0 == L.bottom or a0 == a:
                         continue
                     for b0 in range(n):
-                        if not rel[a0, b0] or not L.le(b0, b) or b0 == L.bottom:
+                        if not rel[a0, b0] or not theory.le(L, b0, b) or b0 == L.bottom:
                             continue
                         for a1 in sectional_complements(L, a0, a):
                             for b1 in sectional_complements(L, b0, b):
@@ -815,7 +817,7 @@ def neutral_ideal_by_worklist(L, gens, sim):
             continue
         ideal.add(z)
         for w in range(L.n):
-            if (L.le(w, z) or sim[z, w]) and w not in ideal:
+            if (theory.le(L, w, z) or sim[z, w]) and w not in ideal:
                 work.append(w)
         for y in list(ideal):
             j = L.jn(y, z)
@@ -830,7 +832,7 @@ def max_homogeneous_below_by_search(L, x, sim, base=None, need=None):
     that base is tried, and with `need` set, returns whether a sequence of
     that length exists."""
     best = 0
-    candidates = [a for a in L.interval(L.bottom, x) if a != L.bottom]
+    candidates = [a for a in theory.interval(L, L.bottom, x) if a != L.bottom]
     bases = [base] if base is not None else candidates
 
     def extend(seq, join, partners):
@@ -845,7 +847,7 @@ def max_homogeneous_below_by_search(L, x, sim, base=None, need=None):
         return False
 
     for a in bases:
-        if a == L.bottom or not L.le(a, x):
+        if a == L.bottom or not theory.le(L, a, x):
             continue
         partners = [b for b in candidates if sim[a, b] and b != a]
         if extend([a], a, partners):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -6,15 +7,16 @@ import pytest
 from dimw import congruence as cg
 from dimw import lattice as lat
 from dimw.cli import CATALOG_INSTANCES, run
-from dimw.congruence import (DClasses, congruence_from_pairs, count_down_sets, from_json,
-                             is_compatible, quotient_lattice, to_json)
+from dimw.congruence import DClasses, count_down_sets, quotient_lattice
 from dimw.errors import ParamTooLarge
-from dimw.lattice import _set_partitions, _strong_components, _transitive_closure
+from dimw.lattice import (_is_name, _json_constant, _set_partitions, _strong_components,
+                          _transitive_closure)
 
 from conftest import builtins_up_to, lattices_and_duals, random_lattices
 from oracles import (all_congruences, closure_congruences, closure_from_pairs,
                      closure_principal, d_relation_by_witnesses, down_sets, is_compatible_by_pairs,
                      is_simple_by_primes)
+from theory import atoms, block_names, congruence_from_pairs, interval, lattice_to_json, le
 
 
 def every_partition(L):
@@ -48,6 +50,54 @@ def block_count(theta):
     return len(set(np.asarray(theta).tolist()))
 
 
+# -- the JSON sidecar of a congruence, beside the lattice file ----------------
+
+
+def is_compatible(L, block_of):
+    """Is the partition of a block_of row, each block named by a member of
+    it, a congruence?  x ^ z and x v z share a block with r ^ z and r v z for
+    all x, z, r the member naming x's block; so do any two members of a block."""
+    b = np.asarray(block_of, dtype=np.intp)
+    return all((b[t] == b[t[b]]).all() for t in (L.meet, L.join))
+
+
+def to_json(L, block_of):
+    """The sidecar document of a congruence: {"congruence": [[names...], ...]}."""
+    return json.dumps({"congruence": block_names(L, block_of)}, sort_keys=True)
+
+
+def from_json(L, text):
+    """Parse the sidecar format, a JSON text or its parsed document, into the
+    block_of row of a congruence of L, each block named by its least member."""
+    doc = json.loads(text, parse_constant=_json_constant) if isinstance(text, str) else text
+    if not isinstance(doc, dict):
+        raise ValueError("congruence sidecar must hold a JSON object")
+    if "congruence" not in doc:
+        raise ValueError("congruence sidecar has no 'congruence' key")
+    blocks = doc["congruence"]
+    if not isinstance(blocks, list) or not all(
+            isinstance(block, list) and all(map(_is_name, block)) for block in blocks):
+        raise ValueError("'congruence' must be a list of lists of names")
+    block_of = np.full(L.n, -1, dtype=np.int32)
+    for block in blocks:
+        if not block:
+            raise ValueError("empty block in congruence")
+        # names match by str(), as in build_lattice
+        members = []
+        for x in map(str, block):
+            if x not in L.index:
+                raise ValueError(f"unknown element {x!r} in congruence")
+            if block_of[L.index[x]] >= 0 or L.index[x] in members:
+                raise ValueError(f"element {x!r} appears in two blocks")
+            members.append(L.index[x])
+        block_of[members] = min(members)
+    if (block_of < 0).any():
+        raise ValueError("blocks do not cover every element")
+    if not is_compatible(L, block_of):
+        raise ValueError("blocks are not compatible with meet and join")
+    return block_of
+
+
 def test_principal_congruence_n5():
     N5 = lat.builtin("N5")
     i = N5.index
@@ -77,7 +127,7 @@ def test_all_congruences_sizes():
     con3 = all_congruences(lat.builtin("chain", 3))
     assert len(con3) == 4
     K = con3.lattice
-    assert K.n == 4 and len(K.atoms()) == 2  # Boolean square
+    assert K.n == 4 and len(atoms(K)) == 2  # Boolean square
 
 
 def test_all_congruences_match_brute_force():
@@ -99,7 +149,7 @@ def test_congruence_invariants():
             for block in blocks_of(theta):  # convexity
                 for x in block:
                     for y in block:
-                        for z in L.interval(x, y) if L.le(x, y) else []:
+                        for z in interval(L, x, y) if le(L, x, y) else []:
                             assert theta[x] == theta[z]
 
 
@@ -124,7 +174,7 @@ def test_quotient_n5_by_theta_c_a():
     i = N5.index
     Q, _ = quotient_lattice(N5, congruence_from_pairs(N5, [(i["c"], i["a"])]))
     assert Q.n == 4
-    assert lat.is_distributive(Q) and len(Q.atoms()) == 2  # Boolean square
+    assert lat.is_distributive(Q) and len(atoms(Q)) == 2  # Boolean square
 
 
 def test_congruence_from_prime_pairs():
@@ -184,7 +234,7 @@ def test_congruence_sidecar_in_lattice_file(tmp_path):
     N5 = lat.builtin("N5")
     i = N5.index
     theta = congruence_from_pairs(N5, [(i["c"], i["a"])])
-    doc = json.loads(lat.to_json(N5))
+    doc = json.loads(lattice_to_json(N5))
     doc.update(json.loads(to_json(N5, theta)))
     path = tmp_path / "n5_with_theta.json"
     path.write_text(json.dumps(doc, sort_keys=True))
@@ -247,18 +297,21 @@ def test_count_down_sets_keeps_its_step_budget(monkeypatch):
         below[np.arange(0, 3 * k, 3), np.arange(2, 3 * k, 3)] = True
         return below
 
-    with pytest.raises(ParamTooLarge, match="^congruence lattice too large$"):
+    with pytest.raises(ParamTooLarge, match="^congruence lattice too large: counting the "
+                       "down-sets of 54 D-classes takes over 200000 steps$"):
         count_down_sets(vees(18))
     monkeypatch.setattr(cg, "CON_COUNT_GUARD", 2 ** 12)
     assert count_down_sets(vees(12)) == 5 ** 12
     monkeypatch.setattr(cg, "CON_COUNT_GUARD", 2 ** 12 - 1)
-    with pytest.raises(ParamTooLarge, match="^congruence lattice too large$"):
+    with pytest.raises(ParamTooLarge, match="^congruence lattice too large: counting the "
+                       "down-sets of 36 D-classes takes over 8190 steps$"):
         count_down_sets(vees(12))
     # an antichain is counted in one call
     monkeypatch.setattr(cg, "CON_COUNT_GUARD", 1)
     assert count_down_sets(np.eye(400, dtype=bool)) == 2 ** 400
     monkeypatch.setattr(cg, "CON_COUNT_GUARD", 0)
-    with pytest.raises(ParamTooLarge, match="^congruence lattice too large$"):
+    with pytest.raises(ParamTooLarge, match="^congruence lattice too large: counting the "
+                       "down-sets of 400 D-classes takes over 0 steps$"):
         count_down_sets(np.eye(400, dtype=bool))
 
 

@@ -12,9 +12,8 @@ from dimw.cli import CATALOG_INSTANCES
 from dimw.congruence import DClasses
 from dimw.dimension import (DimensionWord, caustic_pairs, caustic_relations, delta,
                             dep_check, dimension_monoid, distributive_dim,
-                            functor_checks, is_v_modular, product_functor_check,
-                            quotient_functor_check, word_compare)
-from dimw.errors import MismatchError, NotALattice, NotDistributive, NotModular
+                            functor_checks, is_v_modular, word_compare)
+from dimw.errors import MismatchError, NotALattice, NotDistributive
 from dimw.monoid import DimVector, QOSystem
 import oracles
 from conftest import (WORD_SPECS, builtins_up_to, cross_check_lattices, lattices_and_duals,
@@ -23,7 +22,9 @@ from oracles import (all_congruences, axiom_check_by_loop, caustic_pairs_by_tabl
                      congruence_correspondence_by_listing, delta_by_steps, dep_check_by_pairs,
                      is_v_modular_by_closure, is_v_modular_by_search, lower_sets,
                      parse_word_by_terms, sampled_domination_by_loop)
-from theory import intervals_projective, projectivity_classes, schreier_refine
+from theory import (NotModular, cocovers_of, covers_of, interval, intervals_projective, is_zero,
+                    le, maximal_chain, product, product_functor_check, projectivity_classes,
+                    quotient_functor_check, schreier_refine)
 
 
 def by_names(L, pairs):
@@ -72,7 +73,7 @@ def test_caustic_relations_n5_exact():
 
 
 def _open_interval(L, a, b):
-    return [z for z in L.interval(a, b) if z != a and z != b]
+    return [z for z in interval(L, a, b) if z != a and z != b]
 
 
 def loop_caustic_pairs(L):
@@ -80,7 +81,7 @@ def loop_caustic_pairs(L):
     out = []
     for a in range(L.n):
         for b in range(a + 1, L.n):
-            if L.le(a, b) or L.le(b, a):
+            if le(L, a, b) or le(L, b, a):
                 continue
             m, j = L.mt(a, b), L.jn(a, b)
             if (all(L.jn(x, b) == j for x in _open_interval(L, m, a))
@@ -93,7 +94,7 @@ def loop_caustic_pairs(L):
 
 def _loop_primes_within(L, lo, hi):
     """Prime intervals [p, q] with lo <= p < q <= hi."""
-    return [(p, q) for p, q in L.covers if L.le(lo, p) and L.le(q, hi)]
+    return [(p, q) for p, q in L.covers if le(L, lo, p) and le(L, q, hi)]
 
 
 def loop_caustic_relations(L):
@@ -102,15 +103,15 @@ def loop_caustic_relations(L):
     for pair in loop_caustic_pairs(L):
         for s, t in (pair, pair[::-1]):
             m, j = L.mt(s, t), L.jn(s, t)
-            first_steps = [w for w in L.covers_of(m) if L.le(w, t)]
-            last_steps = [v for v in L.cocovers_of(j) if L.le(s, v)]
+            first_steps = [w for w in covers_of(L, m) if le(L, w, t)]
+            last_steps = [v for v in cocovers_of(L, j) if le(L, s, v)]
             for w in first_steps:
                 for v in last_steps:
                     X.add(((m, w), (v, j)))
                 for pq in _loop_primes_within(L, w, t):
                     Y.add((pq, (m, w)))
-            for v in L.cocovers_of(j):
-                if L.le(t, v):
+            for v in cocovers_of(L, j):
+                if le(L, t, v):
                     for pq in _loop_primes_within(L, t, v):
                         Y.add((pq, (v, j)))
     return sorted(X), sorted(Y)
@@ -326,7 +327,7 @@ def test_delta_basics():
     D = dimension_monoid(N5)
     i = N5.index
     for x in range(N5.n):
-        assert delta(D, x, x).is_zero()
+        assert is_zero(delta(D, x, x))
     # both maximal chains of [0, 1] agree
     via_long = delta(D, i["0"], i["c"]) + delta(D, i["c"], i["a"]) + delta(D, i["a"], i["1"])
     via_short = delta(D, i["0"], i["b"]) + delta(D, i["b"], i["1"])
@@ -369,10 +370,10 @@ def test_axioms_on_small_catalog():
         # (D1) on chains a <= b <= c
         for a in range(L.n):
             for b in range(L.n):
-                if not L.le(a, b):
+                if not le(L, a, b):
                     continue
                 for c in range(L.n):
-                    if L.le(b, c):
+                    if le(L, b, c):
                         assert delta(D, a, b) + delta(D, b, c) == delta(D, a, c)
         # (D2)
         for a in range(L.n):
@@ -427,7 +428,7 @@ def test_modular_remainder_identity():
         D = dimension_monoid(L)
         for a in range(L.n):
             for b in range(L.n):
-                if not L.le(b, a):
+                if not le(L, b, a):
                     continue
                 for c in range(L.n):
                     lhs = delta(D, b, a)
@@ -444,12 +445,12 @@ def test_path_independence_dp():
         D = dimension_monoid(L)
         for a in range(L.n):
             vals = {a: D.qo.zero()}
-            order = sorted(L.interval(a, L.top), key=lambda z: int(L.leq[:, z].sum()))
+            order = sorted(interval(L, a, L.top), key=lambda z: int(L.leq[:, z].sum()))
             for z in order:
                 if z == a:
                     continue
                 options = [vals[w] + D.qo.generator(D.gen[(w, z)])
-                           for w in L.cocovers_of(z) if w in vals]
+                           for w in cocovers_of(L, z) if w in vals]
                 assert options, (L.name, a, z)
                 assert all(o == options[0] for o in options), (L.name, a, z)
                 vals[z] = options[0]
@@ -635,7 +636,7 @@ def test_d_class_order_is_the_point_order():
         classes = DClasses(L)
         point = [None] * len(classes)
         for j, c in zip(classes.J.tolist(), classes.cls.tolist()):
-            p = D.point_of_cover[L.covers.index((L.cocovers_of(j)[0], j))]
+            p = D.point_of_cover[L.covers.index((cocovers_of(L, j)[0], j))]
             assert point[c] in (None, p), spec
             point[c] = p
         assert sorted(point) == list(range(len(D.qo.points))), spec
@@ -736,7 +737,7 @@ def modular_lattices():
     catalog = [lat.builtin_spec(s) for s in CATALOG_INSTANCES]
     small = [L for L in catalog if L.n <= 6]
     found = catalog + [lat.dual(L) for L in catalog] + random_lattices()
-    found += [lat.product(A, B) for A, B in itertools.combinations(small, 2)]
+    found += [product(A, B) for A, B in itertools.combinations(small, 2)]
     found += [lat.builtin_spec(s) for s in ("boolean:6", "boolean:7", "boolean:8",
                                             "subspace:2,4", "subspace:3,3", "chain:500")]
     return [L for L in found if lat.is_modular(L)]
@@ -830,7 +831,7 @@ def test_distributive_dim_agrees_with_pipeline():
         # and word values agree through that identification
         for a in range(L.n):
             for b in range(L.n):
-                if L.le(a, b):
+                if le(L, a, b):
                     v = delta(D, a, b)
                     want = f(a, b)
                     got = tuple(int(v.values[p]) for p, j in sorted(
@@ -882,13 +883,13 @@ def test_schreier_on_modular_catalog():
         for _ in range(5):
             a = rng.randrange(L.n)
             b = L.jn(a, rng.randrange(L.n))
-            c1 = L.maximal_chain(a, b)
+            c1 = maximal_chain(L, a, b)
             c2 = list(reversed([L.top]))  # placeholder replaced below
             # a second chain: greedy from the top side
             c2 = [b]
             z = b
             while z != a:
-                z = max(w for w in L.cocovers_of(z) if L.le(a, w))
+                z = max(w for w in cocovers_of(L, z) if le(L, a, w))
                 c2.append(z)
             c2.reverse()
             cells = schreier_refine(L, c1, c2)
@@ -919,7 +920,7 @@ def test_functor_product_pairwise():
 
 
 def test_functor_product_chain2_chain2():
-    D = dimension_monoid(lat.product(lat.builtin("chain", 2), lat.builtin("chain", 2)))
+    D = dimension_monoid(product(lat.builtin("chain", 2), lat.builtin("chain", 2)))
     assert len(D.qo.points) == 2 and D.qo.is_antichain()
 
 
@@ -1035,7 +1036,7 @@ def test_v_modular_past_24_elements():
     """N5 x chain 5 has 25 elements, 25^4 cells for the closure oracle.  It
     fails where N5 does, [c, a] into [0, b], in the copy of N5 at 0 of the
     chain."""
-    L = lat.product(lat.builtin("N5"), lat.builtin("chain", 5))
+    L = product(lat.builtin("N5"), lat.builtin("chain", 5))
     D = dimension_monoid(L)
     assert L.n == 25
     got = is_v_modular(L, D)
@@ -1124,8 +1125,8 @@ def _all_paths(L, u, v):
     if u == v:
         return [[u]]
     out = []
-    for w in L.covers_of(u):
-        if L.le(w, v):
+    for w in covers_of(L, u):
+        if le(L, w, v):
             out.extend([[u] + rest for rest in _all_paths(L, w, v)])
     return out
 

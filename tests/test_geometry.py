@@ -16,10 +16,11 @@ from oracles import (decomposition_closure_by_loop, homogeneous_base_set_by_sear
                      n_distributive_by_tuples, neutral_ideal_by_worklist,
                      perspective_by_axes as perspective, perspectivity_by_axes,
                      sectional_complements)
-from theory import (diam_congruence, diam_ideal_equivalence_check, diamonds, eqwords_refinement,
-                    homogeneous_base_set, independent, jonsson_decomposition, lesssim, m_ideal,
-                    n_distributive, neutral_ideal, normal_kernel, normal_kernel_theorems_check,
-                    perspective_map, proper_axis, two_piece_decomposition, v_measure_check)
+from theory import (atoms, diam_congruence, diam_ideal_equivalence_check, diamonds,
+                    eqwords_refinement, homogeneous_base_set, independent, interval,
+                    jonsson_decomposition, le, lesssim, m_ideal, maximal_chain, n_distributive,
+                    neutral_ideal, normal_kernel, normal_kernel_theorems_check, perspective_map,
+                    proper_axis, two_piece_decomposition, v_measure_check)
 
 SC_MODULAR_SPECS = ("subspace:2,2", "subspace:2,3", "subspace:3,2",
                     "boolean:2", "boolean:3", "boolean:4")
@@ -41,18 +42,18 @@ def test_perspective_basics():
 def test_perspective_map_is_interval_isomorphism():
     S23 = lat.builtin("subspace", 2, 3)
     sim = perspectivity_matrix(S23)
-    planes = [x for x in range(S23.n) if len(S23.maximal_chain(S23.bottom, x)) == 3]
+    planes = [x for x in range(S23.n) if len(maximal_chain(S23, S23.bottom, x)) == 3]
     a, b = planes[0], planes[1]
     assert sim[a, b]
     s = proper_axis(S23, a, b)
     assert S23.jn(a, s) == S23.jn(b, s) == S23.jn(a, b)
-    down_a = S23.interval(S23.bottom, a)
+    down_a = interval(S23, S23.bottom, a)
     images = [perspective_map(S23, b, s, x) for x in down_a]
-    assert sorted(images) == S23.interval(S23.bottom, b)
+    assert sorted(images) == interval(S23, S23.bottom, b)
     for x in down_a:  # order preserved both ways
         for y in down_a:
             tx, ty = perspective_map(S23, b, s, x), perspective_map(S23, b, s, y)
-            assert S23.le(x, y) == S23.le(tx, ty)
+            assert le(S23, x, y) == le(S23, tx, ty)
 
 
 def test_perspectivity_matrix_reflexive_symmetric():
@@ -287,7 +288,7 @@ def test_two_piece_decomposition():
         a0, a1, b0, b1 = got
         assert S23.jn(a0, a1) == a and S23.mt(a0, a1) == S23.bottom
     # two distinct lines are perspective: decomposition with a zero part
-    lines = S23.atoms()
+    lines = atoms(S23)
     got = two_piece_decomposition(S23, lines[0], lines[1], D, sim)
     assert got is not None
     # different dimensions: no decomposition
@@ -344,7 +345,7 @@ def test_lesssim_characterization():
         below = lesssim(L, sim)
         for a in range(L.n):
             for b in range(L.n):
-                direct = any(L.le(y, b) and sim[a, y] for y in range(L.n))
+                direct = any(le(L, y, b) and sim[a, y] for y in range(L.n))
                 assert bool(below[a, b]) == direct, L.name
 
 
@@ -400,13 +401,13 @@ def test_eqwords_refinement():
         if k == 1:
             yield (total,)
             return
-        for first in S23.interval(zero, total):
+        for first in interval(S23, zero, total):
             for rest in sectional_complements(S23, first, total):
                 for tail in decompositions(rest, k - 1):
                     yield (first,) + tail
 
     checked = 0
-    for target in (S23.top, S23.atoms()[0]):
+    for target in (S23.top, atoms(S23)[0]):
         dec2 = [d for d in decompositions(target, 2)]
         for _ in range(20):
             pa = rng.choice(dec2)

@@ -16,7 +16,8 @@ from oracles import (closure_by_rows, covering_squares_by_join, covers_by_argmax
                      is_relatively_complemented_by_tables,
                      is_sectionally_complemented_by_tables, is_semimodular_by_pairs,
                      join_table_by_rows, maximal_chain_by_covers)
-from theory import interval_sublattice
+from theory import (atoms, cocovers_of, covers_of, interval_sublattice, maximal_chain, product,
+                    save)
 
 
 def test_two_chain():
@@ -107,14 +108,14 @@ def test_size_guard_precedes_the_closure(monkeypatch):
 def test_partition_3_shape():
     P3 = lat.builtin("partition", 3)
     assert P3.n == 5
-    assert len(P3.atoms()) == 3
+    assert len(atoms(P3)) == 3
     assert P3.height() == 2
 
 
 def test_subspace_2_2_is_m3_shaped():
     S = lat.builtin("subspace", 2, 2)
     assert S.n == 5
-    assert len(S.atoms()) == 3
+    assert len(atoms(S)) == 3
 
 
 def test_chain_4():
@@ -124,18 +125,18 @@ def test_chain_4():
 
 def test_product_counts():
     two = lat.builtin("chain", 2)
-    sq = lat.product(two, two)
+    sq = product(two, two)
     assert sq.n == 4
     assert lat.is_distributive(sq)
     m3 = lat.builtin("M3")
-    assert lat.product(m3, two).n == 10
+    assert product(m3, two).n == 10
     one = lat.builtin("chain", 1)
-    again = lat.product(m3, one)
+    again = product(m3, one)
     assert again.n == m3.n
     assert np.array_equal(again.leq, m3.leq)
     big = lat.builtin("boolean", 7)
     with pytest.raises(ParamTooLarge):
-        lat.product(big, big)
+        product(big, big)
 
 
 def test_dual_involution_and_n5_selfdual():
@@ -186,8 +187,8 @@ def _predicate_lattices():
     of all of them."""
     M3, N5 = lat.builtin("M3"), lat.builtin("N5")
     out = (builtins_up_to(60) + _random_poset_lattices() + random_eight_element_lattices(40)
-           + [lat.product(M3, lat.builtin("chain", 2)), lat.product(N5, lat.builtin("chain", 3)),
-              lat.product(M3, M3)])
+           + [product(M3, lat.builtin("chain", 2)), product(N5, lat.builtin("chain", 3)),
+              product(M3, M3)])
     return tuple(out + [lat.dual(L) for L in out])
 
 
@@ -229,7 +230,7 @@ def test_modularity_commutes_with_product_and_dual():
     for A in pool:
         assert lat.is_modular(lat.dual(A)) == lat.is_modular(A), A.name
         for B in pool:
-            assert lat.is_modular(lat.product(A, B)) == (
+            assert lat.is_modular(product(A, B)) == (
                 lat.is_modular(A) and lat.is_modular(B)), (A.name, B.name)
 
 
@@ -258,7 +259,7 @@ def test_cover_reduction_idempotent():
 def test_json_round_trip(tmp_path):
     L = lat.builtin("N5")
     path = tmp_path / "n5.json"
-    lat.save(L, path)
+    save(L, path)
     back = lat.load(path)
     assert back.names == L.names
     assert back.covers == L.covers
@@ -346,8 +347,8 @@ def test_tables_match_definition_on_random_posets():
             assert np.array_equal(L.join, tables["join"])
             assert all(leq[L.bottom]) and all(row[L.top] for row in leq)
             for a in range(n):
-                assert L.covers_of(a) == [b for x, b in L.covers if x == a]
-                assert L.cocovers_of(a) == [x for x, b in L.covers if b == a]
+                assert covers_of(L, a) == [b for x, b in L.covers if x == a]
+                assert cocovers_of(L, a) == [x for x, b in L.covers if b == a]
     assert seen["lattice"] >= 100 and seen["not"] >= 100, seen
 
 
@@ -505,7 +506,7 @@ def test_tables_follow_a_relabelling(spec):
 
 def test_join_table_waits_for_its_first_reader(tmp_path):
     path = tmp_path / "n5.json"
-    lat.save(lat.builtin("N5"), path)
+    save(lat.builtin("N5"), path)
     L = lat.load(path)
     assert "join" not in vars(L)
     assert np.array_equal(L.join, lat.builtin("N5").join)
@@ -523,8 +524,8 @@ def test_large_chain_and_boolean_build():
     assert (B.bottom, B.top, len(B.covers)) == (0, 1023, 10 * 2 ** 9)
     assert np.array_equal(B.join, np.bitwise_or.outer(ids, ids))
     assert np.array_equal(B.meet, np.bitwise_and.outer(ids, ids))
-    assert B.covers_of(0) == [2 ** i for i in range(10)]
-    assert B.cocovers_of(1023) == [1023 - 2 ** i for i in reversed(range(10))]
+    assert covers_of(B, 0) == [2 ** i for i in range(10)]
+    assert cocovers_of(B, 1023) == [1023 - 2 ** i for i in reversed(range(10))]
 
 
 def _random_poset_lattices():
@@ -545,7 +546,7 @@ def test_maximal_chain_matches_cover_loop_oracle():
     for L in lattices:
         # the column of each b is built at its first pair and read by the rest
         for a, b in np.argwhere(L.leq).tolist():
-            assert L.maximal_chain(a, b) == maximal_chain_by_covers(L, a, b), (L.name, a, b)
+            assert maximal_chain(L, a, b) == maximal_chain_by_covers(L, a, b), (L.name, a, b)
 
 
 def test_maximal_chain_rejects_unordered_endpoints():
@@ -553,9 +554,9 @@ def test_maximal_chain_rejects_unordered_endpoints():
     i = N5.index
     for a, b in (("1", "0"), ("a", "b"), ("b", "c")):
         with pytest.raises(ValueError, match="a <= b"):
-            N5.maximal_chain(i[a], i[b])
-    assert N5.maximal_chain(i["b"], i["b"]) == [i["b"]]
-    assert lat.builtin("chain", 1).maximal_chain(0, 0) == [0]
+            maximal_chain(N5, i[a], i[b])
+    assert maximal_chain(N5, i["b"], i["b"]) == [i["b"]]
+    assert maximal_chain(lat.builtin("chain", 1), 0, 0) == [0]
 
 
 @pytest.mark.parametrize("predicate, oracle", [

@@ -1,56 +1,41 @@
 """`src/dimw` holds what the verbs run: every public module-level function
 of the package, and every public method, classmethod and property of a class
-defined in it, is reached by some verb, or is on a stated keep-list.  Every
-option the verbs reach is one they use: each defaulted parameter of a public
-function or method that some verb calls takes two values across the verbs,
-or is on a stated keep-list.  And generators are cover indices through the
-package: no module reads the tuple-keyed `gen` view."""
+defined in it, is reached by some verb, or is on a stated keep-list, and
+each entry of that list has a reader outside the tests, in `perfbench/`.
+What only the tests use lives in the tests, in `tests/theory.py` or in the
+one test module that uses it.  Every option the verbs reach is one they use: each
+defaulted parameter of a public function or method that some verb calls
+takes two values across the verbs, or is on a stated keep-list.  And
+generators are cover indices through the package: no module reads the
+tuple-keyed `gen` view."""
 
 import ast
 import contextlib
 import inspect
 import io
+import pathlib
+import re
 import sys
 
 import pytest
 
 from dimw import cli, congruence, dimension, errors, geometry, lattice, monoid
 
-# reached by no verb, and kept in the package on purpose
+# reached by no verb, and kept in the package for the benchmark: its word
+# checker (perfbench/checker.py) reads the generator vectors and the `gen`
+# map, and perfbench/workloads.py builds that checker's indicator model
 KEEP = {
-    # the canonical-form test that DimVector validates with
-    "monoid.violates_canonical_form",
-    # save beside load; the product beside the dual
-    "lattice.save", "lattice.to_json", "lattice.product",
-    # Con L's own operation, and the JSON sidecar of a congruence beside the
-    # lattice file's, with the compatibility test it runs
-    "congruence.congruence_from_pairs", "congruence.to_json", "congruence.from_json",
-    "congruence.is_compatible",
-    # the indicator model the benchmark's word checker is built from
+    # perfbench/workloads.py
     "dimension.distributive_dim",
-    # the test suite runs them (criterion 8), and the second the lower sets
-    # of the points that a congruence collapses
-    "dimension.product_functor_check", "dimension.quotient_functor_check",
-    "monoid.QOSystem.down_set",
-    # query helpers for the tests
-    "lattice.FiniteLattice.le", "lattice.FiniteLattice.covers_of",
-    "lattice.FiniteLattice.cocovers_of", "lattice.FiniteLattice.interval",
-    "lattice.FiniteLattice.atoms", "lattice.FiniteLattice.maximal_chain",
-    # the index of a value and the largest finite entry that bounded
-    # domination scales by, which `check` reads off value rows
-    "monoid.index", "monoid.DimVector.max_finite",
-    "monoid.DimVector.has_infinite", "monoid.DimVector.is_zero",
-    # read by the benchmark's word checker
+    # perfbench/checker.py
     "monoid.QOSystem.generator", "dimension.DimensionMonoid.gen",
-    # the inverse of QOSystem.to_json_dict
-    "monoid.QOSystem.vector",
 }
 
 # defaulted parameters that take one value across the verbs, kept on purpose
 KEEP_OPTIONS = {
     # the package's own constructions are valid by construction, and direct
     # callers get the checks
-    "lattice.FiniteLattice.__init__._validate", "monoid.DimVector.__init__.validate",
+    "lattice.FiniteLattice.__init__._validate",
 }
 
 
@@ -172,3 +157,13 @@ def test_no_module_reads_the_gen_view():
         reads = [node.lineno for node in ast.walk(ast.parse(inspect.getsource(module)))
                  if isinstance(node, ast.Attribute) and node.attr == "gen"]
         assert reads == [], (module.__name__, reads)
+
+
+def test_every_kept_name_has_a_reader_outside_the_tests():
+    # each entry's attribute, as `.name` not followed by a name character,
+    # appears in the text of some benchmark module
+    texts = [path.read_text() for path in
+             (pathlib.Path(__file__).parents[1] / "perfbench").glob("*.py")]
+    unread = {name for name in KEEP
+              if not any(re.search(rf"\.{name.rsplit('.', 1)[1]}\b", t) for t in texts)}
+    assert unread == set(), unread

@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dimw import monoid as mon
 from dimw.congruence import count_down_sets
-from dimw.errors import NotInF
 from dimw.lattice import is_distributive
-from dimw.monoid import INF, DimVector, QOSystem, build_qosystem, index, violates_canonical_form
+from dimw.monoid import INF, QOSystem, build_qosystem
 
 from conftest import enumerate_qosystems, grid_vectors, qosystem_reps, random_qosystem, random_vector
 from oracles import semilattice_quotient
-from theory import (NotBelow, ReducedRep, from_reduced, meet, refine, residual,
-                    residual_by_levels, support, to_reduced, truncate)
+from theory import (NotBelow, NotInF, ReducedRep, canonical_vector, down_set, from_reduced, index,
+                    is_zero, max_finite, meet, refine, residual, residual_by_levels, support,
+                    to_reduced, truncate, vector, violates_canonical_form)
 
 
 def n5_system():
@@ -204,8 +203,8 @@ def assert_same_qosystem(qo, ref, rng, reasons):
     stack = np.zeros((len(subsets), k), dtype=bool)
     for row, members in zip(stack, subsets):
         row[members] = True
-    for row, down, members in zip(stack, qo.down_set(stack), subsets):
-        assert np.array_equal(qo.down_set(row), down)
+    for row, down, members in zip(stack, down_set(qo, stack), subsets):
+        assert np.array_equal(down_set(qo, row), down)
         assert frozenset(np.flatnonzero(down).tolist()) == ref.down_set(members)
     assert count_down_sets(qo.below) == len(ref.lower_sets())
     candidates = [tuple(rng.choice((0, 1, 2, INF)) for _ in range(k)) for _ in range(4)]
@@ -217,7 +216,7 @@ def assert_same_qosystem(qo, ref, rng, reasons):
         for v in (2, INF):  # changing one value reaches every reason
             candidates.append(values[:p] + (v,) + values[p + 1:])
     for values in candidates:
-        why = mon.violates_canonical_form(qo, values)
+        why = violates_canonical_form(qo, values)
         assert why == ref.violates_canonical_form(values), values
         reasons.add(why and " ".join(why.split()[:2]))
 
@@ -339,7 +338,7 @@ def test_not_in_f_detected():
     vals = [0] * 3
     vals[hi] = 1  # missing the infinite tail below hi
     with pytest.raises(NotInF):
-        mon.DimVector(qo, tuple(vals))
+        canonical_vector(qo, tuple(vals))
 
 
 def generator_copies(qo, counts):
@@ -450,8 +449,8 @@ def index_oracle(x):
     """Brute-force index over the canonical grid (infinite iff witness
     survives past every finite coefficient)."""
     qo = x.qo
-    cap = int(x.max_finite()) + 1
-    vecs = [v for v in grid_vectors(qo, cap) if not v.is_zero()]
+    cap = int(max_finite(x)) + 1
+    vecs = [v for v in grid_vectors(qo, cap) if not is_zero(v)]
     best = 0
     for n in range(1, cap + 2):
         if any(v * n <= x for v in vecs):
@@ -515,7 +514,7 @@ def test_interval_axiom_witness():
         z_raw = meet(x + y0, x + y1)
         z = truncate(qo, z_raw, int(max(v for v in z_raw if v != INF) if any(v != INF for v in z_raw) else 0))
         # z <= x + y0, x + y1 by construction; find y <= y0, y1 with z <= x + y
-        n = int(max(x.max_finite(), z.max_finite())) + 1
+        n = int(max(max_finite(x), max_finite(z))) + 1
         y = truncate(qo, meet(y0, y1), n)
         assert y <= y0 and y <= y1
         assert z <= x + y
@@ -529,7 +528,7 @@ def test_pseudo_cancellation_witness():
         if not (x + z) <= (y + z):
             continue
         zbar = tuple(INF if v == INF else 0 for v in z.values)
-        n = int(max(x.max_finite(), y.max_finite(), z.max_finite())) + 1
+        n = int(max(max_finite(x), max_finite(y), max_finite(z))) + 1
         t = truncate(qo, zbar, 2 * n)
         assert t + z == z
         assert x <= y + t
@@ -543,8 +542,8 @@ def test_index_laws():
         ix, iy, ixy = index(x), index(y), index(x + y)
         assert max(ix, iy) <= ixy <= ix + iy
         for n in (2, 3):
-            assert index(x * n) == (n * ix if ix != INF else INF) or x.is_zero()
-            if x.is_zero():
+            assert index(x * n) == (n * ix if ix != INF else INF) or is_zero(x)
+            if is_zero(x):
                 assert index(x * n) == 0
 
 
@@ -626,9 +625,9 @@ def test_refine_cost_does_not_grow_with_the_coefficients():
     qo = QOSystem([f"p{i}" for i in range(5)],
                   [("p1", "p2"), ("p1", "p4"), ("p2", "p4"), ("p3", "p4")])
     for k in (10, 10 ** 20):
-        a0 = DimVector(qo, (0, INF, INF, INF, 3 * k))
-        a1 = DimVector(qo, (3 * k, INF, k, 0, 0))
-        b1 = DimVector(qo, (3 * k, INF, 4 * k, 4 * k, 0))
+        a0 = canonical_vector(qo, (0, INF, INF, INF, 3 * k))
+        a1 = canonical_vector(qo, (3 * k, INF, k, 0, 0))
+        b1 = canonical_vector(qo, (3 * k, INF, 4 * k, 4 * k, 0))
         (c00, c01), (c10, c11) = assert_refines(a0, a1, a0, b1)
         assert c00 == a0
         assert c01.values == (0, INF, 4 * k, 4 * k, 0)
@@ -697,7 +696,7 @@ def test_monoid_laws_hypothesis(data):
     assert x + qo.zero() == x
     assert violates_canonical_form(qo, (x + y).values) is None
     if x + y == qo.zero():
-        assert x.is_zero() and y.is_zero()  # conical
+        assert is_zero(x) and is_zero(y)  # conical
 
 
 @given(system_and_vectors())
@@ -705,5 +704,5 @@ def test_monoid_laws_hypothesis(data):
 def test_serialization_hypothesis(data):
     qo, (x, _, _) = data
     doc = x.to_json_dict()
-    back = qo.vector(doc["values"])
+    back = vector(qo, doc["values"])
     assert back == x

@@ -4,33 +4,43 @@ axes and independence, n-distributivity by its two methods, neutral ideals
 and the normal kernel, the bounded decomposition searches (two-piece,
 V-measure, refinement of equal words, Jonsson), the modular free-monoid
 oracles and interval sublattices.  All searches iterate elements in index
-order and return the first witness.  Last comes the algebra of canonical
-vectors that no verb runs: truncation, residuals (with the level search
-they are checked against), refinement and reduced representations.
+order and return the first witness.  Then comes the algebra of canonical
+vectors that no verb runs: the canonical-form test, the value queries and
+the index, truncation, residuals (with the level search they are checked
+against), refinement and reduced representations.
+
+Last come the parts of the lattice and congruence layers that no verb
+runs: the order queries by element (`le`, `interval`, the covers of one
+element, the atoms, the index-least maximal chain), lattice files written
+and direct products, the congruence that pairs generate, and the functor
+checks for products and quotients.
+
+`oracles` is imported as a module, as it reads the queries here in turn.
 """
 
 import functools
 import itertools
+import json
 
 import numpy as np
 
-from dimw.congruence import congruence_from_pairs, quotient_lattice
-from dimw.dimension import delta
-from dimw.errors import DimwError, MismatchError, NotInF, NotModular
+from dimw.congruence import DClasses, quotient_lattice
+from dimw.dimension import _image_points, _natural_map, delta, dimension_monoid
+from dimw.errors import DimwError, MismatchError, ParamTooLarge
 from dimw.geometry import (_homogeneous_levels, lattice_index, n_distributive_verdicts,
                            perspectivity_matrix)
-from dimw.lattice import (FiniteLattice, _transitive_closure, is_modular,
+from dimw.lattice import (SIZE_GUARD, FiniteLattice, _transitive_closure, is_modular,
                           is_sectionally_complemented)
-from dimw.monoid import INF, DimVector, violates_canonical_form
+from dimw.monoid import INF, DimVector
 
-from oracles import UnionFind, perspective_by_axes, sectional_complements
+import oracles
 
 # -- perspectivity ------------------------------------------------------------
 
 
 def proper_axis(L, a, b):
     """A proper axis of perspectivity between a and b, or None."""
-    x = perspective_by_axes(L, a, b)
+    x = oracles.perspective_by_axes(L, a, b)
     return None if x is None else L.mt(x, L.jn(a, b))
 
 
@@ -74,7 +84,7 @@ def diamonds(L, m, first_only=False):
         # independence over u, inductively; then a common complement in [u, join]
         if len(seq) == m:
             if any(all(L.mt(a, e) == u and L.jn(a, e) == join for a in seq)
-                   for e in L.interval(u, join)):
+                   for e in interval(L, u, join)):
                 yield u, join
             return
         for i, b in enumerate(rest):
@@ -82,7 +92,7 @@ def diamonds(L, m, first_only=False):
                 yield from spans(u, seq + [b], L.jn(join, b), rest[i + 1:])
 
     found = (d for u in range(L.n)
-             for d in spans(u, [], u, [a for a in range(L.n) if L.le(u, a) and a != u]))
+             for d in spans(u, [], u, [a for a in range(L.n) if le(L, u, a) and a != u]))
     return list(itertools.islice(found, 1)) if first_only else sorted(set(found))
 
 
@@ -186,9 +196,10 @@ def two_piece_decomposition(L, a, b, D, sim):
     if delta(D, L.bottom, a) != delta(D, L.bottom, b):
         return None
     for found in ((a0, a1, b0, b1)
-                  for a0 in L.interval(L.bottom, a) for a1 in sectional_complements(L, a0, a)
-                  for b0 in L.interval(L.bottom, b) if sim[a0, b0]
-                  for b1 in sectional_complements(L, b0, b) if sim[a1, b1]):
+                  for a0 in interval(L, L.bottom, a)
+                  for a1 in oracles.sectional_complements(L, a0, a)
+                  for b0 in interval(L, L.bottom, b) if sim[a0, b0]
+                  for b1 in oracles.sectional_complements(L, b0, b) if sim[a1, b1]):
         return found
     raise MismatchError("no two-piece decomposition found",
                         witness=(L.names[a], L.names[b]))
@@ -201,7 +212,7 @@ def v_measure_check(L, D):
     for c, x, y in itertools.product(range(L.n), repeat=3):
         if rng[x] + rng[y] == rng[c] and not any(
                 rng[a] == rng[x] and rng[b] == rng[y]
-                for a in L.interval(L.bottom, c) for b in sectional_complements(L, a, c)):
+                for a in interval(L, L.bottom, c) for b in oracles.sectional_complements(L, a, c)):
             raise MismatchError("dimension split does not lift",
                                 witness=(L.names[c], L.names[x], L.names[y]))
     return True
@@ -217,8 +228,8 @@ def eqwords_refinement(L, parts_a, parts_b, approxeq):
         if k == 1:
             yield (x,)
             return
-        for first in L.interval(L.bottom, x):
-            for rest in sectional_complements(L, first, x):
+        for first in interval(L, L.bottom, x):
+            for rest in oracles.sectional_complements(L, first, x):
                 for tail in split_into(rest, k - 1):
                     yield (first,) + tail
 
@@ -237,9 +248,9 @@ def eqwords_refinement(L, parts_a, parts_b, approxeq):
         if j == len(cols):
             yield from ([drow] + rest for rest in matrices(rows, cols))
             return
-        for d in L.interval(L.bottom, cols[j]):
+        for d in interval(L, L.bottom, cols[j]):
             if approxeq[cells[j], d]:
-                for comp in sectional_complements(L, d, cols[j]):
+                for comp in oracles.sectional_complements(L, d, cols[j]):
                     yield from matched(rows, cols[:j] + [comp] + cols[j + 1:], cells,
                                        drow + [(cells[j], d)])
 
@@ -250,14 +261,14 @@ def jonsson_decomposition(L, a, b, sim):
     """Bounded search for the two-step-perspectivity decompositions
     a = u0 + u1 + (sum of a_i), b = u + (sum of b_i) + h with u0 ~ u, u1 ~ u
     and a_i ~ b_i for i < 4 (zero summands allowed)."""
-    below_a, below_b = L.interval(L.bottom, a), L.interval(L.bottom, b)
+    below_a, below_b = interval(L, L.bottom, a), interval(L, L.bottom, b)
     return next((((u0, u1, rest_a), (u, mid, h))
                  for u0 in below_a for u1 in below_a if L.mt(u1, u0) == L.bottom
-                 for rest_a in sectional_complements(L, L.jn(u0, u1), a)
+                 for rest_a in oracles.sectional_complements(L, L.jn(u0, u1), a)
                  for u in below_b if sim[u0, u] and sim[u1, u]
-                 for w in sectional_complements(L, u, b)
-                 for h in L.interval(L.bottom, w)
-                 for mid in sectional_complements(L, h, w)
+                 for w in oracles.sectional_complements(L, u, b)
+                 for h in interval(L, L.bottom, w)
+                 for mid in oracles.sectional_complements(L, h, w)
                  if _matched_decomposition(L, rest_a, mid, sim, 4)), None)
 
 
@@ -270,19 +281,23 @@ def _matched_decomposition(L, x, y, rel, depth):
         return False
     return bool(rel[x, y]) or any(
         _matched_decomposition(L, x1, y1, rel, depth - 1)
-        for x0 in L.interval(L.bottom, x) if x0 != L.bottom
-        for y0 in L.interval(L.bottom, y) if rel[x0, y0]
-        for x1 in sectional_complements(L, x0, x)
-        for y1 in sectional_complements(L, y0, y))
+        for x0 in interval(L, L.bottom, x) if x0 != L.bottom
+        for y0 in interval(L, L.bottom, y) if rel[x0, y0]
+        for x1 in oracles.sectional_complements(L, x0, x)
+        for y1 in oracles.sectional_complements(L, y0, y))
 
 
 # -- modular free-monoid oracles ----------------------------------------------
 
 
+class NotModular(DimwError):
+    """Operation requires a modular lattice."""
+
+
 def projectivity_classes(L):
     """Partition of the prime intervals under transposition closure."""
     primes = list(enumerate(L.covers))
-    uf = UnionFind(len(primes))
+    uf = oracles.UnionFind(len(primes))
     for (i, (a, b)), (k, (c, d)) in itertools.product(primes, repeat=2):
         # [a, b] up-transposes to [c, d] when c^b == a and cvb == d
         if L.mt(c, b) == a and L.jn(c, b) == d:
@@ -333,18 +348,96 @@ def intervals_projective(L, iv1, iv2):
 
 def interval_sublattice(L, a, b):
     """The induced lattice on [a, b] plus the map back into L."""
-    members = L.interval(a, b)
+    members = interval(L, a, b)
     K = FiniteLattice([L.names[z] for z in members], L.leq[np.ix_(members, members)],
                       name=f"{L.name}[{L.names[a]},{L.names[b]}]", _validate=False)
     return K, members
 
 # -- the monoid algebra -------------------------------------------------------
-# Truncation, residuals, refinement and reduced representations of canonical
-# vectors, which criterion 9 and the monoid tests exercise and no verb runs.
+# The canonical-form test, the value queries and the index, truncation,
+# residuals, refinement and reduced representations of canonical vectors,
+# which criterion 9 and the monoid tests exercise and no verb runs.
+
+
+class NotInF(DimwError):
+    """A coefficient map violates the canonical-form invariants."""
 
 
 class NotBelow(DimwError):
     """residual(x, y) requires x <= y componentwise."""
+
+
+def violates_canonical_form(qo, values):
+    """The reason a row of values is not in canonical form, or None; for a
+    stack of rows, the list of the reasons, one per row.  Each test runs on
+    the whole stack, and a row's reason is the first test it fails, at its
+    first point, or pair of points, in index order."""
+    V = np.array(values, dtype=float)
+    single, V = V.ndim == 1, np.atleast_2d(V)
+    k, rel = V.shape[1], qo.rel
+    if not k:  # the one value over no points, the empty map, is canonical
+        return None if single else [None] * len(V)
+    # the diagonal of rel never fires: v[p] < v[p] is false
+    antitone = (rel & (V[:, :, None] < V[:, None, :])).reshape(len(V), k * k)
+    selfrel = rel.diagonal() & (V != 0) & (V != INF)
+    # where the first two tests pass, finite positions are plain points, so
+    # the diagonal is false here too
+    finite = (V > 0) & (V < INF)
+    chained = ((finite @ rel) & finite).any(axis=1)
+    # a self-related point is related to itself, so only plain points can be
+    # infinite with nothing of the support strictly above them
+    stranded = (V == INF) & ~((V != 0) @ rel.T)
+    first = np.select([antitone.any(axis=1), selfrel.any(axis=1), chained,
+                       stranded.any(axis=1)], [1, 2, 3, 4], 0).tolist()
+    at = zip(antitone.argmax(axis=1).tolist(), selfrel.argmax(axis=1).tolist(),
+             stranded.argmax(axis=1).tolist())
+    names, reasons = qo.points, []
+    for test, (pq, p, q) in zip(first, at):
+        if test == 1:
+            reasons.append("not antitone at (%s, %s)" % tuple(names[i] for i in divmod(pq, k)))
+        elif test == 2:
+            reasons.append(f"finite nonzero value on self-related point {names[p]}")
+        elif test == 3:
+            reasons.append("finite positions are not an antichain")
+        elif test == 4:
+            reasons.append(f"infinite value at maximal non-self-related point {names[q]}")
+        else:
+            reasons.append(None)
+    return reasons[0] if single else reasons
+
+
+def canonical_vector(qo, values):
+    """DimVector(qo, values), or NotInF with the reason the values are not
+    in canonical form."""
+    reason = violates_canonical_form(qo, values)
+    if reason:
+        raise NotInF(reason)
+    return DimVector(qo, values)
+
+
+def vector(qo, mapping):
+    """The canonical vector of a "values" map of `DimVector.to_json_dict`."""
+    vals = [0] * len(qo)
+    for p, v in mapping.items():
+        vals[qo._as_index(p)] = INF if v == INF or v == "inf" else int(v)
+    return canonical_vector(qo, tuple(vals))
+
+
+def is_zero(x):
+    return all(v == 0 for v in x.values)
+
+
+def max_finite(x):
+    """The largest finite entry of x, 0 if it has none."""
+    return max((v for v in x.values if v != INF), default=0)
+
+
+def index(x):
+    """Largest n for which some nonzero y has n*y <= x: infinity when an
+    infinite coefficient occurs, otherwise the largest coefficient."""
+    if INF in x.values:
+        return INF
+    return int(max(x.values, default=0)) if not is_zero(x) else 0
 
 
 def support(x):
@@ -427,7 +520,7 @@ def refine(a0, a1, b0, b1):
                 c[p] = v = 0 if v == INF else v
                 need[i] -= v
                 need[j] -= v
-    c00, c01, c10, c11 = (DimVector(qo, c, validate=False) for c in cells)
+    c00, c01, c10, c11 = (DimVector(qo, c) for c in cells)
     return (c00, c01), (c10, c11)
 
 
@@ -485,9 +578,137 @@ def residual_by_levels(x, y):
     if not x <= y:
         raise NotBelow("residual requires x <= y")
     zbar = tuple(INF if yv == INF else yv - xv for xv, yv in zip(x.values, y.values))
-    limit = int(max(x.max_finite(), y.max_finite())) + 1
+    limit = int(max(max_finite(x), max_finite(y))) + 1
     for n in range(limit + 1):
         t = truncate(x.qo, zbar, 2 * n)
         if x + t == y:
             return t
     raise AssertionError("residual construction failed; input not canonical?")
+
+
+# -- lattice queries, files and products --------------------------------------
+
+
+def le(L, a, b):
+    return bool(L.leq[a, b])
+
+
+def covers_of(L, a):
+    """Upper covers of a, ascending."""
+    return list(L._up[a])
+
+
+def cocovers_of(L, b):
+    """Lower covers of b, ascending."""
+    return list(L._down[b])
+
+
+def interval(L, a, b):
+    """Elements z with a <= z <= b, ascending index order."""
+    if not le(L, a, b):
+        raise ValueError("interval endpoints must satisfy a <= b")
+    return np.flatnonzero(L.leq[a] & L.leq[:, b]).tolist()
+
+
+def atoms(L):
+    return covers_of(L, L.bottom)
+
+
+def maximal_chain(L, a, b):
+    """The index-least maximal chain from a to b (a <= b required), along
+    the lattice's step columns."""
+    if not L.leq[a, b]:
+        raise ValueError("chain endpoints must satisfy a <= b")
+    return [a] + [L.covers[i][1] for i in L._chain_covers(a, b)]
+
+
+def lattice_to_json(L):
+    """The lattice file of L, the format `dimw.lattice.from_json` reads."""
+    return json.dumps(
+        {"name": L.name, "elements": list(L.names),
+         "covers": [[L.names[a], L.names[b]] for a, b in L.covers]},
+        sort_keys=True)
+
+
+def save(L, path):
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(lattice_to_json(L) + "\n")
+
+
+def product(A, B):
+    """Direct product with componentwise order."""
+    if A.n * B.n > SIZE_GUARD:
+        raise ParamTooLarge(f"product would have {A.n * B.n} elements")
+    names = [f"({a},{b})" for a in A.names for b in B.names]
+    return FiniteLattice(names, np.kron(A.leq, B.leq), name=f"{A.name}x{B.name}",
+                         _validate=False)
+
+
+# -- congruences from pairs and the product and quotient functor checks -------
+
+
+def congruence_from_pairs(L, pairs):
+    """The block_of row of the smallest congruence of L merging every given
+    pair."""
+    D = DClasses(L)
+    return D.partitions(D.collapsed_by(pairs).any(axis=0)[None, :])[0]
+
+
+def block_names(L, block_of):
+    """The blocks of a block_of row as lists of element names, each in index
+    order, the blocks in the order of their least members."""
+    blocks = {}
+    for x, b in enumerate(np.asarray(block_of).tolist()):
+        blocks.setdefault(b, []).append(L.names[x])
+    return list(blocks.values())
+
+
+def down_set(qo, members):
+    """The points below some member, for a bool membership vector over the
+    points of qo or a stack of them; the result has the same shape."""
+    return members @ qo.below.T
+
+
+def _collapsed_down_sets(D, blocks):
+    """For each block_of row, the membership vector of the points below a
+    point with a prime interval that the row collapses."""
+    L = D.lattice
+    hit = np.zeros((len(blocks), len(D.qo)), dtype=bool)
+    rows, primes = np.nonzero(blocks[:, L.cover_lo] == blocks[:, L.cover_hi])
+    hit[rows, D.point_of_cover[primes]] = True
+    return down_set(D.qo, hit)
+
+
+def product_functor_check(L, D, B):
+    """Product compatibility: the covers of L x B map onto the disjoint union
+    of the QO-systems of L and B, by the coordinate each cover moves."""
+    P = product(L, B)
+    DP, DB = dimension_monoid(P), dimension_monoid(B)
+    # the disjoint union of the two systems, L's points first
+    k = len(D.qo)
+    union = np.zeros((k + len(DB.qo),) * 2, dtype=bool)
+    union[:k, :k], union[k:, k:] = D.qo.rel, DB.qo.rel
+    # (a, b) is element a * B.n + b of P, and a cover moves one coordinate
+    (a, b), (c, d) = np.divmod(P.cover_lo, B.n), np.divmod(P.cover_hi, B.n)
+    in_L = b == d
+    image = np.empty(len(P.covers), dtype=np.intp)
+    image[in_L] = _image_points(D, a[in_L], c[in_L])
+    image[~in_L] = k + _image_points(DB, b[~in_L], d[~in_L])
+    _natural_map("product", DP, image, union)
+
+
+def quotient_functor_check(L, D, theta):
+    """Quotient compatibility for `theta`, the block_of row of a congruence
+    of L: the uncollapsed covers map onto the quotient's QO-system, and the
+    map is defined exactly on the points that theta does not collapse."""
+    Q, proj = quotient_lattice(L, theta)
+    DQ = dimension_monoid(Q)
+    # an uncollapsed cover (a, b) goes to the cover of their blocks
+    lo, hi = proj[L.cover_lo], proj[L.cover_hi]
+    image, kept = np.full(len(L.covers), -1), lo != hi
+    image[kept] = _image_points(DQ, lo[kept], hi[kept])
+    src = _natural_map("quotient", D, image, DQ.qo.rel)
+    collapsed = _collapsed_down_sets(D, np.array([theta]))[0]
+    if sorted(src) != np.flatnonzero(~collapsed).tolist():
+        raise MismatchError("quotient map is not defined on the uncollapsed points",
+                            witness=" | ".join(map(",".join, block_names(L, theta))))
