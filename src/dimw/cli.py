@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 check/validation failure, 2 usage error.
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 
@@ -122,9 +121,9 @@ def cmd_geom(args):
     report["is_normal"] = {"status": normal,
                            "witness": None if witness is None else
                            [L.names[witness[0]], L.names[witness[1]]]}
-    report["index"] = dict(zip(L.names, geo.lattice_index(L, sim)))
-    holds = itertools.islice(geo.n_distributive_verdicts(L), 1, L.height() + 1)
-    level = next((n for n, ok in enumerate(holds, 1) if ok), L.height() + 1)
+    index = geo.lattice_index(L, sim)
+    report["index"] = dict(zip(L.names, index))
+    level = geo.least_n_distributive(L, index)
     report["least_n_distributive"] = level
     _emit(args, report,
           "\n".join([f"normal: {normal}",

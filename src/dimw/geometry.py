@@ -3,35 +3,64 @@ as the `geom` and `check --all` verbs run it: perspectivity, homogeneous
 sequences and the lattice index, Huhn's identity, normality, and the
 decomposition closure behind the relations suite.
 
-Homogeneous sequences, Huhn's identity, normality and the decomposition
-closure are passes over the order, meet and join tables.  The sequences and
-the identity each grow once, level by level, over distinct states: (base,
-join, last partner) give every index, the meets of the variables one
-verdict per n.  The closure is a least fixpoint of bool matrix products.
-The test suite checks them against the loops and searches they replaced
-(`tests/oracles.py`), and builds the rest of the theory on them
+Perspectivity sorts the keys (a ^ x, a v x) of each axis x and relates the
+elements of each run of equal keys.  Homogeneous sequences, Huhn's
+identity, normality and the decomposition closure are passes over the
+order, meet and join tables.  The sequences and the identity each grow
+once, level by level, over distinct states: (base, join, last partner) give
+every index, the meets of the variables one verdict per n.  The least n
+with L n-distributive comes from the theory where it applies, on
+distributive and on sectionally complemented modular lattices, and from the
+identity elsewhere.  The closure is a least fixpoint of bool matrix
+products.  The test suite checks them against the loops and searches they
+replaced (`tests/oracles.py`), and builds the rest of the theory on them
 (`tests/theory.py`): independence, diamonds, neutral ideals and the normal
 kernel, and the bounded decomposition searches.
 """
+
+import itertools
 
 import numpy as np
 
 from .dimension import delta_rows
 from .errors import MismatchError
-from .lattice import _distinct_rows, _transitive_closure
+from .lattice import (_distinct_rows, _runs, _transitive_closure, is_distributive, is_modular,
+                      is_sectionally_complemented)
 from .monoid import INF
 
 # a block of n_distributive_verdicts holds about this many states while they
-# grow, or cells, one per x and state, while they are tested
+# grow, or cells, one per x and state, while they are tested; a block of
+# perspectivity_matrix sorts about this many keys
 _IDENTITY_CELLS = 1 << 15
 
 
 def perspectivity_matrix(L):
-    """sim[a, b]: a and b are perspective, one row pass per a."""
-    sim = np.empty((L.n, L.n), dtype=bool)
-    for a in range(L.n):
-        sim[a] = ((L.meet[a] == L.meet) & (L.join[a] == L.join)).any(axis=1)
-    return sim
+    """sim[a, b]: a and b are perspective, some axis x giving them one key
+    (a ^ x, a v x).  The keys of each axis are sorted, each pair within a
+    run of equal keys is set once and the matrix mirrored: O(n^2 log n) plus
+    the pairs found, where a row pass per a compared 2n^3 cells.  The axes
+    go in blocks of about _IDENTITY_CELLS keys."""
+    n = L.n
+    sim = np.eye(n, dtype=bool)
+    flat = sim.reshape(-1)
+    step = max(1, _IDENTITY_CELLS // n)
+    for x in range(0, n, step):
+        # meet and join are symmetric, so row x holds the keys of axis x
+        keys = L.meet[x:x + step] * n + L.join[x:x + step]
+        order = keys.argsort(axis=1)
+        ranked = np.take_along_axis(keys, order, axis=1).reshape(-1)
+        fresh = np.ones(len(ranked), dtype=bool)
+        fresh[1:] = ranked[1:] != ranked[:-1]
+        fresh[::n] = True
+        first = np.flatnonzero(fresh)
+        end = np.append(first[1:], len(fresh))
+        first, end = first[end - first > 1], end[end - first > 1]
+        # each position of a run, then each later position of the same run
+        run, at = _runs(first, end - first - 1)
+        pair, later = _runs(at + 1, end[run] - at - 1)
+        members = order.reshape(-1)
+        flat[members[at[pair]] * n + members[later]] = True
+    return sim | sim.T
 
 
 # -- homogeneous sequences and the two indices ------------------------------
@@ -86,18 +115,35 @@ def index_equality_check(L, D, sim):
 # -- n-distributivity ------------------------------------------------------
 
 
+def least_n_distributive(L, index):
+    """The least n >= 1 with L n-distributive, or height + 1 when none up to
+    the height is; `index` is `lattice_index`.  The theory answers first: 1
+    on a distributive lattice, and index(top) on a sectionally complemented
+    modular one, which is n-distributive iff index(top) <= n (A. P. Huhn,
+    "Schwach distributive Verbaende I", Acta Sci. Math. 33, 1972).
+    Elsewhere Huhn's identity grows from n = 2."""
+    if is_distributive(L):
+        return 1
+    if is_modular(L) and is_sectionally_complemented(L):
+        return index[L.top]
+    verdicts = itertools.islice(n_distributive_verdicts(L), L.height() - 1)
+    return next((n for n, ok in enumerate(verdicts, 2) if ok), L.height() + 1)
+
+
 def n_distributive_verdicts(L):
     """Method A, Huhn's identity x v (y_0 ^ ... ^ y_n) == meet over i of
     (x v m_i), m_i the meet of the y_j with j != i, for every x and y_0 .. y_n:
-    one verdict per n = 0, 1, 2, ... from one growth of the states.
+    one verdict per n = 2, 3, ... from one growth of the states.  At n = 1
+    the identity is the distributive law, `is_distributive`.
     For n >= 1 the meet of the y is the meet of the m_i, so both sides depend
     only on the state (m_0 .. m_n sorted, g = meet of the y).  One y gives
     (top, y); adding z sends each m_i to m_i ^ z, adds g as an m and g to
-    g ^ z.  A level is tested in blocks of about _IDENTITY_CELLS cells, then
+    g ^ z.  A level is tested in blocks of about _IDENTITY_CELLS cells, and
     grown in blocks of as many rows, each made distinct, and merged once.
     """
     # the narrowest index type, as a merge holds every grown row of a level
     meet, join = L.meet.astype(np.min_scalar_type(L.n)), L.join
+    elements = np.arange(L.n, dtype=meet.dtype)
 
     def holds(block):
         # join is symmetric, so row m of it is the column of x v m over x
@@ -106,21 +152,23 @@ def n_distributive_verdicts(L):
             rhs = meet[rhs, join[m]]
         return np.array_equal(join[block[:, -1]], rhs)
 
-    def grown(states, zs):
+    def grown(states):
         g = states[:, None, -1:]
-        parts = meet[states[:, None, :-1], zs], g.repeat(len(zs), axis=1), meet[g, zs]
-        block = np.concatenate(parts, axis=2).reshape(-1, states.shape[1] + 1)
-        block[:, :-1].sort(axis=1)
-        return _distinct_rows(block)
+        step = max(1, _IDENTITY_CELLS // len(states))
+        blocks = []
+        for s in range(0, L.n, step):
+            zs = elements[s:s + step, None]
+            parts = meet[states[:, None, :-1], zs], g.repeat(len(zs), axis=1), meet[g, zs]
+            block = np.concatenate(parts, axis=2).reshape(-1, states.shape[1] + 1)
+            block[:, :-1].sort(axis=1)
+            blocks.append(_distinct_rows(block))
+        return _distinct_rows(np.concatenate(blocks))
 
-    elements = np.arange(L.n, dtype=meet.dtype)
-    states = np.stack([np.full_like(elements, L.top), elements], axis=1)
+    states = grown(np.stack([np.full_like(elements, L.top), elements], axis=1))
     tested = max(1, _IDENTITY_CELLS // L.n)
     while True:
+        states = grown(states)
         yield all(holds(states[s:s + tested]) for s in range(0, len(states), tested))
-        step = max(1, _IDENTITY_CELLS // len(states))
-        states = _distinct_rows(np.concatenate(
-            [grown(states, elements[s:s + step, None]) for s in range(0, L.n, step)]))
 
 
 # -- normality ---------------------------------------------------------------

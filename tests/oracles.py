@@ -23,8 +23,10 @@ here is a block_of tuple with each block named by its least member, the
 root of its union-find set, as in the rows of Con L's table.  A partition is
 compatible when every pair of one block agrees on x^z and xvz for every z,
 tested pair by pair; perspectivity searches the axes x one at a time,
-and the sectional complements of x in [0, a] scan that interval.  Delta is
-summed one generator per step of the maximal chain, and distributivity is
+or compares each row of the meet and join tables with the whole tables as
+it did before the library sorted the keys of each axis, and the sectional
+complements of x in [0, a] scan that interval.  Delta is summed one
+generator per step of the maximal chain, and distributivity is
 tested on the identity x ^ (y v z) = (x ^ y) v (x ^ z) itself.  A
 dimension word is parsed into a list of terms first and built from the list
 after, as the parser ran before it filled the multiset as it read.  The axiom
@@ -168,6 +170,15 @@ def perspectivity_by_axes(L):
                 if L.mt(a, x) == L.mt(b, x) and L.jn(a, x) == L.jn(b, x):
                     sim[a, b] = sim[b, a] = True
                     break
+    return sim
+
+
+def perspectivity_by_rows(L):
+    """sim[a, b]: a and b are perspective, one row pass per a over the whole
+    meet and join tables."""
+    sim = np.empty((L.n, L.n), dtype=bool)
+    for a in range(L.n):
+        sim[a] = ((L.meet[a] == L.meet) & (L.join[a] == L.join)).any(axis=1)
     return sim
 
 

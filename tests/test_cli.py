@@ -251,6 +251,33 @@ def test_check_all_builds_each_geometry_object_once(monkeypatch, capsys):
         "perspectivity_matrix": 1, "_transitive_closure": 1, "_decomposition_closure": 1}
 
 
+def test_geom_reads_the_least_n_from_the_theory_first(monkeypatch, capsys):
+    # distributive and sectionally complemented modular lattices answer
+    # without Huhn's identity; partition:4 is neither, so it grows it once
+    spies = {name: mock.Mock(wraps=getattr(geo, name))
+             for name in ("perspectivity_matrix", "n_distributive_verdicts")}
+    for name, spy in spies.items():
+        monkeypatch.setattr(geo, name, spy)
+    for spec, grown in (("subspace:2,3", 0), ("boolean:4", 0), ("chain:8", 0),
+                        ("partition:4", 1)):
+        for spy in spies.values():
+            spy.reset_mock()
+        assert run(["geom", "--builtin", spec, "--json"]) == 0
+        capsys.readouterr()
+        assert {name: spy.call_count for name, spy in spies.items()} == {
+            "perspectivity_matrix": 1, "n_distributive_verdicts": grown}, spec
+
+
+def test_geom_on_subspace_2_5_and_boolean_10():
+    # 157 s and 5.7 s when Huhn's identity grew on every lattice
+    for spec, top, level in (("subspace:2,5", "10000,01000,00100,00010,00001", 5),
+                             ("boolean:10", "1111111111", 1)):
+        proc = _proc("geom", "--builtin", spec, "--json", timeout=60)
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert (doc["least_n_distributive"], doc["index"][top]) == (level, level), spec
+
+
 def _python(*args, timeout=120, **options):
     """Run a fresh interpreter that imports this `dimw`, with no traceback on
     stderr; the options go to subprocess.run."""

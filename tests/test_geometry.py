@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -10,12 +11,13 @@ from dimw.dimension import delta, dimension_monoid
 from dimw.lattice import _transitive_closure
 from dimw.geometry import (index_equality_check, is_normal, lattice_index, perspectivity_matrix,
                            relations_suite, transitivity_cancellativity_check)
-from conftest import builtins_up_to, cross_check_lattices, random_lattices
+from conftest import (builtins_up_to, cross_check_lattices, lattices_and_duals,
+                      random_eight_element_lattices, random_lattices)
 from oracles import (decomposition_closure_by_loop, homogeneous_base_set_by_search,
-                     is_normal_by_pairs, lattice_index_by_search, max_homogeneous_below_by_search,
-                     n_distributive_by_tuples, neutral_ideal_by_worklist,
-                     perspective_by_axes as perspective, perspectivity_by_axes,
-                     sectional_complements)
+                     is_distributive_by_identity, is_normal_by_pairs, lattice_index_by_search,
+                     max_homogeneous_below_by_search, n_distributive_by_tuples,
+                     neutral_ideal_by_worklist, perspective_by_axes as perspective,
+                     perspectivity_by_axes, perspectivity_by_rows, sectional_complements)
 from theory import (atoms, diam_congruence, diam_ideal_equivalence_check, diamonds,
                     eqwords_refinement, homogeneous_base_set, independent, interval,
                     jonsson_decomposition, le, lesssim, m_ideal, maximal_chain, n_distributive,
@@ -67,6 +69,16 @@ def test_perspectivity_matrix_reflexive_symmetric():
 def test_perspectivity_matches_axis_search():
     for L in builtins_up_to(60) + random_lattices():
         assert np.array_equal(perspectivity_matrix(L), perspectivity_by_axes(L)), L.name
+
+
+@pytest.mark.parametrize("cells", [geo._IDENTITY_CELLS, 64])
+def test_perspectivity_matrix_matches_row_pass_oracle(monkeypatch, cells):
+    # 64 cells sort one or a few axes per block, so runs of equal keys meet
+    # the block edges
+    monkeypatch.setattr(geo, "_IDENTITY_CELLS", cells)
+    specs = ("partition:5", "subspace:2,4", "subspace:3,3", "boolean:6", "chain:50")
+    for L in lattices_and_duals() + tuple(map(lat.builtin_spec, specs)):
+        assert np.array_equal(perspectivity_matrix(L), perspectivity_by_rows(L)), L.name
 
 
 def test_independent():
@@ -154,6 +166,26 @@ def test_n_distributive_identity_matches_tuple_oracle(monkeypatch, cells):
             assert got == n_distributive_by_tuples(L, n), (L.name, n)
             verdicts.append(got)
     assert verdicts.count(False) >= 10 and verdicts.count(True) >= 10
+
+
+def test_least_n_distributive_matches_huhn_growth():
+    # the theory's least n against the first level at which Huhn's identity
+    # holds, capped at height + 1: at n = 1 the distributive law, evaluated,
+    # and from n = 2 the growth
+    specs = SC_MODULAR_SPECS + ("partition:5", "subspace:2,4")
+    branches = collections.Counter()
+    for L in (lattices_and_duals() + tuple(random_eight_element_lattices(20))
+              + tuple(map(lat.builtin_spec, specs))):
+        expected = 1
+        if not is_distributive_by_identity(L):
+            verdicts = itertools.islice(geo.n_distributive_verdicts(L), L.height() - 1)
+            expected = next((n for n, ok in enumerate(verdicts, 2) if ok), L.height() + 1)
+        assert geo.least_n_distributive(L, lattice_index(L, perspectivity_matrix(L))) == (
+            expected), L.name
+        branches["distributive" if lat.is_distributive(L) else
+                 "scm" if lat.is_modular(L) and lat.is_sectionally_complemented(L) else
+                 "growth"] += 1
+    assert min(branches[b] for b in ("distributive", "scm", "growth")) >= 1, branches
 
 
 @pytest.mark.parametrize("spec", ["partition:5", "subspace:2,4"])

@@ -29,8 +29,8 @@ from dimw.dimension import _image_points, _natural_map, delta, dimension_monoid
 from dimw.errors import DimwError, MismatchError, ParamTooLarge
 from dimw.geometry import (_homogeneous_levels, lattice_index, n_distributive_verdicts,
                            perspectivity_matrix)
-from dimw.lattice import (SIZE_GUARD, FiniteLattice, _transitive_closure, is_modular,
-                          is_sectionally_complemented)
+from dimw.lattice import (SIZE_GUARD, FiniteLattice, _transitive_closure, is_distributive,
+                          is_modular, is_sectionally_complemented)
 from dimw.monoid import INF, DimVector
 
 import oracles
@@ -97,12 +97,14 @@ def diamonds(L, m, first_only=False):
 
 
 def n_distributive(L, n, method="both"):
-    """n-distributivity by identity evaluation (A: the n-th verdict of
-    n_distributive_verdicts) and by absence of a nontrivial (n+1)-diamond /
-    homogeneous sequence (B); both must agree."""
+    """n-distributivity, n >= 1, by identity evaluation (A: `is_distributive`
+    at n = 1, else the verdict of n_distributive_verdicts at n) and by
+    absence of a nontrivial (n+1)-diamond / homogeneous sequence (B); both
+    must agree."""
     results = {}
     if method in ("A", "both"):
-        results["A"] = next(itertools.islice(n_distributive_verdicts(L), n, None))
+        results["A"] = (is_distributive(L) if n == 1 else
+                        next(itertools.islice(n_distributive_verdicts(L), n - 2, None)))
     if method in ("B", "both"):
         results["B"] = (lattice_index(L, perspectivity_matrix(L))[L.top] <= n
                         if is_sectionally_complemented(L) and is_modular(L)
